@@ -165,17 +165,41 @@ def heavy_probe_dataset(num_tuples: int = None, seed: int = 7):
     return from_tuple_specs(specs, num_streams=3, name="heavy-probe")
 
 
+def _any_combination(_a, _b, _c) -> bool:
+    return True
+
+
 def heavy_probe_config(k_ms: int, window_s: int = None, collect: bool = False):
     """The pipeline config both heavy-probe benches run against.
 
     One factory so ``bench_ext_partitioned`` and ``bench_ext_columnar``
     cannot drift apart on the scenario parameters.
+
+    The shard-scaling gates built on this scenario assume it is
+    compute-bound (~1 ms of probe per tuple).  A bare equi chain no
+    longer is: a count-only probe answers it as a product of index
+    bucket sizes, and the benches would measure IPC alone.  The
+    always-true predicate over all three streams closes at the last
+    depth and keeps every probe enumerating its ~1 500 combinations;
+    result counts — hence every count-identity gate — are unchanged, and
+    the equi chain still hash-partitions the join exactly.  (A module
+    level function, so the config pickles into socket-hosted workers.)
     """
-    from repro import FixedKPolicy, PipelineConfig, equi_join_chain, seconds
+    from repro import (
+        FixedKPolicy,
+        JoinCondition,
+        PipelineConfig,
+        ThetaPredicate,
+        equi_join_chain,
+        seconds,
+    )
 
     return PipelineConfig(
         window_sizes_ms=[seconds(window_s or HEAVY_WINDOW_S)] * 3,
-        condition=equi_join_chain("a1", 3),
+        condition=JoinCondition(
+            equi_join_chain("a1", 3).predicates
+            + [ThetaPredicate((0, 1, 2), _any_combination)]
+        ),
         gamma=0.95,
         period_ms=15_000,
         interval_ms=1_000,

@@ -23,7 +23,12 @@ and actual result count ``n^on(e)``; for out-of-order tuples no counts
 Probing binds the remaining streams one at a time in the order chosen by
 a :class:`~repro.join.ordering.ProbeOrderPolicy`, fetching candidates via
 equality-hash-index lookups where the condition allows and evaluating each
-predicate as soon as all streams it references are bound.
+predicate as soon as all streams it references are bound.  How a trigger
+is answered is decided when its :class:`ProbePlan` is compiled, not in the
+probe loop: predicates an index lookup already enforces are dropped from
+the per-depth checks, and in count-only mode every depth whose binding
+nothing later reads is answered by a bucket *size* instead of an
+enumeration — an equi chain is then a product of ``m - 1`` dict lookups.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.tuples import JoinResult, StreamTuple
-from .conditions import JoinCondition
+from .conditions import EquiPredicate, JoinCondition, Predicate
 from .ordering import ProbeOrderPolicy, default_policy
 from .store import StoreSpec
 from .window import SlidingWindow
@@ -41,31 +46,78 @@ from .window import SlidingWindow
 ProductivityCallback = Callable[[StreamTuple, Optional[int], Optional[int], bool], None]
 
 
+class ProbeStep:
+    """One depth of a :class:`ProbePlan`: which stream is bound and how.
+
+    ``lookup`` is ``(attr, source_stream, source_attr)`` — candidates come
+    from the index on ``attr`` keyed by the *bound* ``source_stream``
+    tuple's ``source_attr`` — or ``None`` for a window scan.  ``closed``
+    are the predicates that become fully bound at this depth;
+    ``residual`` are those of them the lookups made so far do not already
+    imply, i.e. the only ones the in-order probe has to evaluate.
+    The equi predicate a lookup was derived from is always among the
+    implied ones, which is exact for every key that equals itself; a key
+    with ``value != value`` (NaN) is found by the index by identity but
+    rejected by that ``==``, so a lookup answers it with no match at all.
+    ``factor`` marks a depth with no residual whose binding no later
+    depth reads: a count-only probe multiplies by its candidate *count*
+    instead of enumerating it.
+    """
+
+    __slots__ = ("stream", "lookup", "closed", "residual", "factor")
+
+    def __init__(
+        self,
+        stream: int,
+        lookup: Optional[Tuple[str, int, str]],
+        closed: List[Predicate],
+        residual: List[Predicate],
+    ) -> None:
+        self.stream = stream
+        self.lookup = lookup
+        self.closed = closed
+        self.residual = residual
+        self.factor = False
+
+
 class ProbePlan:
     """A cached probe plan: everything about a probe that is fixed once the
     probe order is chosen.
 
-    The per-depth closed-predicate lists and the chosen index lookups
-    depend only on the trigger stream, the order, the (immutable) join
-    condition, and which window indexes exist (fixed at operator
-    construction) — not on window *content*.  Rebuilding them per tuple is
-    pure allocation churn on the hottest path, so the operator caches one
-    plan per ``(trigger stream, order)`` and only builds a new one when
-    the :class:`~repro.join.ordering.ProbeOrderPolicy` actually changes
-    the order (cardinality drift).
+    The per-depth :class:`ProbeStep` list depends only on the trigger
+    stream, the order, the (immutable) join condition, and which window
+    indexes exist (fixed at operator construction) — not on window
+    *content*.  Rebuilding it per tuple is pure allocation churn on the
+    hottest path, so the operator caches one plan per ``(trigger stream,
+    order)`` and only builds a new one when the
+    :class:`~repro.join.ordering.ProbeOrderPolicy` actually changes the
+    order (cardinality drift).
+
+    ``steps`` follow the order (the collecting probe emits in that
+    sequence).  ``count_steps`` are the same steps with the factors that
+    depend on the trigger alone — a trigger-keyed lookup or an
+    unconstrained scan — moved to the front: no other depth reads or
+    feeds them, so a count-only probe takes each once per trigger
+    instead of once per surviving candidate of an enumerating depth
+    before it.  ``is_product`` is True when every depth is a factor: the
+    count-only answer is then a product of bucket sizes keyed by the
+    trigger alone, the same whatever the order.
     """
 
-    __slots__ = ("order", "closed_per_depth", "lookup_per_depth")
+    __slots__ = ("order", "steps", "count_steps", "is_product")
 
     def __init__(
-        self,
-        order: Tuple[int, ...],
-        closed_per_depth: List[list],
-        lookup_per_depth: List[Optional[Tuple[str, int, str]]],
+        self, trigger_stream: int, order: Tuple[int, ...], steps: List[ProbeStep]
     ) -> None:
         self.order = order
-        self.closed_per_depth = closed_per_depth
-        self.lookup_per_depth = lookup_per_depth
+        self.steps = steps
+        self.count_steps = sorted(  # stable: a partition, not a reorder
+            steps,
+            key=lambda s: not (
+                s.factor and (s.lookup is None or s.lookup[1] == trigger_stream)
+            ),
+        )
+        self.is_product = all(step.factor for step in steps)
 
 
 class JoinStatistics:
@@ -106,8 +158,9 @@ class MSWJOperator:
         Invoked once per received tuple with its productivity counts.
     collect_results:
         When False, :meth:`process` returns only the number of results
-        (all results of one call share the trigger's timestamp), skipping
-        result-object construction.  Benchmarks use this mode.
+        (all results of one call share the trigger's timestamp) — which
+        is all the quality model consumes — and the probe plan counts
+        without enumerating wherever it can (see :class:`ProbeStep`).
     probe_out_of_order:
         Alg. 2 (the default, False) skips probing for out-of-order
         tuples, losing their results but keeping the output stream
@@ -150,7 +203,7 @@ class MSWJOperator:
             SlidingWindow(size, condition.indexed_attributes(i), store=store)
             for i, size in enumerate(self.window_sizes_ms)
         ]
-        # Hot-path handle: the batched loop talks to stores directly
+        # Hot-path handle: the Alg. 2 loop talks to stores directly
         # (needs_expiry / len) instead of peeking window internals.
         self._stores = [w.store for w in self.windows]
         if probe_out_of_order and not collect_results:
@@ -167,6 +220,10 @@ class MSWJOperator:
         self._plans: List[Dict[Tuple[int, ...], ProbePlan]] = [
             {} for _ in range(self.num_streams)
         ]
+        # Count-only: a product plan's answer is the same under every
+        # order, so once a trigger stream has one, _plan_for stops asking
+        # the policy (its call was the top per-tuple cost that remained).
+        self._order_free: List[Optional[ProbePlan]] = [None] * self.num_streams
 
     # ------------------------------------------------------------------
     # Alg. 2 main loop
@@ -177,112 +234,240 @@ class MSWJOperator:
         i = t.stream
         if not 0 <= i < self.num_streams:
             raise ValueError(f"tuple stream index {i} outside [0, {self.num_streams})")
-
-        if t.ts >= self.on_t:
-            results = self._process_in_order(t)
-        else:
-            results = [] if self._collect_results else 0
-            if t.ts > self.on_t - self.window_sizes_ms[i]:
-                if self._probe_out_of_order:
-                    results = self._probe_late(t)
-                self.windows[i].insert(t)
-                self.stats.tuples_out_of_order_kept += 1
-            else:
-                self.stats.tuples_dropped += 1
+        ts = t.ts
+        stats = self.stats
+        collect = self._collect_results
+        if ts >= self.on_t:
+            self.on_t = ts
+            stats.tuples_in_order += 1
+            sizes = self.window_sizes_ms
+            n_cross = 1
+            for j, store in enumerate(self._stores):
+                if j == i:
+                    continue
+                bound = ts - sizes[j]
+                if store.needs_expiry(bound):
+                    store.expire_before(bound)
+                n_cross *= len(store)
+            if n_cross:
+                results = self._probe(t)
+                n_on = len(results) if collect else results
+                stats.results_produced += n_on
+            else:  # some other window is empty: nothing to derive
+                results = [] if collect else 0
+                n_on = 0
+            stats.probes += 1
+            self.windows[i].insert(t)
             if self._callback is not None:
-                self._callback(t, None, None, False)
+                self._callback(t, n_cross, n_on, True)
+            return results
+
+        results = [] if collect else 0
+        if ts > self.on_t - self.window_sizes_ms[i]:
+            if self._probe_out_of_order:
+                results = self._probe_late(t)
+            self.windows[i].insert(t)
+            stats.tuples_out_of_order_kept += 1
+        else:
+            stats.tuples_dropped += 1
+        if self._callback is not None:
+            self._callback(t, None, None, False)
         return results
 
     def process_batch(
         self, batch: Sequence[StreamTuple]
     ) -> Union[List[JoinResult], int]:
-        """Process a burst of synchronized tuples in sequence.
+        """Process a burst of synchronized tuples in sequence: the
+        concatenation (or sum) of the per-tuple :meth:`process` outputs."""
+        process = self.process
+        if self._collect_results:
+            outputs: List[JoinResult] = []
+            for t in batch:
+                outputs.extend(process(t))
+            return outputs
+        return sum(map(process, batch))
 
-        Exactly equivalent to concatenating per-tuple :meth:`process`
-        outputs — the batched loop only amortizes the per-tuple driver
-        overhead (attribute lookups, branch dispatch, window-expiration
-        heap peeks) over the burst.
+    # ------------------------------------------------------------------
+    # probe plans
+    # ------------------------------------------------------------------
+
+    def _plan_for(self, trigger_stream: int) -> ProbePlan:
+        """The probe plan for the policy's current order (cached).
+
+        The policy is consulted every trigger (orders shift with window
+        cardinalities), but the plan is only compiled when the returned
+        order is one the cache has not seen for this trigger stream — and
+        once a count-only operator holds a product plan, whose answer no
+        order can change, the policy is not asked again.
         """
-        collect = self._collect_results
-        windows = self.windows
-        stores = self._stores
-        sizes = self.window_sizes_ms
-        num_streams = self.num_streams
-        stats = self.stats
-        callback = self._callback
-        probe_ooo = self._probe_out_of_order
-        if collect:
-            outputs: Union[List[JoinResult], int] = []
-            extend = outputs.extend
-        else:
-            outputs = 0
-        for t in batch:
-            i = t.stream
-            if not 0 <= i < num_streams:
-                raise ValueError(
-                    f"tuple stream index {i} outside [0, {num_streams})"
-                )
-            ts = t.ts
-            if ts >= self.on_t:
-                self.on_t = ts
-                stats.tuples_in_order += 1
-                n_cross = 1
-                for j in range(num_streams):
-                    if j == i:
-                        continue
-                    store = stores[j]
-                    bound = ts - sizes[j]
-                    if store.needs_expiry(bound):
-                        store.expire_before(bound)
-                    n_cross *= len(store)
-                results = self._probe(t)
-                n_on = len(results) if collect else results
-                stats.results_produced += n_on
-                stats.probes += 1
-                windows[i].insert(t)
-                if callback is not None:
-                    callback(t, n_cross, n_on, True)
-                if collect:
-                    extend(results)
-                else:
-                    outputs += results
-            else:
-                if ts > self.on_t - sizes[i]:
-                    if probe_ooo:
-                        late = self._probe_late(t)
-                        if collect:
-                            extend(late)
-                        else:
-                            outputs += len(late)
-                    windows[i].insert(t)
-                    stats.tuples_out_of_order_kept += 1
-                else:
-                    stats.tuples_dropped += 1
-                if callback is not None:
-                    callback(t, None, None, False)
-        return outputs
+        plan = self._order_free[trigger_stream]
+        if plan is not None:
+            return plan
+        order = tuple(
+            self._policy.order(trigger_stream, self.windows, self.condition)
+        )
+        plans = self._plans[trigger_stream]
+        plan = plans.get(order)
+        if plan is None:
+            plan = plans[order] = self._compile(trigger_stream, order)
+        if plan.is_product and not self._collect_results:
+            self._order_free[trigger_stream] = plan
+        return plan
 
-    def _process_in_order(self, t: StreamTuple) -> Union[List[JoinResult], int]:
-        i = t.stream
-        self.on_t = t.ts
-        self.stats.tuples_in_order += 1
-        n_cross = 1
-        for j in range(self.num_streams):
-            if j == i:
-                continue
-            store = self._stores[j]
-            bound = t.ts - self.window_sizes_ms[j]
-            if store.needs_expiry(bound):
-                store.expire_before(bound)
-            n_cross *= len(store)
-        results = self._probe(t)
-        n_on = len(results) if self._collect_results else results
-        self.stats.results_produced += n_on
-        self.stats.probes += 1
-        self.windows[i].insert(t)
-        if self._callback is not None:
-            self._callback(t, n_cross, n_on, True)
-        return results
+    def _compile(self, trigger_stream: int, order: Tuple[int, ...]) -> ProbePlan:
+        """Classify every depth of ``order`` (see :class:`ProbeStep`).
+
+        An index lookup on ``attr`` keyed by a bound value *pins*
+        ``(stream, attr)`` to wherever that value came from; following
+        the pins, a lookup keyed by a candidate that was itself fetched
+        by the trigger's value is keyed by the trigger.  An equi
+        predicate whose two sides are pinned to the same origin is
+        implied by the lookups and leaves the residual list.
+        """
+        condition = self.condition
+        pinned: Dict[Tuple[int, str], Tuple[int, str]] = {}
+
+        def origin(stream: int, attr: str) -> Tuple[int, str]:
+            return pinned.get((stream, attr), (stream, attr))
+
+        steps: List[ProbeStep] = []
+        bound_set = frozenset({trigger_stream})
+        for j in order:
+            closed = condition.predicates_closed_by(j, bound_set)
+            lookups = [
+                (attr,) + origin(other, other_attr)
+                for attr, other, other_attr in condition.equi_lookups(j, bound_set)
+                if self.windows[j].has_index(attr)
+            ]
+            # A trigger-keyed lookup leaves the depth independent of the
+            # candidates bound before it; any lookup yields the same
+            # surviving candidates in the same (slot) order.
+            lookup = next(
+                (lk for lk in lookups if lk[1] == trigger_stream),
+                lookups[0] if lookups else None,
+            )
+            residual = closed
+            if lookup is not None:
+                pinned[(j, lookup[0])] = lookup[1:]
+                residual = [
+                    p
+                    for p in closed
+                    if not (
+                        isinstance(p, EquiPredicate)
+                        and origin(p.left_stream, p.left_attr)
+                        == origin(p.right_stream, p.right_attr)
+                    )
+                ]
+            steps.append(ProbeStep(j, lookup, closed, residual))
+            bound_set = bound_set | {j}
+        read_later: set = set()
+        for step in reversed(steps):
+            step.factor = not step.residual and step.stream not in read_later
+            if step.lookup is not None:
+                read_later.add(step.lookup[1])
+            for predicate in step.residual:
+                read_later |= predicate.streams
+        return ProbePlan(trigger_stream, order, steps)
+
+    # ------------------------------------------------------------------
+    # in-order probing
+    # ------------------------------------------------------------------
+
+    def _probe(self, trigger: StreamTuple) -> Union[List[JoinResult], int]:
+        """Answer an in-order trigger whose other windows are all non-empty.
+
+        On this path every other window has just been expired to
+        ``[e.ts - W_j, e.ts]`` and Alg. 2 checks no pairwise window
+        bound, so the result set is every combination of live tuples
+        satisfying the condition.
+        """
+        plan = self._plan_for(trigger.stream)
+        bound = {trigger.stream: trigger}
+        if self._collect_results:
+            collected: List[JoinResult] = []
+            self._collect_from(0, plan.steps, bound, trigger.ts, collected)
+            return collected
+        return self._count_from(0, plan.count_steps, bound)
+
+    def _count_from(
+        self, depth: int, steps: Sequence[ProbeStep], bound: Dict[int, StreamTuple]
+    ) -> int:
+        """How many combinations extend ``bound`` over ``steps[depth:]``.
+
+        ``steps`` are a plan's ``count_steps``.  Factor depths contribute
+        a bucket size (no tuple touched, early exit on zero); the first
+        non-factor depth enumerates its candidates against the residual
+        predicates and recurses — except at the last depth, which only
+        counts.
+        """
+        windows = self.windows
+        last = len(steps) - 1
+        product = 1
+        while True:
+            step = steps[depth]
+            j = step.stream
+            lookup = step.lookup
+            if lookup is not None:
+                attr, source, source_attr = lookup
+                value = bound[source].get(source_attr)
+                if value != value:
+                    return 0  # NaN: the implied ``==`` rejects every candidate
+            if not step.factor:
+                break
+            window = windows[j]
+            product *= len(window) if lookup is None else window.count(attr, value)
+            if not product or depth == last:
+                return product
+            depth += 1
+        candidates = (
+            windows[j].tuples() if lookup is None else windows[j].lookup(attr, value)
+        )
+        residual = step.residual
+        count = 0
+        for candidate in candidates:
+            bound[j] = candidate
+            for predicate in residual:
+                if not predicate.evaluate(bound):
+                    break
+            else:
+                count += (
+                    1 if depth == last else self._count_from(depth + 1, steps, bound)
+                )
+        bound.pop(j, None)
+        return product * count
+
+    def _collect_from(
+        self,
+        depth: int,
+        steps: Sequence[ProbeStep],
+        bound: Dict[int, StreamTuple],
+        result_ts: int,
+        collected: List[JoinResult],
+    ) -> None:
+        """Bind ``steps[depth:]`` depth-first, appending every match."""
+        if depth == len(steps):
+            components = tuple(bound[s] for s in range(self.num_streams))
+            collected.append(JoinResult(result_ts, components))
+            return
+        step = steps[depth]
+        j = step.stream
+        if step.lookup is not None:
+            attr, source, source_attr = step.lookup
+            value = bound[source].get(source_attr)
+            if value != value:
+                return  # NaN: the implied ``==`` rejects every candidate
+            candidates = self.windows[j].lookup(attr, value)
+        else:
+            candidates = self.windows[j].tuples()
+        residual = step.residual
+        for candidate in candidates:
+            bound[j] = candidate
+            for predicate in residual:
+                if not predicate.evaluate(bound):
+                    break
+            else:
+                self._collect_from(depth + 1, steps, bound, result_ts, collected)
+        bound.pop(j, None)
 
     # ------------------------------------------------------------------
     # out-of-order probing (footnote-2 mode)
@@ -295,15 +480,14 @@ class MSWJOperator:
         timestamps *above* the trigger's, and two candidates that each
         match the trigger's range may violate the window constraint
         between themselves — so the DFS validates each new binding
-        against all already-bound tuples.  Result timestamps are the
+        against all already-bound tuples (and evaluates every closed
+        predicate, trusting no lookup).  Result timestamps are the
         maximum component timestamp (which may exceed the trigger's).
         """
         plan = self._plan_for(trigger.stream)
         bound: Dict[int, StreamTuple] = {trigger.stream: trigger}
         results: List[JoinResult] = []
-        self._probe_late_depth(
-            0, plan.order, bound, plan.closed_per_depth, plan.lookup_per_depth, results
-        )
+        self._probe_late_depth(0, plan.steps, bound, results)
         self.stats.results_produced += len(results)
         self.stats.probes += 1
         return results
@@ -317,24 +501,22 @@ class MSWJOperator:
     def _probe_late_depth(
         self,
         depth: int,
-        order: Sequence[int],
+        steps: Sequence[ProbeStep],
         bound: Dict[int, StreamTuple],
-        closed_per_depth: Sequence[Sequence],
-        lookup_per_depth: Sequence,
         results: List[JoinResult],
     ) -> None:
-        if depth == len(order):
+        if depth == len(steps):
             components = tuple(bound[s] for s in range(self.num_streams))
             results.append(JoinResult(max(c.ts for c in components), components))
             return
-        j = order[depth]
-        lookup = lookup_per_depth[depth]
-        if lookup is not None:
-            attr, other, other_attr = lookup
-            candidates = self.windows[j].lookup(attr, bound[other][other_attr])
+        step = steps[depth]
+        j = step.stream
+        if step.lookup is not None:
+            attr, source, source_attr = step.lookup
+            candidates = self.windows[j].lookup(attr, bound[source].get(source_attr))
         else:
             candidates = self.windows[j].tuples()
-        closed = closed_per_depth[depth]
+        closed = step.closed
         for candidate in candidates:
             if not all(
                 self._window_compatible(candidate, partner)
@@ -343,115 +525,8 @@ class MSWJOperator:
                 continue
             bound[j] = candidate
             if all(predicate.evaluate(bound) for predicate in closed):
-                self._probe_late_depth(
-                    depth + 1,
-                    order,
-                    bound,
-                    closed_per_depth,
-                    lookup_per_depth,
-                    results,
-                )
+                self._probe_late_depth(depth + 1, steps, bound, results)
         bound.pop(j, None)
-
-    # ------------------------------------------------------------------
-    # probing
-    # ------------------------------------------------------------------
-
-    def _plan_for(self, trigger_stream: int) -> ProbePlan:
-        """The probe plan for the policy's current order (cached).
-
-        The policy is consulted every trigger (orders shift with window
-        cardinalities), but the per-depth closed-predicate lists and index
-        lookups are only rebuilt when the returned order is one the cache
-        has not seen for this trigger stream.
-        """
-        order = tuple(
-            self._policy.order(trigger_stream, self.windows, self.condition)
-        )
-        plans = self._plans[trigger_stream]
-        plan = plans.get(order)
-        if plan is None:
-            # Per depth: the predicates that close and the best available
-            # index lookup; the bound-stream set at each depth is fixed
-            # once the order is chosen.
-            bound_set = frozenset({trigger_stream})
-            closed_per_depth = []
-            lookup_per_depth = []
-            for j in order:
-                closed_per_depth.append(
-                    self.condition.predicates_closed_by(j, bound_set)
-                )
-                lookups = [
-                    lk
-                    for lk in self.condition.equi_lookups(j, bound_set)
-                    if self.windows[j].has_index(lk[0])
-                ]
-                lookup_per_depth.append(lookups[0] if lookups else None)
-                bound_set = bound_set | {j}
-            plan = ProbePlan(order, closed_per_depth, lookup_per_depth)
-            plans[order] = plan
-        return plan
-
-    def _probe(self, trigger: StreamTuple) -> Union[List[JoinResult], int]:
-        """Bind the remaining streams depth-first and collect matches."""
-        plan = self._plan_for(trigger.stream)
-        # Short-circuit: any empty window means no results.
-        stores = self._stores
-        for j in plan.order:
-            if not len(stores[j]):
-                return [] if self._collect_results else 0
-
-        bound: Dict[int, StreamTuple] = {trigger.stream: trigger}
-        collected: List[JoinResult] = []
-        count = self._probe_depth(
-            0,
-            plan.order,
-            bound,
-            plan.closed_per_depth,
-            plan.lookup_per_depth,
-            trigger.ts,
-            collected,
-        )
-        return collected if self._collect_results else count
-
-    def _probe_depth(
-        self,
-        depth: int,
-        order: Sequence[int],
-        bound: Dict[int, StreamTuple],
-        closed_per_depth: Sequence[Sequence],
-        lookup_per_depth: Sequence,
-        result_ts: int,
-        collected: List[JoinResult],
-    ) -> int:
-        if depth == len(order):
-            if self._collect_results:
-                components = tuple(bound[s] for s in range(self.num_streams))
-                collected.append(JoinResult(result_ts, components))
-            return 1
-        j = order[depth]
-        lookup = lookup_per_depth[depth]
-        if lookup is not None:
-            attr, other, other_attr = lookup
-            candidates = self.windows[j].lookup(attr, bound[other][other_attr])
-        else:
-            candidates = self.windows[j].tuples()
-        closed = closed_per_depth[depth]
-        count = 0
-        for candidate in candidates:
-            bound[j] = candidate
-            if all(predicate.evaluate(bound) for predicate in closed):
-                count += self._probe_depth(
-                    depth + 1,
-                    order,
-                    bound,
-                    closed_per_depth,
-                    lookup_per_depth,
-                    result_ts,
-                    collected,
-                )
-        bound.pop(j, None)
-        return count
 
     # ------------------------------------------------------------------
     # introspection

@@ -217,6 +217,11 @@ class WindowStore(ABC):
         index on ``attr``; raises ``KeyError`` otherwise)."""
 
     @abstractmethod
+    def count(self, attr: str, value: object) -> int:
+        """``len(list(lookup(attr, value)))``, from the store's own
+        bookkeeping where it has one (count-only probes)."""
+
+    @abstractmethod
     def min_ts(self) -> Optional[int]:
         """Smallest live timestamp, or ``None`` when empty."""
 
@@ -341,6 +346,13 @@ class InMemoryStore(WindowStore):
         # Lazy single-pass iterable; the window must not be mutated
         # while it is consumed (the probe loop guarantees that).
         return map(self._slots.__getitem__, slots)
+
+    def count(self, attr: str, value: object) -> int:
+        index = self._indexes.get(attr)
+        if index is None:
+            raise KeyError(f"no index maintained on attribute {attr!r}")
+        slots = index.get(value)
+        return len(slots) if slots else 0
 
     def min_ts(self) -> Optional[int]:
         while self._heap:
@@ -688,6 +700,11 @@ class TieredStore(WindowStore):
         # buckets alone can be out of slot order after a thaw).
         pairs.sort(key=_SLOT)
         return [t for _, t in pairs]
+
+    def count(self, attr: str, value: object) -> int:
+        # The cold tier keeps no per-key sizes: count what the lookup
+        # finds (thawing through the decode cache as it does).
+        return len(self.lookup(attr, value))
 
     def min_ts(self) -> Optional[int]:
         hot_min: Optional[int] = None

@@ -8,7 +8,8 @@ operations Alg. 2 needs:
 * :meth:`SlidingWindow.expire_before` — invalidate tuples with
   ``ts < bound`` (Alg. 2 line 6);
 * probe access — either a full scan (:meth:`tuples`) or, for equality
-  predicates, an index lookup (:meth:`lookup`) on a maintained attribute.
+  predicates, an index lookup (:meth:`lookup`) on a maintained attribute,
+  or just its size (:meth:`count`) when the probe only counts results.
 
 The window itself is a thin façade: live state lives behind a pluggable
 :class:`~repro.join.store.WindowStore` — :class:`~repro.join.store.InMemoryStore`
@@ -21,8 +22,15 @@ differential tests pin this).
 
 Representation contract: the MSWJ operator's hot paths
 (:mod:`repro.join.mswj`) call :meth:`needs_expiry` to skip no-op
-expiration calls and ``len(window.store)`` for cardinality — the store
-interface is the hot-path surface, not private fields.
+expiration calls, ``len(window.store)`` for cardinality and
+:meth:`count` for the size of an index bucket — the store interface is
+the hot-path surface, not private fields.  ``count(attr, value)`` must
+equal the length of ``lookup(attr, value)`` under the index's own key
+rule (dict-key equality: ``1``, ``1.0`` and ``True`` share a bucket, a
+missing attribute is ``None``, a NaN matches only itself by identity);
+a store answers it from bookkeeping where it has some (the in-memory
+store: the bucket's length) and by counting its own lookup otherwise
+(the tiered store, whose cold tier keeps no per-key sizes).
 """
 
 from __future__ import annotations
@@ -160,6 +168,11 @@ class SlidingWindow:
         inserted after it.
         """
         return self.store.lookup(attr, value)
+
+    def count(self, attr: str, value: object) -> int:
+        """How many tuples :meth:`lookup` would yield — the index
+        bucket's size where the store keeps one."""
+        return self.store.count(attr, value)
 
     def min_ts(self) -> Optional[int]:
         """Smallest live timestamp (None when empty)."""

@@ -132,6 +132,33 @@ class TestOperatorRobustness:
         # None == None: the missing attribute matches the explicit None.
         assert len(results) == 1
 
+    @pytest.mark.parametrize("store", [None, "tiered"])
+    @pytest.mark.parametrize("collect", [True, False])
+    @pytest.mark.parametrize("first,second", [({"v": None}, {}), ({}, {})])
+    def test_trigger_tolerates_missing_attribute(self, first, second, collect, store):
+        # The *probing* tuple lacks the join attribute: its lookup key
+        # reads as None — as the window index and EquiPredicate.evaluate
+        # read it — instead of raising KeyError.
+        op = MSWJOperator(
+            [1_000, 1_000],
+            JoinCondition([EquiPredicate(0, "v", 1, "v")]),
+            collect_results=collect,
+            store=store,
+        )
+        op.process(StreamTuple(ts=10, values=first, stream=0, seq=0))
+        produced = op.process(StreamTuple(ts=20, values=second, stream=1, seq=0))
+        assert (len(produced) if collect else produced) == 1
+
+    def test_late_probe_tolerates_missing_attribute(self):
+        op = MSWJOperator(
+            [1_000, 1_000],
+            JoinCondition([EquiPredicate(0, "v", 1, "v")]),
+            probe_out_of_order=True,
+        )
+        op.process(StreamTuple(ts=20, values={}, stream=0, seq=0))
+        late = op.process(StreamTuple(ts=10, values={}, stream=1, seq=0))
+        assert [r.ts for r in late] == [20]
+
     def test_window_size_one_ms(self):
         op = MSWJOperator([1, 1], JoinCondition())
         op.process(StreamTuple(ts=10, stream=0, seq=0))

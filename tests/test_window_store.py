@@ -80,11 +80,14 @@ def observe(store):
         "lookups": {
             value: list(store.lookup("v", value)) for value in range(DOMAIN)
         },
+        "counts": {value: store.count("v", value) for value in range(DOMAIN)},
     }
 
 
 def assert_equivalent(memory, tiered):
-    assert observe(memory) == observe(tiered)
+    seen = observe(tiered)
+    assert observe(memory) == seen
+    assert seen["counts"] == {v: len(found) for v, found in seen["lookups"].items()}
 
 
 # ---------------------------------------------------------------------------
