@@ -163,11 +163,11 @@ def main(argv=None):
             f"multiset == single: {same}"
         )
 
-    # Transport contrast: this demo collects every JoinResult, so the
-    # full result set rides back through the worker pipes at flush —
-    # exactly the regime where the columnar ResultBlock return path
-    # beats per-object pickling (see benchmarks/bench_ext_columnar.py).
-    for transport in ("objects", "blocks"):
+    # Carrier contrast: this demo collects every JoinResult, so the
+    # full result set rides back from the workers at flush as one
+    # columnar ResultBlock per shard — over the worker pipe ("blocks")
+    # or through a shared-memory ring ("shm"), same frames either way.
+    for transport in ("blocks", "shm"):
         started = time.perf_counter()
         outputs, _ = run_partitioned(
             dataset, config(k_ms), 2, executor="process",
@@ -216,9 +216,9 @@ def main(argv=None):
         "any joinable combination to the same shard.  The batched driver\n"
         "(process_batch / chunk_size) is a pure dispatch optimization on top\n"
         "— see benchmarks/bench_ext_batched.py for the throughput contrast —\n"
-        "and the columnar block transport (transport='blocks', the default)\n"
-        "moves routed batches and collected results as flat columns instead\n"
-        "of per-tuple object graphs (benchmarks/bench_ext_columnar.py)."
+        "and the process executor always moves routed batches and collected\n"
+        "results as flat columnar blocks; `transport` only picks what carries\n"
+        "them (benchmarks/bench_ext_columnar.py measures the codec)."
     )
 
 

@@ -76,20 +76,18 @@ from .join.store import (
 from .join.window import SlidingWindow
 from .parallel import (
     TRANSPORT_BLOCKS,
-    TRANSPORT_OBJECTS,
     TRANSPORT_SHM,
     KeyRouter,
     MigrationSpec,
-    MultiprocessingExecutor,
     PartitionedPipeline,
     PipelinedIngest,
+    ProcessExecutor,
     Rebalancer,
     SerialExecutor,
     ShardExecutor,
     ShardFailure,
     ShardOutcome,
     ShmRing,
-    SupervisedExecutor,
     SupervisionConfig,
     load_imbalance,
     run_partitioned,
@@ -151,13 +149,13 @@ __all__ = [
     "StoreMetrics", "make_store",
     # parallel scale-out
     "PartitionedPipeline", "KeyRouter", "ShardExecutor", "SerialExecutor",
-    "MultiprocessingExecutor", "ShardOutcome", "run_partitioned",
-    "TRANSPORT_BLOCKS", "TRANSPORT_OBJECTS", "TRANSPORT_SHM",
+    "ProcessExecutor", "ShardOutcome", "run_partitioned",
+    "TRANSPORT_BLOCKS", "TRANSPORT_SHM",
     "Rebalancer", "MigrationSpec", "load_imbalance",
     # pipelined ingestion & shared-memory transport
     "PipelinedIngest", "ShmRing",
     # fault tolerance
-    "ShardFailure", "SupervisedExecutor", "SupervisionConfig",
+    "ShardFailure", "SupervisionConfig",
     "FaultPlan", "FaultSpec", "chaos_plan",
     # columnar block transport
     "TupleBlock", "ResultBlock", "StateBlock", "BlockEncoder", "BlockDecoder",

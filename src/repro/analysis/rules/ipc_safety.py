@@ -41,6 +41,7 @@ IPC_CALLEES = (
     "adopt",
     "send",
     "_send",
+    "_send_frame",
     "send_bytes",
     "send_frame",
     "_send_message",

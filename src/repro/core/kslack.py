@@ -20,7 +20,7 @@ the join operator for productivity profiling.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from .tuples import StreamTuple
 
@@ -100,47 +100,6 @@ class KSlackBuffer:
         heapq.heappush(self._heap, (t.ts, self._tie, t))
         self._tie += 1
         return self._drain_ready()
-
-    def process_batch(self, batch: Sequence[StreamTuple]) -> List[StreamTuple]:
-        """Accept a burst of tuples in arrival order; return all releases.
-
-        Exactly equivalent to concatenating per-tuple :meth:`process`
-        returns (each tuple's arrival advances ``iT`` and drains before
-        the next is admitted, so stragglers interleave identically); the
-        batched loop hoists the heap and clock bookkeeping out of the
-        per-tuple call overhead.
-        """
-        if self._flushed:
-            raise RuntimeError(
-                "K-slack buffer already flushed; create a new instance"
-            )
-        released: List[StreamTuple] = []
-        append = released.append
-        heap = self._heap
-        push = heapq.heappush
-        pop = heapq.heappop
-        k = self._k
-        local_time = self._local_time
-        tie = self._tie
-        max_delay = self.max_observed_delay
-        for t in batch:
-            ts = t.ts
-            if local_time is None or ts > local_time:
-                local_time = ts
-            delay = local_time - ts
-            t.delay = delay
-            if delay > max_delay:
-                max_delay = delay
-            push(heap, (ts, tie, t))
-            tie += 1
-            bound = local_time - k
-            while heap and heap[0][0] <= bound:
-                append(pop(heap)[2])
-        self._local_time = local_time
-        self._tie = tie
-        self.max_observed_delay = max_delay
-        self.tuples_seen += len(batch)
-        return released
 
     # ------------------------------------------------------------------
     # state-migration hooks (repro.parallel rebalancing)

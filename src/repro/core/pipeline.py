@@ -397,42 +397,20 @@ class QualityDrivenPipeline:
 
     def process(self, t: StreamTuple) -> Union[List[JoinResult], int]:
         """Feed one raw tuple (arrival order); return results produced now."""
-        if self._flushed:
-            raise RuntimeError("pipeline already flushed; create a new instance")
-        if not 0 <= t.stream < self.num_streams:
-            raise ValueError(
-                f"tuple stream index {t.stream} outside [0, {self.num_streams})"
-            )
-        self.metrics.tuples_processed += 1
-        released = self.kslacks[t.stream].process(t)
-        self.statistics.observe_arrival(t)
-
-        # Continuous policies (Max-K-slack) may bump K at any arrival.
-        immediate_k = self.policy.on_arrival(t)
-        if immediate_k is not None and immediate_k != self._current_k:
-            released.extend(self._apply_k(immediate_k))
-
-        outputs = self._route_to_join(released)
-
-        # Interval adaptation on application-time boundaries.
-        while self.app_time_ms() >= self._next_adaptation_ms:
-            boundary = self._next_adaptation_ms
-            self._next_adaptation_ms += self.config.interval_ms
-            outputs = self._merge(outputs, self._adapt(boundary))
-        return outputs
+        return self.process_batch((t,))
 
     def process_batch(
         self, batch: Sequence[StreamTuple]
     ) -> Union[List[JoinResult], int]:
         """Feed a burst of raw tuples in arrival order; return all results.
 
-        Exactly equivalent to concatenating per-tuple :meth:`process`
-        returns — every tuple still advances the statistics clock, may
-        trigger a continuous-policy K bump, and adaptation boundaries are
-        honoured mid-batch.  The batched loop amortizes the per-tuple
-        attribute lookups and the adaptation-boundary bookkeeping, and
-        routes each tuple's K-slack releases through the Synchronizer and
-        the join as one burst.
+        The one drive path: every tuple, in turn, enters its K-slack
+        buffer, advances the statistics clock, may trigger a
+        continuous-policy K bump (Max-K-slack), and its releases go
+        through the Synchronizer and the join as one burst; interval
+        adaptation runs on application-time boundaries, mid-batch when
+        one falls there.  Feeding a stream in bursts of any size —
+        one tuple included — therefore gives the same result sequence.
         """
         if self._flushed:
             raise RuntimeError("pipeline already flushed; create a new instance")

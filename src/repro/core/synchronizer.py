@@ -70,28 +70,18 @@ class Synchronizer:
     # ------------------------------------------------------------------
 
     def process(self, t: StreamTuple) -> List[StreamTuple]:
-        """Accept one tuple from any K-slack output; return tuples emitted.
-
-        Follows Alg. 1 exactly: tuples with ``ts <= T_sync`` are stragglers
-        the buffer cannot fix and are forwarded immediately (with the
-        ``T_sync`` initial value 0, a tuple timestamped 0 passes straight
-        through — harmless, as nothing can precede it).
-        """
-        if not 0 <= t.stream < self.num_streams:
-            raise ValueError(
-                f"tuple stream index {t.stream} outside [0, {self.num_streams})"
-            )
-        if t.ts <= self._t_sync:
-            return [t]
-        self._push(t)
-        return self._drain_while_complete()
+        """Accept one tuple from any K-slack output; return tuples emitted."""
+        return self.process_batch((t,))
 
     def process_batch(self, batch: Sequence[StreamTuple]) -> List[StreamTuple]:
         """Accept a burst of K-slack output tuples; return tuples emitted.
 
-        Exactly equivalent to concatenating per-tuple :meth:`process`
-        returns — the loop only hoists the straggler fast path and the
-        emission accumulator out of the per-tuple call overhead.
+        Follows Alg. 1 exactly, one tuple after the other: tuples with
+        ``ts <= T_sync`` are stragglers the buffer cannot fix and are
+        forwarded immediately (with the ``T_sync`` initial value 0, a
+        tuple timestamped 0 passes straight through — harmless, as
+        nothing can precede it); every other tuple is buffered and the
+        buffer drained while it is complete.
         """
         emitted: List[StreamTuple] = []
         append = emitted.append

@@ -4,10 +4,10 @@ Two layers: :mod:`~repro.distributed.tree` decomposes the m-way join
 into a left-deep tree of binary joins with per-operator synchronizers
 (the paper's distributed applicability argument), and
 :mod:`~repro.distributed.runtime` scales both execution models out over
-TCP — :class:`~repro.distributed.runtime.NodeServer` worker hosts,
-drop-in :class:`~repro.distributed.runtime.SocketExecutor` /
-:class:`~repro.distributed.runtime.SupervisedSocketExecutor` backends
-for the partitioned pipeline (``transport="socket"``), and
+TCP — :class:`~repro.distributed.runtime.NodeServer` worker hosts that
+the partitioned pipeline's
+:class:`~repro.parallel.executors.ProcessExecutor` places its shard
+workers on (``transport="socket"``), and
 :class:`~repro.distributed.runtime.DistributedTreeJoin`, which places
 each tree node in its own remote worker with composite batches flowing
 stage to stage through the columnar block codec.
@@ -18,9 +18,7 @@ from .runtime import (
     NodeServer,
     PartialBlock,
     SocketConnection,
-    SocketExecutor,
     SocketIntegrityError,
-    SupervisedSocketExecutor,
     connect_worker,
     decode_partials,
     encode_partials,
@@ -34,9 +32,7 @@ __all__ = [
     "PartialBlock",
     "PartialResult",
     "SocketConnection",
-    "SocketExecutor",
     "SocketIntegrityError",
-    "SupervisedSocketExecutor",
     "TreeJoinOperator",
     "connect_worker",
     "decode_partials",

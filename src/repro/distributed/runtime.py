@@ -1,8 +1,9 @@
-"""Socket-distributed execution: NodeServers, socket executors, tree stages.
+"""Socket-distributed execution: NodeServers, worker placement, tree stages.
 
-The partitioned pipeline's process executors talk to their shard workers
-through ``multiprocessing`` pipes — which confines a run to one machine.
-This module lifts the *same* executor ↔ worker protocol onto TCP:
+The partitioned pipeline's process executor talks to forked shard
+workers through ``multiprocessing`` pipes — which confines a run to one
+machine.  This module lifts the *same* executor ↔ worker protocol onto
+TCP:
 
 * :class:`SocketConnection` — a ``Connection``-shaped wrapper over a TCP
   socket carrying pickled ``(tag, payload)`` protocol messages in
@@ -16,11 +17,13 @@ This module lifts the *same* executor ↔ worker protocol onto TCP:
   :data:`MSG_JOIN` handshake.  Workers arm ``PDEATHSIG`` so a killed
   node takes its workers down with it — a whole-machine loss the
   supervised executor recovers from by reconnecting to surviving nodes.
-* :class:`SocketExecutor` / :class:`SupervisedSocketExecutor` — the
-  parent side: drop-in executors (same interface as the pipe and shm
-  paths, including migration barriers, heartbeats, checkpoint/replay and
-  elastic ``add_shard``/``retire_shard``) whose workers live in
-  ``NodeServer`` processes addressed by ``(host, port)``.
+* :func:`connect_worker` / :func:`place_shard_worker` — the parent
+  side: the dial + :data:`MSG_JOIN` handshake that
+  :class:`~repro.parallel.executors.ProcessExecutor` uses in place of
+  fork + pipe when it is given ``nodes``.  Nothing else about the
+  executor changes (migration barriers, heartbeats, checkpoint/replay
+  and elastic ``add_shard``/``retire_shard`` included); its workers
+  simply live in ``NodeServer`` processes addressed by ``(host, port)``.
 * :class:`DistributedTreeJoin` — the tree-of-binary-joins execution of
   the paper's Sec. V scaled out node-to-node: every
   :class:`~repro.distributed.tree.BinaryJoinNode` becomes a *stage*
@@ -54,7 +57,7 @@ import socket
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from ..core.blocks import PICKLE_PROTOCOL, BlockDecoder, BlockEncoder, TupleBlock
 from ..core.pipeline import PipelineConfig
@@ -62,16 +65,13 @@ from ..core.tuples import JoinResult, StreamTuple
 from ..faults import FaultPlan
 from ..faults import plan as _fault_plan_module
 from ..join.conditions import JoinCondition
-from ..parallel.executors import MultiprocessingExecutor
 from ..parallel.shard import (
     MSG_ABORT,
     MSG_BATCH,
     MSG_FLUSH,
-    TRANSPORT_SOCKET,
     ShardFailure,
     shard_worker,
 )
-from ..parallel.supervision import SupervisedExecutor
 from .tree import BinaryJoinNode, PartialResult
 
 #: Frame header of the socket transport: ``(seq, length, crc32)``, the
@@ -262,7 +262,6 @@ class _WorkerSpec:
     kind: str
     index: int
     config: Union[PipelineConfig, _TreeNodeSpec]
-    transport: str = TRANSPORT_SOCKET
     faults: Optional[FaultPlan] = None
     grant_credits: bool = False
 
@@ -300,7 +299,6 @@ def _node_worker(conn: SocketConnection, spec: _WorkerSpec) -> None:
             conn,  # type: ignore[arg-type]  # Connection-shaped by design
             spec.index,
             spec.config,
-            transport=spec.transport,
             faults=spec.faults,
             rings=None,
             grant_credits=spec.grant_credits,
@@ -645,115 +643,33 @@ class _RemoteWorker:
         return f"_RemoteWorker(node={self.address}, node_pid={self.node_pid})"
 
 
-class _SocketPrimitivesMixin:
-    """Swap an executor's worker spawning from fork+pipe to dial+join.
+def place_shard_worker(
+    nodes: Sequence[NodeAddress],
+    preferred: int,
+    shard: int,
+    config: PipelineConfig,
+    faults: Optional[FaultPlan],
+    grant_credits: bool,
+) -> Tuple[SocketConnection, _RemoteWorker, int]:
+    """Host one shard worker on a node: the executor's remote placement.
 
-    Mixed in *before* :class:`MultiprocessingExecutor` or
-    :class:`SupervisedExecutor`: everything above ``_spawn_worker`` —
-    batching, credits, migration barriers, supervision cadence,
-    elastic resize — is inherited untouched, because the connection
-    object speaks the pipe surface and the protocol is unchanged.
+    Returns ``(connection, process stand-in, node index)`` — the same
+    triple a local fork yields, so the executor above cannot tell the
+    two apart.  Every node refusing the dial is a (recoverable) shard
+    failure, like a fork that did not start.
     """
-
-    def __init__(self, *args: Any, nodes: Sequence[NodeAddress], **kwargs: Any):
-        normalized = [(str(host), int(port)) for host, port in nodes]
-        if not normalized:
-            raise ValueError(
-                "socket executors require at least one NodeServer address"
-            )
-        self._nodes: List[NodeAddress] = normalized
-        #: Which node (index into ``_nodes``) hosts each shard's current
-        #: worker incarnation — respawns prefer the incumbent node and
-        #: fail over to survivors when it refuses the dial.
-        self._node_of: List[int] = []
-        transport = kwargs.setdefault("transport", TRANSPORT_SOCKET)
-        if transport != TRANSPORT_SOCKET:
-            raise ValueError(
-                f"socket executors only speak transport={TRANSPORT_SOCKET!r}, "
-                f"got {transport!r}"
-            )
-        super().__init__(*args, **kwargs)
-
-    def add_node(self, address: NodeAddress) -> int:
-        """Register a freshly-started NodeServer; return its index.
-
-        The elastic node-join entry point: a registered node becomes a
-        placement target for subsequent ``add_shard`` spawns (via
-        :meth:`~repro.parallel.pipeline.PartitionedPipeline.grow`) and
-        for respawn failover.  Registration alone moves no state — the
-        pipeline's drain/handoff migration barrier does that, which is
-        what makes joining mid-stream byte-identical to having started
-        with the node.
-        """
-        self._nodes.append((str(address[0]), int(address[1])))
-        return len(self._nodes) - 1
-
-    def _spawn_worker(self, shard: int) -> None:
-        """Place ``shard``'s worker on a node instead of forking one."""
-        self._dispatched[shard] = 0
-        self._credited[shard] = 0
-        if self._encoders is not None:
-            # Same contract as the pipe path: a fresh worker's decoder
-            # starts empty, so schema negotiation restarts with it.
-            self._encoders[shard] = BlockEncoder()
-        if len(self._node_of) <= shard:
-            # First placement: least-loaded node (ties break low) — at
-            # construction this degenerates to round-robin, and a grown
-            # shard lands on a freshly joined (empty) node, which is
-            # what makes ``add_node`` + ``grow`` the node-join story.
-            loads = [0] * len(self._nodes)
-            for node in self._node_of:
-                loads[node] += 1
-            while len(self._node_of) <= shard:
-                self._node_of.append(loads.index(min(loads)))
-                loads[self._node_of[-1]] += 1
-        spec = _WorkerSpec(
-            kind=KIND_SHARD,
-            index=shard,
-            config=self.config,
-            transport=self.transport,
-            faults=self._fault_plan_for(shard),
-            grant_credits=self._credit_window is not None,
-        )
-        try:
-            conn, node_pid, node_index = connect_worker(
-                self._nodes, spec, preferred=self._node_of[shard]
-            )
-        except ConnectionError as exc:
-            raise ShardFailure(shard, str(exc)) from exc
-        self._node_of[shard] = node_index
-        worker = _RemoteWorker(self._nodes[node_index], node_pid)
-        if shard < len(self._connections):
-            self._connections[shard] = conn
-        else:
-            self._connections.append(conn)
-        if shard < len(self._processes):
-            self._processes[shard] = worker
-        else:
-            self._processes.append(worker)
-
-
-class SocketExecutor(_SocketPrimitivesMixin, MultiprocessingExecutor):
-    """The process executor with its shard workers on NodeServers.
-
-    Same submission/migration/finish lifecycle, same block codec, same
-    batched dispatch — only the carrier differs, so the merged flush
-    sequence and summed join statistics are byte-identical to the pipe
-    executor's for the same input.  ``nodes`` lists the server
-    addresses; shard *i* prefers node ``i % len(nodes)``.
-    """
-
-
-class SupervisedSocketExecutor(_SocketPrimitivesMixin, SupervisedExecutor):
-    """Supervised execution over NodeServer-hosted workers.
-
-    Heartbeats, checkpoint/replay, and respawn budgets apply unchanged;
-    a respawn re-dials, preferring the shard's incumbent node and
-    failing over to surviving nodes when that node is gone — which is
-    exactly what recovers a whole-node SIGKILL (every worker on the node
-    dies via ``PDEATHSIG``; each is respawned elsewhere from its last
-    checkpoint and replay log, byte-identically).
-    """
+    spec = _WorkerSpec(
+        kind=KIND_SHARD,
+        index=shard,
+        config=config,
+        faults=faults,
+        grant_credits=grant_credits,
+    )
+    try:
+        conn, node_pid, node_index = connect_worker(nodes, spec, preferred)
+    except ConnectionError as exc:
+        raise ShardFailure(shard, str(exc)) from exc
+    return conn, _RemoteWorker(nodes[node_index], node_pid), node_index
 
 
 # ----------------------------------------------------------------------
@@ -782,7 +698,7 @@ class DistributedTreeJoin:
     per composite independent of placement — so key-partitioned stage
     replicas would stay result-set-faithful; this runtime runs one
     replica per stage and leaves replication to the partitioned pipeline
-    layer (:class:`SocketExecutor`).
+    layer (``transport="socket"``).
     """
 
     def __init__(

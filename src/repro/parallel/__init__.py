@@ -7,23 +7,24 @@ equi-join key through a virtual-slot table, each shard runs a complete
 executors drive the shards — in-process serial (deterministic) or
 per-shard worker processes with batched IPC — and an optional
 :class:`~repro.parallel.rebalancer.Rebalancer` repairs load skew at
-runtime by migrating slot state between shards.  A third executor,
-:class:`~repro.parallel.supervision.SupervisedExecutor`, wraps the
-process executor in heartbeat supervision, periodic checkpoints and
-bounded-replay recovery so worker crashes and hangs surface as typed
-:class:`~repro.parallel.shard.ShardFailure` (and, with recovery armed,
+runtime by migrating slot state between shards.  Handing the process
+executor a :class:`~repro.parallel.supervision.SupervisionConfig` arms
+heartbeat supervision, periodic checkpoints and bounded-replay recovery
+on its one dispatch path, so worker crashes and hangs surface as typed
+:class:`~repro.parallel.shard.ShardFailure` (and, with recovery on,
 heal byte-identically).  Ingestion can be pipelined off the caller's
 thread (:class:`~repro.parallel.ingest.PipelinedIngest`) with
-credit-based backpressure, and the process executors can carry their
+credit-based backpressure, and the process executor can carry its
 block frames through per-shard shared-memory rings
 (:data:`~repro.parallel.shard.TRANSPORT_SHM`,
-:class:`~repro.parallel.shm.ShmRing`) instead of the pipe.  See
+:class:`~repro.parallel.shm.ShmRing`) or TCP sockets
+(:data:`~repro.parallel.shard.TRANSPORT_SOCKET`) instead of the pipe.  See
 :mod:`repro.parallel.pipeline` for the exactness semantics.
 """
 
 from .executors import (
     DEFAULT_BATCH_SIZE,
-    MultiprocessingExecutor,
+    ProcessExecutor,
     SerialExecutor,
     ShardExecutor,
 )
@@ -37,14 +38,12 @@ from .rebalancer import MigrationSpec, Rebalancer, load_imbalance
 from .router import DEFAULT_SLOTS_PER_SHARD, KeyRouter, stable_hash
 from .shard import (
     TRANSPORT_BLOCKS,
-    TRANSPORT_OBJECTS,
     TRANSPORT_SHM,
     TRANSPORT_SOCKET,
     TRANSPORTS,
     FailoverState,
     ShardFailure,
     ShardOutcome,
-    transport_encodes_blocks,
 )
 from .shm import (
     DEFAULT_RING_BYTES,
@@ -54,7 +53,7 @@ from .shm import (
     RingTimeout,
     ShmRing,
 )
-from .supervision import SupervisedExecutor, SupervisionConfig
+from .supervision import SupervisionConfig
 
 __all__ = [
     "DEFAULT_BATCH_SIZE",
@@ -65,9 +64,9 @@ __all__ = [
     "FailoverState",
     "KeyRouter",
     "MigrationSpec",
-    "MultiprocessingExecutor",
     "PartitionedPipeline",
     "PipelinedIngest",
+    "ProcessExecutor",
     "Rebalancer",
     "RingAborted",
     "RingError",
@@ -78,15 +77,12 @@ __all__ = [
     "ShardFailure",
     "ShardOutcome",
     "ShmRing",
-    "SupervisedExecutor",
     "SupervisionConfig",
     "TRANSPORT_BLOCKS",
-    "TRANSPORT_OBJECTS",
     "TRANSPORT_SHM",
     "TRANSPORT_SOCKET",
     "TRANSPORTS",
     "load_imbalance",
     "run_partitioned",
     "stable_hash",
-    "transport_encodes_blocks",
 ]

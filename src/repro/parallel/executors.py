@@ -3,23 +3,27 @@
 * :class:`SerialExecutor` — every shard pipeline lives in-process and is
   driven synchronously.  Deterministic and zero-overhead; the reference
   executor the invariance tests run against.
-* :class:`MultiprocessingExecutor` — one worker process per shard with
-  batched tuple transfer: the parent buffers up to ``batch_size`` tuples
-  per shard before each pipe send, amortizing pickling and syscalls.
-  The wire format is selectable (``transport``): columnar
-  :class:`~repro.core.blocks.TupleBlock` messages (the default — one
-  small flat object per message, schema negotiated once per shard and
-  attribute set) or legacy per-object pickling (the benchmark baseline).
+* :class:`ProcessExecutor` — one worker process per shard with batched
+  tuple transfer: the parent buffers up to ``batch_size`` tuples per
+  shard before each send, amortizing pickling and syscalls.  The wire
+  format is always columnar :class:`~repro.core.blocks.TupleBlock`
+  messages (one small flat object per message, schema negotiated once
+  per shard and attribute set); ``transport`` only picks the carrier —
+  the worker's pipe, per-shard shared-memory rings, or a TCP socket to a
+  worker hosted by a :class:`~repro.distributed.runtime.NodeServer`.
   Results and metrics ride back once per shard at
-  :meth:`~ShardExecutor.finish` — as a
-  :class:`~repro.core.blocks.ResultBlock` under block transport.
+  :meth:`~ShardExecutor.finish`, as a
+  :class:`~repro.core.blocks.ResultBlock`.  Supervision (heartbeats,
+  checkpoints, replay recovery — :mod:`repro.parallel.supervision`) is a
+  policy of the same dispatch path, armed by passing a
+  :class:`~repro.parallel.supervision.SupervisionConfig` or a fault
+  plan; there is no second executor for it.
 
 Both present the same lifecycle so
 :class:`~repro.parallel.pipeline.PartitionedPipeline` treats them
-uniformly: ``submit(shard, tuple)`` / ``submit_batch(shard, batch)`` per
-routed tuple or burst in arrival order, optional ``migrate``/``adopt``
-barrier pairs when the rebalancer moves slot state between shards, then
-``finish()`` exactly once.
+uniformly: ``submit_batch(shard, batch)`` per routed burst in arrival
+order, optional ``migrate``/``adopt`` barrier pairs when the rebalancer
+moves slot state between shards, then ``finish()`` exactly once.
 
 Window-store selection (:attr:`~repro.core.pipeline.PipelineConfig.store`)
 rides inside the config both executors construct shard pipelines from —
@@ -36,25 +40,44 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
+import time
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.blocks import PICKLE_PROTOCOL, BlockDecoder, BlockEncoder, StateBlock
-from ..core.pipeline import PipelineConfig, QualityDrivenPipeline
+from ..core.blocks import (
+    PICKLE_PROTOCOL,
+    BlockDecoder,
+    BlockEncoder,
+    CheckpointIntegrityError,
+    StateBlock,
+    WindowStateItem,
+    decode_state,
+    unframe_checkpoint,
+    verify_checkpoint,
+)
+from ..core.pipeline import PipelineConfig, PipelineMetrics, QualityDrivenPipeline
 from ..core.tuples import StreamTuple
+from ..faults import FaultPlan
 from .rebalancer import MigrationSpec
 from .shard import (
     MSG_ABORT,
     MSG_BATCH,
+    MSG_CHECKPOINT,
     MSG_CREDIT,
     MSG_FLUSH,
     MSG_MIGRATE_IN,
     MSG_MIGRATE_OUT,
+    MSG_PING,
+    MSG_PONG,
     MSG_RING,
     MSG_RING_REPLY,
     TRANSPORT_BLOCKS,
     TRANSPORT_SHM,
+    TRANSPORT_SOCKET,
     TRANSPORTS,
+    CheckpointRequest,
+    FailoverState,
     Outputs,
     RingDescriptors,
     ShardFailure,
@@ -64,9 +87,15 @@ from .shard import (
     extract_shard_state,
     merge_outputs,
     shard_worker,
-    transport_encodes_blocks,
 )
 from .shm import DEFAULT_RING_BYTES, RingAborted, RingError, ShmRing
+from .supervision import (
+    KIND_ADOPT,
+    KIND_BATCH,
+    SupervisionConfig,
+    _add_stats,
+    _Checkpoint,
+)
 
 #: Tuples buffered per shard before one IPC dispatch.  Amortizes the
 #: per-message pickling/pipe cost; raise it for throughput, lower it for
@@ -78,15 +107,21 @@ DEFAULT_BATCH_SIZE = 256
 #: awaited multi-second drain doesn't spin.
 POLL_INTERVAL_S = 0.05
 
+#: What an executor that was handed neither a supervision config nor a
+#: fault plan runs under: the supervised path with everything off.
+_NOT_ARMED = SupervisionConfig(
+    heartbeat_interval=0, checkpoint_interval=0, recover=False, failover=False
+)
+
 
 class ShardExecutor(ABC):
     """Owns N shard pipelines and feeds them routed tuples.
 
-    ``submit`` returns whatever results the shard makes available
+    ``submit_batch`` returns whatever results the shard makes available
     *immediately*: the serial executor returns them per call, the
-    multiprocessing executor returns an empty batch and delivers
-    everything with the shard's :class:`~repro.parallel.shard.ShardOutcome`
-    at :meth:`finish`.  Accumulating all ``submit`` returns plus the
+    process executor returns an empty batch and delivers everything with
+    the shard's :class:`~repro.parallel.shard.ShardOutcome` at
+    :meth:`finish`.  Accumulating all ``submit_batch`` returns plus the
     outcome outputs therefore yields the same multiset under either
     executor.
     """
@@ -133,22 +168,15 @@ class ShardExecutor(ABC):
             f"{type(self).__name__} does not support elastic resize"
         )
 
-    @abstractmethod
     def submit(self, shard: int, t: StreamTuple) -> Outputs:
         """Feed one tuple to ``shard``; return results available now."""
+        return self.submit_batch(shard, (t,))
 
+    @abstractmethod
     def submit_batch(self, shard: int, batch: Sequence[StreamTuple]) -> Outputs:
-        """Feed a routed batch to ``shard``; return results available now.
-
-        Equivalent to submitting each tuple in sequence; executors
-        override this to amortize per-tuple dispatch (one in-process
-        batched call, or one pipe send per accumulated IPC batch).
-        """
-        collect = self.config.collect_results
-        outputs = empty_outputs(collect)
-        for t in batch:
-            outputs = merge_outputs(collect, outputs, self.submit(shard, t))
-        return outputs
+        """Feed a routed batch to ``shard`` in arrival order; return the
+        results available now (one in-process batched call, or one send
+        per accumulated IPC batch)."""
 
     def migrate(
         self, shard: int, spec: MigrationSpec
@@ -196,10 +224,6 @@ class SerialExecutor(ShardExecutor):
             QualityDrivenPipeline(config) for _ in range(num_shards)
         ]
 
-    def submit(self, shard: int, t: StreamTuple) -> Outputs:
-        self.submitted[shard] += 1
-        return self.pipelines[shard].process(t)
-
     def submit_batch(self, shard: int, batch: Sequence[StreamTuple]) -> Outputs:
         self.submitted[shard] += len(batch)
         return self.pipelines[shard].process_batch(batch)
@@ -222,47 +246,175 @@ class SerialExecutor(ShardExecutor):
         self.pipelines.append(QualityDrivenPipeline(self.config))
         return shard
 
-    def retire_shard(self, shard: int) -> None:
-        if shard in self._retired:
-            raise RuntimeError(f"shard {shard} already retired")
+    def _outcome(self, shard: int) -> ShardOutcome:
         pipeline = self.pipelines[shard]
-        self._retired[shard] = ShardOutcome(
+        return ShardOutcome(
             shard,
             pipeline.flush(),
             pipeline.metrics,
             pipeline.join.stats.as_dict(),
         )
 
+    def retire_shard(self, shard: int) -> None:
+        if shard in self._retired:
+            raise RuntimeError(f"shard {shard} already retired")
+        self._retired[shard] = self._outcome(shard)
+
     def finish(self) -> List[ShardOutcome]:
         return [
-            self._retired[shard]
-            if shard in self._retired
-            else ShardOutcome(
-                shard,
-                pipeline.flush(),
-                pipeline.metrics,
-                pipeline.join.stats.as_dict(),
-            )
-            for shard, pipeline in enumerate(self.pipelines)
+            self._retired[shard] if shard in self._retired else self._outcome(shard)
+            for shard in range(self.num_shards)
         ]
 
 
-class MultiprocessingExecutor(ShardExecutor):
-    """One worker process per shard, batched tuple transfer over pipes.
+def check_process_options(
+    transport: str, credit_window: Optional[int], nodes: Optional[Sequence]
+) -> None:
+    """Reject carrier / flow-control settings no process run accepts.
 
-    ``transport`` selects the wire format: :data:`TRANSPORT_BLOCKS`
-    (default) encodes each outgoing batch as one columnar
+    One function so :class:`~repro.parallel.pipeline.PartitionedPipeline`
+    can refuse them before it chooses (or starts) any executor, and the
+    executor refuses the same things when constructed directly.
+    """
+    if transport not in TRANSPORTS:
+        raise ValueError(
+            f"transport must be one of {TRANSPORTS}, got {transport!r}"
+        )
+    if credit_window is not None and credit_window < 1:
+        raise ValueError(f"credit_window must be >= 1, got {credit_window}")
+    if transport == TRANSPORT_SOCKET:
+        if not nodes:
+            raise ValueError(
+                "transport='socket' requires `nodes`: the (host, port) "
+                "addresses of the NodeServer processes hosting the shards"
+            )
+    elif nodes is not None:
+        raise ValueError("`nodes` is only meaningful with transport='socket'")
+
+
+def _reap(process: Any, patience_s: float) -> None:
+    """Give a worker ``patience_s`` to exit on its own, then make sure.
+
+    The one place a worker process is waited for: after a flush reply
+    (long patience — it is exiting), after an abort, and when a failed
+    incarnation is retired (zero patience).
+    """
+    if process is None:
+        return  # constructor unwind: the connection outlived a failed spawn
+    process.join(timeout=patience_s)
+    if process.is_alive():
+        process.terminate()
+        process.join(timeout=5)
+        if process.is_alive():  # pragma: no cover - defensive
+            process.kill()
+            process.join(timeout=5)
+
+
+def _close_quietly(connection: Any) -> None:
+    if connection is not None:
+        try:
+            connection.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
+
+
+@dataclass
+class _Shard:
+    """Everything the parent keeps about one shard worker.
+
+    One record per shard — built by the same call in the constructor and
+    in :meth:`ProcessExecutor.add_shard` — so a field added here cannot
+    be forgotten in one of the two.
+    """
+
+    #: Admitted checkpoint output deltas, decoded (starts empty).
+    deltas: Outputs
+    #: Parent-side buffer of routed-but-undispatched tuples.
+    pending: List[StreamTuple] = field(default_factory=list)
+    #: The current incarnation's connection, process handle and schema
+    #: negotiation state; all three are replaced together on a respawn.
+    connection: Any = None
+    process: Any = None
+    encoder: BlockEncoder = field(default_factory=BlockEncoder)
+    #: Shared-memory ring pair (shm transport only): parent→worker data
+    #: ring and worker→parent reply ring, fresh per incarnation.
+    ring: Optional[ShmRing] = None
+    reply_ring: Optional[ShmRing] = None
+    #: Index into the executor's node list (socket transport only):
+    #: where the current incarnation lives.
+    node: Optional[int] = None
+    #: Credit accounting of the current incarnation.
+    dispatched: int = 0
+    credited: int = 0
+    #: Supervision accounting: incarnation number, batches + adoptions
+    #: dispatched so far, cadence counters, respawns spent.
+    epoch: int = 0
+    seq: int = 0
+    since_ping: int = 0
+    since_ckpt: int = 0
+    respawns: int = 0
+    #: ``(seq, kind, payload)`` of everything dispatched after the last
+    #: accepted checkpoint (armed runs only).
+    replay: List[Tuple[int, str, Any]] = field(default_factory=list)
+    #: The last *accepted* checkpoint.
+    checkpoint: Optional[_Checkpoint] = None
+    #: Stats/metrics of the *current incarnation's* spawn point — worker
+    #: counters restart at zero after a respawn, so absolute accounting
+    #: is base + the incarnation's cumulative snapshot.
+    stats_base: Dict[str, int] = field(default_factory=dict)
+    metrics_base: Optional[PipelineMetrics] = None
+
+    def absolute(
+        self, stats: Dict[str, int], metrics: PipelineMetrics
+    ) -> Tuple[Dict[str, int], PipelineMetrics]:
+        """An incarnation's cumulative snapshot on top of its base."""
+        if self.metrics_base is not None:
+            metrics = PipelineMetrics.merge([self.metrics_base, metrics])
+        return _add_stats(self.stats_base, stats), metrics
+
+    def release_rings(self) -> None:
+        """Close and unlink the ring pair.  Idempotent; part of every
+        unwind path so no ``/dev/shm`` segment outlives its incarnation."""
+        for ring in (self.ring, self.reply_ring):
+            if ring is not None:
+                ring.close()
+                ring.unlink()
+        self.ring = self.reply_ring = None
+
+
+class ProcessExecutor(ShardExecutor):
+    """One worker process per shard, batched block transfer.
+
+    Every outgoing batch is encoded as one columnar
     :class:`~repro.core.blocks.TupleBlock` through a per-shard
     schema-negotiating :class:`~repro.core.blocks.BlockEncoder`, and the
     worker ships collected results back as one
-    :class:`~repro.core.blocks.ResultBlock`; :data:`TRANSPORT_OBJECTS`
-    pickles the tuple objects themselves (the pre-columnar path, kept as
-    the benchmark baseline).  Either way messages leave through
+    :class:`~repro.core.blocks.ResultBlock`.  Messages leave through
     ``send_bytes`` with pickle protocol ``5`` — serialization happens
-    exactly once, in :meth:`_send`.
+    exactly once, in :meth:`_send` / :meth:`_send_message`.
 
-    Prefers the ``fork`` start method so non-picklable join conditions
-    (theta lambdas) reach the children by inheritance; under ``spawn``
+    Where a worker lives follows from what the executor is given:
+    without ``nodes`` it is forked here and reached over a pipe (plus a
+    shared-memory ring pair under ``transport="shm"``); with ``nodes``
+    (and ``transport="socket"``) it is placed on one of those
+    :class:`~repro.distributed.runtime.NodeServer` addresses by a
+    ``MSG_JOIN`` handshake.  Everything above :meth:`_spawn_worker` —
+    batching, credits, migration barriers, supervision cadence, elastic
+    resize — is the same code, because every connection speaks the pipe
+    surface and the protocol does not change.
+
+    Supervision is **armed** by passing ``supervision`` or
+    ``fault_plan`` (see :mod:`repro.parallel.supervision` for the
+    protocol and its invariants).  Not armed, the same dispatch path
+    runs with no pings, no checkpoints and no replay log, and a worker
+    failure is terminal.  Observability counters (``respawns``,
+    ``checkpoints_taken``, ``checkpoints_rejected``,
+    ``replayed_batches``, ``failed_over``) are plain attributes the soak
+    harness and the benchmarks read after the run.
+
+    Forked workers prefer the ``fork`` start method so non-picklable
+    join conditions (theta lambdas) reach the children by inheritance;
+    under ``spawn`` — and on nodes, where the spec crosses the wire —
     the :class:`~repro.core.pipeline.PipelineConfig` must pickle.  Worker
     failures surface as a typed
     :class:`~repro.parallel.shard.ShardFailure` (a ``RuntimeError``
@@ -279,33 +431,37 @@ class MultiprocessingExecutor(ShardExecutor):
         batch_size: int = DEFAULT_BATCH_SIZE,
         start_method: Optional[str] = None,
         transport: str = TRANSPORT_BLOCKS,
+        supervision: Optional[SupervisionConfig] = None,
+        fault_plan: Optional[FaultPlan] = None,
         credit_window: Optional[int] = None,
         ring_bytes: int = DEFAULT_RING_BYTES,
+        nodes: Optional[Sequence[Tuple[str, int]]] = None,
     ) -> None:
         super().__init__(config, num_shards)
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {TRANSPORTS}, got {transport!r}"
-            )
-        if credit_window is not None and credit_window < 1:
-            raise ValueError(
-                f"credit_window must be >= 1, got {credit_window}"
-            )
+        check_process_options(transport, credit_window, nodes)
         self.batch_size = batch_size
         self.transport = transport
+        #: Whether supervision is armed — worked out from the inputs.
+        self.supervised = supervision is not None or fault_plan is not None
+        if supervision is None:
+            supervision = SupervisionConfig() if self.supervised else _NOT_ARMED
+        self.supervision = supervision
+        self._fault_plan = fault_plan
+        #: Seconds a synchronous request may go unanswered; a stalled
+        #: worker is legal slowness unless supervision is armed.
+        self._reply_timeout: Optional[float] = (
+            supervision.heartbeat_timeout_s if self.supervised else None
+        )
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else methods[0]
-        # Retained for worker (re)spawns: the supervised subclass starts
-        # replacement workers long after construction.
+        # Retained for worker (re)spawns long after construction.
         self._context = multiprocessing.get_context(start_method)
-        self._batches: List[List[StreamTuple]] = [[] for _ in range(num_shards)]
-        self._encoders: Optional[List[BlockEncoder]] = (
-            [BlockEncoder() for _ in range(num_shards)]
-            if transport_encodes_blocks(transport)
-            else None
+        #: NodeServer addresses (socket transport), else ``None``.
+        self._nodes: Optional[List[Tuple[str, int]]] = (
+            None if nodes is None else [(str(host), int(port)) for host, port in nodes]
         )
         #: Credit-based backpressure: with a window of W, at most W
         #: dispatched-but-unconfirmed batches may be in flight per shard
@@ -314,155 +470,320 @@ class MultiprocessingExecutor(ShardExecutor):
         #: the synchronous driver's behavior, where pipe buffering is
         #: the only in-flight bound.
         self._credit_window = credit_window
-        self._dispatched: List[int] = [0] * num_shards
-        self._credited: List[int] = [0] * num_shards
         self._ring_bytes = ring_bytes
-        # Per-shard shared-memory ring pairs (shm transport only):
-        # parent→worker data ring and worker→parent reply ring.  Created
-        # fresh per worker incarnation in _spawn_worker; unlinked on
-        # every unwind path (_release_rings).
-        self._rings: List[Optional[ShmRing]] = []
-        self._reply_rings: List[Optional[ShmRing]] = []
-        self._connections = []
-        self._processes = []
+        self._shards: List[_Shard] = []
         self._finished = False
+        self.respawns = 0
+        self.checkpoints_taken = 0
+        self.checkpoints_rejected = 0
+        self.replayed_batches = 0
+        self.failed_over: Set[int] = set()
         # Worker startup can fail mid-loop (fd exhaustion, fork limits);
         # without the unwind the already-started workers would sit in
         # recv() forever holding their pipe fds.  close() handles the
-        # partially-built executor: lists are appended as resources are
-        # created, so whatever exists is released.
+        # partially-built executor: records are appended as resources
+        # are created, so whatever exists is released.
         try:
             for shard in range(num_shards):
-                self._spawn_worker(shard)
+                self._start_shard(shard)
         except BaseException:
             self.close()
             raise
 
-    def _fault_plan_for(self, shard: int):
-        """Fault plan handed to ``shard``'s next incarnation (subclass
-        hook — the base executor injects nothing)."""
-        return None
+    # ------------------------------------------------------------------
+    # worker lifecycle
+    # ------------------------------------------------------------------
 
-    def _ring_descriptors(self, shard: int) -> Optional[RingDescriptors]:
-        """The shard's ring pair as picklable worker args, or ``None``."""
-        if not self._rings or self._rings[shard] is None:
-            return None
-        ring, reply = self._rings[shard], self._reply_rings[shard]
-        assert ring is not None and reply is not None
-        return (ring.descriptor, reply.descriptor)
+    def _start_shard(self, shard: int) -> None:
+        self._shards.append(_Shard(empty_outputs(self.config.collect_results)))
+        self._spawn_worker(shard)
 
-    def _worker_args(self, shard: int) -> tuple:
-        """``shard_worker`` args after the connection (subclass hook)."""
-        return (
-            shard,
-            self.config,
-            self.transport,
-            self._fault_plan_for(shard),
-            self._ring_descriptors(shard),
-            self._credit_window is not None,
-        )
+    def _fault_plan_for(self, shard: int) -> Optional[FaultPlan]:
+        """Fault plan handed to ``shard``'s next incarnation."""
+        plan = self._fault_plan
+        if plan is not None and self._shards[shard].epoch > 0:
+            # One-shot faults already fired in a previous incarnation;
+            # re-arming them would make recovery impossible by design.
+            plan = plan.respawn_plan(shard)
+        return plan
 
     def _spawn_worker(self, shard: int) -> None:
-        """Start ``shard``'s worker on a fresh pipe.
+        """Start ``shard``'s next incarnation on a fresh connection.
 
-        Appends on first spawn; replaces in place when the supervised
-        subclass respawns a worker (whose caller has already retired the
-        previous incarnation's process and connection).  A fresh pipe —
+        The caller has already retired the previous incarnation's
+        process and connection, if there was one.  A fresh connection —
         and, under the shm transport, a fresh ring pair — per
         incarnation means no stale message or frame from a dead epoch
         can ever be read back, and keeps each incarnation's ring
         sequence numbers starting from 1 (mirroring the supervisor's
-        per-epoch seq accounting).
+        per-epoch seq accounting).  The worker's decoder starts empty,
+        so the connection's schema negotiation restarts from scratch
+        too.
         """
-        if self.transport == TRANSPORT_SHM:
-            while len(self._rings) <= shard:
-                self._rings.append(None)
-                self._reply_rings.append(None)
-            for stale in (self._rings[shard], self._reply_rings[shard]):
-                if stale is not None:  # retired incarnation's segments
-                    stale.close()
-                    stale.unlink()
-            self._rings[shard] = ShmRing.create(self._ring_bytes)
-            self._reply_rings[shard] = ShmRing.create(self._ring_bytes)
-        self._dispatched[shard] = 0
-        self._credited[shard] = 0
-        parent_conn, child_conn = self._context.Pipe(duplex=True)
-        if self._encoders is not None:
-            # The worker's decoder starts empty, so the connection's
-            # schema negotiation must restart from scratch too.
-            self._encoders[shard] = BlockEncoder()
-        if shard < len(self._connections):
-            self._connections[shard] = parent_conn
+        state = self._shards[shard]
+        state.dispatched = state.credited = 0
+        state.encoder = BlockEncoder()
+        if self._nodes is None:
+            self._fork_worker(shard, state)
         else:
-            self._connections.append(parent_conn)
+            self._place_worker(shard, state)
+
+    def _fork_worker(self, shard: int, state: _Shard) -> None:
+        """Worker placement, local: fork + pipe (+ shm rings)."""
+        rings: Optional[RingDescriptors] = None
+        if self.transport == TRANSPORT_SHM:
+            state.release_rings()  # the retired incarnation's segments
+            state.ring = ShmRing.create(self._ring_bytes)
+            state.reply_ring = ShmRing.create(self._ring_bytes)
+            rings = (state.ring.descriptor, state.reply_ring.descriptor)
+        state.connection, child_conn = self._context.Pipe(duplex=True)
         try:
             process = self._context.Process(
                 target=shard_worker,
-                args=(child_conn,) + self._worker_args(shard),
+                args=(
+                    child_conn,
+                    shard,
+                    self.config,
+                    self._fault_plan_for(shard),
+                    rings,
+                    self._credit_window is not None,
+                ),
                 daemon=True,
             )
             process.start()
         finally:
             child_conn.close()
-        if shard < len(self._processes):
-            self._processes[shard] = process
-        else:
-            self._processes.append(process)
+        state.process = process
 
-    def submit(self, shard: int, t: StreamTuple) -> Outputs:
+    def _place_worker(self, shard: int, state: _Shard) -> None:
+        """Worker placement, remote: dial a node + ``MSG_JOIN``.
+
+        First placement goes to the least-loaded node (ties break low) —
+        at construction this degenerates to round-robin, and a grown
+        shard lands on a freshly joined (empty) node, which is what
+        makes ``add_node`` + ``grow`` the node-join story.  A respawn
+        prefers the incumbent node and fails over to survivors when it
+        refuses the dial — which is exactly what recovers a whole-node
+        SIGKILL (every worker on the node dies via ``PDEATHSIG``; each
+        is respawned elsewhere from its last checkpoint and replay log).
+        """
+        # Deferred import: the distributed runtime builds on this
+        # package's worker loop, so a module-level import is circular.
+        from ..distributed.runtime import place_shard_worker
+
+        nodes = self._nodes
+        assert nodes is not None
+        if state.node is None:
+            loads = [0] * len(nodes)
+            for other in self._shards:
+                if other.node is not None:
+                    loads[other.node] += 1
+            state.node = loads.index(min(loads))
+        state.connection, state.process, state.node = place_shard_worker(
+            nodes,
+            state.node,
+            shard,
+            self.config,
+            self._fault_plan_for(shard),
+            self._credit_window is not None,
+        )
+
+    def add_node(self, address: Tuple[str, int]) -> int:
+        """Register a freshly-started NodeServer; return its index.
+
+        The elastic node-join entry point: a registered node becomes a
+        placement target for subsequent ``add_shard`` spawns (via
+        :meth:`~repro.parallel.pipeline.PartitionedPipeline.grow`) and
+        for respawn failover.  Registration alone moves no state — the
+        pipeline's drain/handoff migration barrier does that, which is
+        what makes joining mid-stream byte-identical to having started
+        with the node.
+        """
+        if self._nodes is None:
+            raise RuntimeError("add_node requires transport='socket'")
+        self._nodes.append((str(address[0]), int(address[1])))
+        return len(self._nodes) - 1
+
+    def add_shard(self) -> int:
+        """Elastic grow: one more per-shard record, one more worker.
+
+        The new shard starts with an empty pipeline and owns no routing
+        slots; the pipeline layer migrates state to it and repoints the
+        router afterwards, so grow-then-migrate is byte-identical to
+        having started with the larger pool.
+        """
+        self._check_open()
+        shard = self.num_shards
+        self.num_shards += 1
+        self.submitted.append(0)
+        self._start_shard(shard)
+        return shard
+
+    def retire_shard(self, shard: int) -> None:
+        """Elastic shrink: flush the (already slot-less) shard and stash
+        its outcome for :meth:`finish`; release its worker and rings.
+
+        Refused while supervision is armed (stitching a mid-run
+        retirement into the delta/replay accounting is not implemented);
+        involuntary departure is what failover handles.
+        """
+        self._check_open()
+        if self.supervised:
+            raise RuntimeError(
+                "supervised executors do not support retire_shard; "
+                "use failover for involuntary node departure"
+            )
+        if shard in self._retired:
+            raise RuntimeError(f"shard {shard} already retired")
+        self._flush_pending(shard)
+        self._send(shard, (MSG_FLUSH, None))
+        self._retired[shard] = self._await_outcome(shard)
+        state = self._shards[shard]
+        state.connection.close()
+        _reap(state.process, 30)
+        state.release_rings()
+
+    def _terminate_worker(self, shard: int) -> None:
+        """Retire an incarnation: close its pipe, make sure it is dead."""
+        state = self._shards[shard]
+        _close_quietly(state.connection)
+        _reap(state.process, 0)
+
+    def _recover(self, shard: int, failure: ShardFailure) -> None:
+        """Respawn → restore → replay, or escalate to a terminal failure.
+
+        Loops because the restore/replay itself can fail (a persistent
+        fault, a second crash): each attempt burns one unit of the
+        shard's respawn budget; exhausting the budget raises the
+        terminal failure, carrying :class:`FailoverState` when failover
+        is enabled and a recovery point exists.  Not armed,
+        ``supervision.recover`` is off and every failure is terminal.
+        """
+        sup = self.supervision
+        state = self._shards[shard]
+        while True:
+            if not failure.recoverable or not sup.recover:
+                self._terminate_worker(shard)
+                raise failure
+            if state.respawns >= sup.max_respawns:
+                self._terminate_worker(shard)
+                raise self._exhausted(shard, failure)
+            state.respawns += 1
+            self.respawns += 1
+            self._terminate_worker(shard)
+            time.sleep(sup.backoff_base_s * (2 ** (state.respawns - 1)))
+            state.epoch += 1
+            state.since_ping = state.since_ckpt = 0
+            self._spawn_worker(shard)
+            try:
+                self._restore(shard)
+                return
+            except ShardFailure as exc:
+                failure = exc
+
+    def _restore(self, shard: int) -> None:
+        """Bring a fresh incarnation up to date: checkpoint + replay log.
+
+        The incarnation's stats/metrics bases move to the checkpoint's
+        absolute values (its counters restart at zero); replayed batches
+        are re-encoded by the fresh per-connection encoder; a final ping
+        confirms the worker consumed everything — without it a restore
+        that crashed mid-replay would be discovered only at the next
+        dispatch, attributing the failure to the wrong batch.
+        """
+        state = self._shards[shard]
+        ckpt = state.checkpoint
+        if ckpt is not None:
+            self._send_message(
+                shard, (MSG_MIGRATE_IN, unframe_checkpoint(ckpt.frame))
+            )
+            state.stats_base = dict(ckpt.stats)
+            state.metrics_base = ckpt.metrics
+        else:
+            state.stats_base = {}
+            state.metrics_base = None
+        for _seq, kind, payload in state.replay:
+            if kind == KIND_BATCH:
+                self._send_batch(shard, payload)
+                self.replayed_batches += 1
+            else:
+                self._send_message(shard, (MSG_MIGRATE_IN, payload))
+        self._ping(shard, ("restore", state.epoch, state.seq), desync_recoverable=False)
+
+    def _exhausted(self, shard: int, failure: ShardFailure) -> ShardFailure:
+        """Terminal failure of a budget-spent shard (+ failover payload)."""
+        self.failed_over.add(shard)
+        state = self._shards[shard]
+        payload: Optional[FailoverState] = None
+        if self.supervision.failover:
+            window: List[WindowStateItem] = []
+            pending: List[StreamTuple] = []
+            replay: List[List[StreamTuple]] = []
+            if state.checkpoint is not None:
+                w, p = decode_state(unframe_checkpoint(state.checkpoint.frame))
+                window.extend(w)
+                pending.extend(p)
+            for _seq, kind, entry in state.replay:
+                if kind == KIND_BATCH:
+                    replay.append(list(entry))
+                else:
+                    # Adopted state that never made it into a checkpoint
+                    # folds into the window/pending legs (it is already
+                    # in adoptable form once decoded).
+                    w, p = decode_state(entry)
+                    window.extend(w)
+                    pending.extend(p)
+            # Tuples buffered parent-side but never dispatched belong to
+            # the replay stream too.
+            if state.pending:
+                replay.append(state.pending)
+                state.pending = []
+            payload = FailoverState(window=window, pending=pending, replay=replay)
+        return ShardFailure(
+            shard,
+            f"respawn budget exhausted after "
+            f"{state.respawns} respawns: {failure.reason}",
+            recoverable=False,
+            failover=payload,
+        )
+
+    # ------------------------------------------------------------------
+    # dispatch (one path; logged + supervised when armed)
+    # ------------------------------------------------------------------
+
+    def _check_open(self) -> None:
         if self._finished:
             raise RuntimeError("executor already finished")
-        self.submitted[shard] += 1
-        batch = self._batches[shard]
-        batch.append(t)
-        if len(batch) >= self.batch_size:
-            self._dispatch(shard, batch, 0, len(batch))
-            batch.clear()
-        return empty_outputs(self.config.collect_results)
+
+    def _check_live(self, shard: int) -> None:
+        self._check_open()
+        if shard in self.failed_over:
+            raise ShardFailure(
+                shard,
+                "shard already failed over; the router should no longer "
+                "route to it",
+                recoverable=False,
+            )
 
     def submit_batch(self, shard: int, batch: Sequence[StreamTuple]) -> Outputs:
-        """Queue a whole routed batch with one extend per call.
+        """Queue a routed batch; dispatch every full ``batch_size`` window.
 
-        The pending buffer drains in ``batch_size`` index windows — the
-        same pipe-message cadence and parent-side buffering bound as
-        per-tuple submission — and the leftover head is removed in place
-        (``del pending[:start]``), so a large routed batch costs one
-        ``extend`` plus one compaction instead of repeated backlog
-        slices.  Under block transport each window is encoded straight
-        from the buffer (no intermediate sub-lists at all).
+        Each window is carved out of the pending buffer *before* its
+        dispatch: if the dispatch escalates to a terminal failure, the
+        window lives in the replay log and the buffer holds only
+        never-dispatched tuples — no double count in the failover
+        stream.
         """
-        if self._finished:
-            raise RuntimeError("executor already finished")
+        self._check_live(shard)
         self.submitted[shard] += len(batch)
-        pending = self._batches[shard]
+        pending = self._shards[shard].pending
         pending.extend(batch)
         size = self.batch_size
-        if len(pending) >= size:
-            start = 0
-            total = len(pending)
-            while total - start >= size:
-                self._dispatch(shard, pending, start, start + size)
-                start += size
-            del pending[:start]
+        while len(pending) >= size:
+            window = pending[:size]
+            del pending[:size]
+            self._dispatch_window(shard, window)
         return empty_outputs(self.config.collect_results)
-
-    def _dispatch(
-        self, shard: int, pending: Sequence[StreamTuple], start: int, stop: int
-    ) -> None:
-        """Send ``pending[start:stop]`` as one MSG_BATCH message."""
-        if self._credit_window is not None:
-            self._await_credit(shard)
-        if self._encoders is not None:
-            payload = self._encoders[shard].encode(pending, start, stop)
-        elif start == 0 and stop == len(pending):
-            # Serialization happens synchronously in _send_message, so
-            # the live buffer can be passed (and cleared by the caller)
-            # directly.
-            payload = pending
-        else:
-            payload = pending[start:stop]
-        self._send_message(shard, (MSG_BATCH, payload))
-        self._dispatched[shard] += 1
 
     def _flush_pending(self, shard: int) -> None:
         """Ship whatever sits in ``shard``'s parent-side batch buffer.
@@ -472,10 +793,137 @@ class MultiprocessingExecutor(ShardExecutor):
         ordering then guarantees the barrier lands at a consistent
         point in the shard's input sequence.
         """
-        pending = self._batches[shard]
-        if pending:
-            self._dispatch(shard, pending, 0, len(pending))
-            self._batches[shard] = []
+        state = self._shards[shard]
+        if state.pending:
+            window, state.pending = state.pending, []
+            self._dispatch_window(shard, window)
+
+    def _log(self, shard: int, kind: str, payload: Any) -> None:
+        """Number one dispatch and — armed only — log it for replay.
+
+        Without a checkpoint cadence nothing would ever trim the log, so
+        a run that is not armed keeps none.
+        """
+        state = self._shards[shard]
+        state.seq += 1
+        if self.supervised:
+            state.replay.append((state.seq, kind, payload))
+
+    def _dispatch_window(self, shard: int, window: List[StreamTuple]) -> None:
+        """Log + send one batch window, then run the supervision cadence.
+
+        The log entry is appended *before* the send so no dispatched
+        batch can ever be absent from the replay stream, whatever point
+        the send or the cadence fails at.
+        """
+        self._log(shard, KIND_BATCH, window)
+        try:
+            self._send_batch(shard, window)
+            self._cadence(shard)
+        except ShardFailure as failure:
+            self._recover(shard, failure)
+
+    def _send_batch(self, shard: int, window: Sequence[StreamTuple]) -> None:
+        """Encode + ship one batch window.
+
+        Every batch send — live dispatch, replay during restore, the
+        final pending flush — funnels through here: waits for credit
+        when a window is armed, encodes with the *current incarnation's*
+        encoder (a respawned worker negotiates schemas from scratch),
+        and rides the shm ring when one is armed.
+        """
+        state = self._shards[shard]
+        if self._credit_window is not None:
+            self._await_credit(shard)
+        self._send_message(shard, (MSG_BATCH, state.encoder.encode(window)))
+        state.dispatched += 1
+
+    def _cadence(self, shard: int) -> None:
+        """Checkpoint/ping bookkeeping after one dispatched batch."""
+        sup = self.supervision
+        state = self._shards[shard]
+        state.since_ckpt += 1
+        state.since_ping += 1
+        if sup.checkpoint_interval and state.since_ckpt >= sup.checkpoint_interval:
+            self._checkpoint(shard)
+        elif sup.heartbeat_interval and state.since_ping >= sup.heartbeat_interval:
+            self._ping(shard, (state.epoch, state.seq))
+
+    def _ping(
+        self, shard: int, nonce: tuple, desync_recoverable: bool = True
+    ) -> None:
+        """Liveness probe: ``MSG_PING`` must echo within the timeout.
+
+        After a restore the same exchange proves the worker consumed the
+        whole restore stream (pipe ordering: the pong follows it); a
+        wrong echo there is a protocol desync no further respawn fixes.
+        """
+        self._shards[shard].since_ping = 0
+        self._send(shard, (MSG_PING, nonce))
+        tag, payload = self._await_reply(shard, self._reply_timeout)
+        if tag == "error":
+            raise ShardFailure(shard, str(payload), recoverable=False)
+        if tag != MSG_PONG or payload != nonce:
+            raise ShardFailure(
+                shard,
+                f"bad heartbeat reply: ({tag!r}, {payload!r})",
+                recoverable=desync_recoverable,
+            )
+
+    def _checkpoint(self, shard: int) -> None:
+        """Synchronous checkpoint barrier; admits or rejects the record.
+
+        Also doubles as a liveness probe (it awaits a reply under the
+        heartbeat timeout), so the cadence resets both counters.
+        """
+        state = self._shards[shard]
+        state.since_ckpt = state.since_ping = 0
+        epoch, seq = state.epoch, state.seq
+        self._send(shard, (MSG_CHECKPOINT, CheckpointRequest(epoch, seq)))
+        tag, record = self._await_reply(shard, self._reply_timeout)
+        if tag == "error":
+            raise ShardFailure(shard, str(record), recoverable=False)
+        if tag != MSG_CHECKPOINT:
+            raise ShardFailure(shard, f"bad checkpoint reply tag {tag!r}")
+        if record.epoch != epoch or record.seq != seq:
+            # Epoch/seq dedup: a record from a stale incarnation (or a
+            # desynced worker) is never admitted.
+            raise ShardFailure(
+                shard,
+                f"stale checkpoint record (epoch {record.epoch}, seq "
+                f"{record.seq}; expected epoch {epoch}, seq {seq})",
+            )
+        try:
+            verify_checkpoint(record.frame)
+        except CheckpointIntegrityError as exc:
+            # Reject the WHOLE record — the output delta inside it as
+            # well (the worker already reset its accumulator, so that
+            # delta exists nowhere else; the replay of batches <= seq
+            # under the next epoch regenerates it exactly).
+            self.checkpoints_rejected += 1
+            raise ShardFailure(shard, str(exc)) from exc
+        state.deltas = merge_outputs(
+            self.config.collect_results, state.deltas, self._decoded(record.outputs)
+        )
+        stats, metrics = state.absolute(record.join_stats, record.metrics)
+        state.checkpoint = _Checkpoint(epoch, seq, record.frame, stats, metrics)
+        state.replay = [entry for entry in state.replay if entry[0] > seq]
+        self.checkpoints_taken += 1
+
+    def _decoded(self, outputs: Any) -> Outputs:
+        """A worker's shipped results: a ResultBlock when collected.
+
+        Each worker encodes with its own fresh encoder, so each block
+        carries its schema inline; a fresh decoder per block keeps the
+        pairing exact.
+        """
+        if self.config.collect_results:
+            return BlockDecoder().decode_results(outputs)
+        return outputs
+
+    # ------------------------------------------------------------------
+    # barrier legs
+    # ------------------------------------------------------------------
 
     def migrate(
         self, shard: int, spec: MigrationSpec
@@ -487,93 +935,73 @@ class MultiprocessingExecutor(ShardExecutor):
         until the source has drained and handed its state over.  Drain
         results stay in the worker's accumulator (returned at
         :meth:`finish`), so the outputs half of the return is empty.
+
+        On failure mid-barrier the recovery restores the *pre-migrate*
+        state (the forced post-migrate checkpoint has not been admitted
+        yet) and the whole leg retries: re-extraction is deterministic,
+        so the retried reply carries identical state blocks and the
+        earlier, lost extraction is simply discarded.  After a
+        successful reply an armed source is force-checkpointed so the
+        replay log can never straddle the barrier.
         """
-        if self._finished:
-            raise RuntimeError("executor already finished")
-        self._flush_pending(shard)
-        self._send(shard, (MSG_MIGRATE_OUT, spec))
-        tag, payload = self._await_reply(shard)
-        if tag != "state":
-            raise ShardFailure(
-                shard, f"state migration failed: {payload}", recoverable=False
-            )
-        return empty_outputs(self.config.collect_results), payload
+        self._check_live(shard)
+        while True:
+            try:
+                self._flush_pending(shard)
+                self._send(shard, (MSG_MIGRATE_OUT, spec))
+                tag, payload = self._await_reply(shard, self._reply_timeout)
+                if tag != "state":
+                    raise ShardFailure(
+                        shard,
+                        f"state migration failed: {payload}",
+                        recoverable=False,
+                    )
+                if self.supervised:
+                    self._checkpoint(shard)
+                return empty_outputs(self.config.collect_results), payload
+            except ShardFailure as failure:
+                self._recover(shard, failure)
 
     def adopt(self, shard: int, state: StateBlock) -> Outputs:
-        """Forward migrated state; the worker absorbs it in pipe order."""
-        if self._finished:
-            raise RuntimeError("executor already finished")
+        """Destination leg: logged, sent, force-checkpointed when armed.
+
+        The worker absorbs the state in pipe order.  The adopt goes into
+        the replay log first — if the forced checkpoint after it fails,
+        recovery replays the adoption along with any logged batches, in
+        original ``seq`` order.
+        """
+        self._check_live(shard)
         self._flush_pending(shard)
-        # Migrated state can be arbitrarily large — ride the ring when
-        # one is armed, like any bulky message.
-        self._send_message(shard, (MSG_MIGRATE_IN, state))
+        self._log(shard, KIND_ADOPT, state)
+        try:
+            # Migrated state can be arbitrarily large — ride the ring
+            # when one is armed, like any bulky message.
+            self._send_message(shard, (MSG_MIGRATE_IN, state))
+            if self.supervised:
+                self._checkpoint(shard)
+        except ShardFailure as failure:
+            self._recover(shard, failure)
         return empty_outputs(self.config.collect_results)
 
-    def add_shard(self) -> int:
-        """Elastic grow: extend the per-shard bookkeeping, spawn a worker.
+    # ------------------------------------------------------------------
+    # wire primitives
+    # ------------------------------------------------------------------
 
-        The new shard starts with an empty pipeline and owns no routing
-        slots; the pipeline layer migrates state to it and repoints the
-        router afterwards, so grow-then-migrate is byte-identical to
-        having started with the larger pool.
-        """
-        if self._finished:
-            raise RuntimeError("executor already finished")
-        shard = self.num_shards
-        self.num_shards += 1
-        self.submitted.append(0)
-        self._batches.append([])
-        self._dispatched.append(0)
-        self._credited.append(0)
-        if self._encoders is not None:
-            self._encoders.append(BlockEncoder())
-        self._spawn_worker(shard)
-        return shard
+    def _send(self, shard: int, message: tuple) -> None:
+        # Serialize exactly once (protocol 5) and ship raw bytes.
+        self._send_frame(shard, pickle.dumps(message, protocol=PICKLE_PROTOCOL))
 
-    def retire_shard(self, shard: int) -> None:
-        """Elastic shrink: flush the (already slot-less) shard and stash
-        its outcome for :meth:`finish`; release its worker and rings."""
-        if self._finished:
-            raise RuntimeError("executor already finished")
-        if shard in self._retired:
-            raise RuntimeError(f"shard {shard} already retired")
-        self._flush_pending(shard)
-        self._send(shard, (MSG_FLUSH, None))
-        tag, payload = self._await_reply(shard)
-        if tag != "ok":
-            raise ShardFailure(shard, str(payload), recoverable=False)
-        if self._encoders is not None and self.config.collect_results:
-            payload.outputs = BlockDecoder().decode_results(payload.outputs)
-        self._retired[shard] = payload
-        self._connections[shard].close()
-        process = self._processes[shard]
-        process.join(timeout=30)
-        if process.is_alive():  # pragma: no cover - defensive
-            process.terminate()
-            process.join(timeout=5)
-        if self._rings and self._rings[shard] is not None:
-            reply_ring = self._reply_rings[shard]
-            for ring in (self._rings[shard], reply_ring):
-                if ring is not None:
-                    ring.close()
-                    ring.unlink()
-            self._rings[shard] = None
-            self._reply_rings[shard] = None
-
-    def _send(self, shard: int, message) -> None:
-        # Serialize exactly once (protocol 5) and ship raw bytes.  A
-        # broken pipe means the worker is gone: surface it as a typed
+    def _send_frame(self, shard: int, frame: bytes) -> None:
+        # A broken pipe means the worker is gone: surface it as a typed
         # failure right here — preferring the worker's own buffered
         # ("error", ...) report when one exists — instead of letting a
         # later blocking recv() deadlock on a reply that can never come.
         try:
-            self._connections[shard].send_bytes(
-                pickle.dumps(message, protocol=PICKLE_PROTOCOL)
-            )
+            self._shards[shard].connection.send_bytes(frame)
         except OSError as exc:
             raise self._dead_worker(shard, str(exc)) from exc
 
-    def _send_message(self, shard: int, message) -> None:
+    def _send_message(self, shard: int, message: tuple) -> None:
         """Ship one bulky parent → worker message by the armed transport.
 
         Under the shm transport the pickled message is written once into
@@ -585,18 +1013,16 @@ class MultiprocessingExecutor(ShardExecutor):
         epoch/seq accounting — is untouched by which carrier the bytes
         took.
         """
-        ring = self._rings[shard] if self._rings else None
+        state = self._shards[shard]
+        ring = state.ring
         if ring is None:
             self._send(shard, message)
             return
         frame = pickle.dumps(message, protocol=PICKLE_PROTOCOL)
         if not ring.fits(len(frame)):
-            try:
-                self._connections[shard].send_bytes(frame)
-            except OSError as exc:
-                raise self._dead_worker(shard, str(exc)) from exc
+            self._send_frame(shard, frame)
             return
-        process = self._processes[shard] if shard < len(self._processes) else None
+        process = state.process
 
         def worker_dead() -> bool:
             return process is not None and process.exitcode is not None
@@ -607,81 +1033,6 @@ class MultiprocessingExecutor(ShardExecutor):
             raise self._dead_worker(shard, str(exc)) from exc
         self._send(shard, (MSG_RING, seq))
 
-    def _absorb_credit(self, shard: int, tag, payload) -> bool:
-        """Fold one ``(MSG_CREDIT, n)`` grant into the shard's counter."""
-        if tag != MSG_CREDIT:
-            return False
-        if payload > self._credited[shard]:
-            self._credited[shard] = payload
-        return True
-
-    def _await_credit(self, shard: int) -> None:
-        """Stall until the shard's in-flight batch count drops below the
-        credit window.
-
-        This is the backpressure point of the pipelined feeder: a slow
-        worker simply stops granting, and dispatch to that shard blocks
-        here — bounded memory, no deadlock (a *dead* worker surfaces as
-        a typed failure through the same checks ``_await_reply`` uses;
-        a merely stalled one is legal slowness, so there is no timeout).
-        """
-        window = self._credit_window
-        assert window is not None
-        conn = self._connections[shard]
-        process = self._processes[shard] if shard < len(self._processes) else None
-        while self._dispatched[shard] - self._credited[shard] >= window:
-            try:
-                ready = conn.poll(POLL_INTERVAL_S)
-            except OSError as exc:
-                exitcode = None if process is None else process.exitcode
-                raise ShardFailure(
-                    shard,
-                    f"worker pipe broken (exit code {exitcode}): {exc}",
-                ) from None
-            if ready:
-                try:
-                    tag, payload = conn.recv()
-                except (EOFError, OSError):
-                    raise ShardFailure(
-                        shard,
-                        "worker died holding "
-                        f"{self._dispatched[shard] - self._credited[shard]} "
-                        "uncredited batches",
-                    ) from None
-                if tag == "error":
-                    raise ShardFailure(shard, str(payload), recoverable=False)
-                if not self._absorb_credit(shard, tag, payload):
-                    raise ShardFailure(
-                        shard,
-                        f"unexpected {tag!r} message while awaiting credit",
-                    )
-                continue
-            if process is not None and process.exitcode is not None:
-                try:
-                    buffered = conn.poll(0)
-                except OSError:
-                    buffered = False
-                if not buffered:
-                    raise ShardFailure(
-                        shard,
-                        f"worker exited with code {process.exitcode} "
-                        "before granting credit",
-                    )
-
-    def _read_ring_reply(self, shard: int, seq: int):
-        """Resolve a ``(MSG_RING_REPLY, seq)`` doorbell into the framed
-        reply from the shard's outbound ring."""
-        ring = self._reply_rings[shard]
-        assert ring is not None
-        try:
-            # The worker writes the frame before ringing the doorbell,
-            # so the read never truly waits; the timeout is a torn-state
-            # backstop, not a liveness mechanism.
-            frame = ring.read_frame(seq, timeout_s=60.0)
-        except RingError as exc:
-            raise ShardFailure(shard, f"reply ring failed: {exc}") from exc
-        return pickle.loads(frame)
-
     def _dead_worker(self, shard: int, cause: str) -> ShardFailure:
         """Build the typed failure for a pipe that broke under a send.
 
@@ -690,7 +1041,8 @@ class MultiprocessingExecutor(ShardExecutor):
         whatever the dead worker left buffered so that report — the real
         diagnosis — wins over the generic broken-pipe symptom.
         """
-        conn = self._connections[shard]
+        state = self._shards[shard]
+        conn = state.connection
         try:
             while conn.poll(0):
                 tag, payload = conn.recv()
@@ -699,30 +1051,27 @@ class MultiprocessingExecutor(ShardExecutor):
         except (EOFError, OSError):
             pass
         # During constructor unwind the connection may exist without its
-        # process (spawn failed between the two appends).
-        exitcode = (
-            self._processes[shard].exitcode
-            if shard < len(self._processes)
-            else None
-        )
+        # process (spawn failed between the two assignments).
+        exitcode = None if state.process is None else state.process.exitcode
         return ShardFailure(
             shard, f"worker pipe closed (exit code {exitcode}): {cause}"
         )
 
-    def _await_reply(self, shard: int, timeout: Optional[float] = None):
-        """Receive one worker reply with death (and hang) detection.
+    def _receive(self, shard: int, timeout: Optional[float]) -> Tuple[Any, Any]:
+        """Receive one worker message with death (and hang) detection.
 
-        Polls instead of blocking in ``recv()``: a dead worker surfaces
-        as a typed :class:`ShardFailure` via pipe EOF or its exitcode,
-        and — when ``timeout`` is given — a worker that is alive but
-        unresponsive surfaces as a failure too, instead of deadlocking
-        the parent forever.  A reply already buffered by a worker that
-        exited afterwards is still delivered (writes complete before
-        exit, so observing a non-``None`` exitcode means everything the
-        worker ever sent is pollable).
+        The one receive step under every wait.  Polls instead of
+        blocking in ``recv()``: a dead worker surfaces as a typed
+        :class:`ShardFailure` via pipe EOF or its exitcode, and — when
+        ``timeout`` is given — a worker that is alive but unresponsive
+        surfaces as a failure too, instead of deadlocking the parent
+        forever.  A message already buffered by a worker that exited
+        afterwards is still delivered (writes complete before exit, so
+        observing a non-``None`` exitcode means everything the worker
+        ever sent is pollable).
         """
-        conn = self._connections[shard]
-        process = self._processes[shard]
+        state = self._shards[shard]
+        conn, process = state.connection, state.process
         waited = 0.0
         while True:
             try:
@@ -736,18 +1085,13 @@ class MultiprocessingExecutor(ShardExecutor):
                 ) from None
             if ready:
                 try:
-                    tag, payload = conn.recv()
+                    return conn.recv()
                 except (EOFError, OSError):
                     raise ShardFailure(
                         shard,
                         "worker died without reporting "
                         f"(exit code {process.exitcode})",
                     ) from None
-                if self._absorb_credit(shard, tag, payload):
-                    continue  # late grant interleaved with the reply
-                if tag == MSG_RING_REPLY:
-                    return self._read_ring_reply(shard, payload)
-                return tag, payload
             if process.exitcode is not None:
                 try:
                     buffered = conn.poll(0)
@@ -767,63 +1111,152 @@ class MultiprocessingExecutor(ShardExecutor):
                     "(worker alive but unresponsive)",
                 )
 
-    def _release_rings(self) -> None:
-        """Close and unlink every owned ring segment.  Idempotent; part
-        of every unwind path (finish, close, constructor failure) so no
-        ``/dev/shm`` segment outlives the executor."""
-        for ring in self._rings + self._reply_rings:
-            if ring is not None:
-                ring.close()
-                ring.unlink()
-        self._rings = []
-        self._reply_rings = []
+    def _await_reply(
+        self, shard: int, timeout: Optional[float] = None
+    ) -> Tuple[Any, Any]:
+        """The next worker reply, past any interleaved credit grants and
+        with a ring doorbell resolved into the framed reply."""
+        state = self._shards[shard]
+        while True:
+            tag, payload = self._receive(shard, timeout)
+            if tag == MSG_CREDIT:
+                state.credited = max(state.credited, payload)
+            elif tag == MSG_RING_REPLY:
+                assert state.reply_ring is not None
+                try:
+                    # The worker writes the frame before ringing the
+                    # doorbell, so the read never truly waits; the
+                    # timeout is a torn-state backstop, not a liveness
+                    # mechanism.
+                    frame = state.reply_ring.read_frame(payload, timeout_s=60.0)
+                except RingError as exc:
+                    raise ShardFailure(
+                        shard, f"reply ring failed: {exc}"
+                    ) from exc
+                return pickle.loads(frame)
+            else:
+                return tag, payload
+
+    def _await_credit(self, shard: int) -> None:
+        """Stall until the shard's in-flight batch count drops below the
+        credit window.
+
+        This is the backpressure point of the pipelined feeder: a slow
+        worker simply stops granting, and dispatch to that shard blocks
+        here — bounded memory, no deadlock (a *dead* worker surfaces as
+        a typed failure through the same receive step every reply wait
+        uses; a merely stalled one is legal slowness, so there is no
+        timeout).
+        """
+        state = self._shards[shard]
+        window = self._credit_window
+        assert window is not None
+        while state.dispatched - state.credited >= window:
+            tag, payload = self._receive(shard, None)
+            if tag == "error":
+                raise ShardFailure(shard, str(payload), recoverable=False)
+            if tag != MSG_CREDIT:
+                raise ShardFailure(
+                    shard, f"unexpected {tag!r} message while awaiting credit"
+                )
+            state.credited = max(state.credited, payload)
+
+    def _await_outcome(self, shard: int) -> ShardOutcome:
+        """The flush reply, stitched onto what checkpoints admitted.
+
+        Outputs are the admitted checkpoint deltas followed by the final
+        outcome's post-checkpoint outputs; stats are incarnation base +
+        the final cumulative snapshot; metrics merge the same way.  With
+        no checkpoint ever admitted that is the worker's outcome as
+        shipped.
+        """
+        tag, payload = self._await_reply(shard)
+        if tag != "ok":
+            raise ShardFailure(shard, str(payload), recoverable=False)
+        state = self._shards[shard]
+        outputs = merge_outputs(
+            self.config.collect_results, state.deltas, self._decoded(payload.outputs)
+        )
+        stats, metrics = state.absolute(payload.join_stats, payload.metrics)
+        return ShardOutcome(shard, outputs, metrics, stats)
+
+    # ------------------------------------------------------------------
+    # run end
+    # ------------------------------------------------------------------
 
     def finish(self) -> List[ShardOutcome]:
-        if self._finished:
-            raise RuntimeError("executor already finished")
+        """Flush everything; stitch deltas + final outcomes exactly-once.
+
+        A failure while awaiting an outcome runs the ordinary recovery
+        and re-flushes — but a shard whose budget dies *here* is
+        terminal (failover needs the pipeline's router, which has no
+        further feeding step to repartition through).  Failed-over
+        shards contribute synthesized outcomes carrying the
+        deltas/stats admitted before their death; their post-checkpoint
+        results were regenerated by the survivors via the failover
+        replay stream.  Retired shards were flushed at retirement; their
+        stashed outcome folds in at its shard index.
+        """
+        self._check_open()
         self._finished = True
-        decode_results = (
-            self._encoders is not None and self.config.collect_results
-        )
+        gone = self.failed_over | self._retired.keys()
         outcomes: List[ShardOutcome] = []
         try:
             for shard in range(self.num_shards):
-                if shard in self._retired:
+                if shard in gone:
                     continue
-                if self._batches[shard]:
-                    pending = self._batches[shard]
-                    self._dispatch(shard, pending, 0, len(pending))
-                    self._batches[shard] = []
-                self._send(shard, (MSG_FLUSH, None))
+                state = self._shards[shard]
+                if state.pending:
+                    window, state.pending = state.pending, []
+                    self._log(shard, KIND_BATCH, window)
+                    try:
+                        self._send_batch(shard, window)
+                    except ShardFailure as failure:
+                        self._recover(shard, failure)
+                self._send_flush(shard)
             for shard in range(self.num_shards):
                 if shard in self._retired:
-                    # Flushed (and decoded) at retirement; fold the
-                    # stashed outcome in at its shard index.
                     outcomes.append(self._retired[shard])
-                    continue
-                tag, payload = self._await_reply(shard)
-                if tag != "ok":
-                    raise ShardFailure(
-                        shard, str(payload), recoverable=False
-                    )
-                if decode_results:
-                    # Each worker encoded with its own fresh encoder, so
-                    # each outcome block carries its schema inline; a
-                    # fresh decoder per outcome keeps the pairing exact.
-                    payload.outputs = BlockDecoder().decode_results(
-                        payload.outputs
-                    )
-                outcomes.append(payload)
-        finally:
-            for conn in self._connections:
-                conn.close()
-            for process in self._processes:
-                process.join(timeout=30)
-                if process.is_alive():  # pragma: no cover - defensive
-                    process.terminate()
-                    process.join(timeout=5)
-            self._release_rings()
+                elif shard in self.failed_over:
+                    outcomes.append(self._synthetic_outcome(shard))
+                else:
+                    while True:
+                        try:
+                            outcomes.append(self._await_outcome(shard))
+                            break
+                        except ShardFailure as failure:
+                            self._recover(shard, failure)
+                            self._send_flush(shard)
+        except BaseException:
+            # Workers that were never told to flush would sit in recv()
+            # through the whole reaping patience; abort them instead.
+            self._abandon()
+            raise
+        self._release(30)
         return outcomes
+
+    def _send_flush(self, shard: int) -> None:
+        try:
+            self._send(shard, (MSG_FLUSH, None))
+        except ShardFailure as failure:
+            self._recover(shard, failure)
+            self._send(shard, (MSG_FLUSH, None))
+
+    def _synthetic_outcome(self, shard: int) -> ShardOutcome:
+        """Outcome of a failed-over shard: what its checkpoints admitted."""
+        state = self._shards[shard]
+        record = state.checkpoint
+        stats = dict(record.stats) if record is not None else {}
+        metrics = record.metrics if record is not None else PipelineMetrics()
+        return ShardOutcome(shard, state.deltas, metrics, stats)
+
+    def _release(self, patience_s: float) -> None:
+        """Close every connection, reap every worker, unlink every ring."""
+        for state in self._shards:
+            _close_quietly(state.connection)
+        for state in self._shards:
+            _reap(state.process, patience_s)  # instant for one already reaped
+            state.release_rings()
 
     def close(self) -> None:
         """Terminate workers without collecting outcomes (abandoned run).
@@ -832,36 +1265,26 @@ class MultiprocessingExecutor(ShardExecutor):
         every worker blocked in ``recv`` (plus its pipe fds) until the
         host process exits — daemon workers bound the damage at exit, but
         long-lived hosts need the explicit release.  Also the unwind path
-        for a constructor that failed mid-startup, where connections may
-        outnumber started processes.
+        for a constructor that failed mid-startup, where a record may
+        hold a connection without a started process.
 
         Per-shard aborts are best-effort: an abort bound for a worker
         that already died raises the typed dead-worker failure, and
         propagating it here would skip aborting/joining every *later*
         worker — exactly the leak this method exists to prevent — so
         send failures are swallowed and the join sweep always runs.
+        A no-op after :meth:`finish`, which released everything.
         """
-        already_finished = self._finished
-        self._finished = True
-        if not already_finished:
-            for shard in range(len(self._connections)):
-                if shard in self._retired:
-                    continue  # worker already flushed and joined
-                try:
-                    self._send(shard, (MSG_ABORT, None))
-                except ShardFailure:
-                    continue
-        for conn in self._connections:
+        if not self._finished:
+            self._finished = True
+            self._abandon()
+
+    def _abandon(self) -> None:
+        for shard, state in enumerate(self._shards):
+            if shard in self._retired or state.connection is None:
+                continue  # worker already flushed and joined / never started
             try:
-                conn.close()
-            except OSError:  # pragma: no cover - already closed
-                pass
-        if already_finished:
-            self._release_rings()  # no-op after finish, real after close
-            return  # finish() already joined the workers
-        for process in self._processes:
-            process.join(timeout=5)
-            if process.is_alive():  # pragma: no cover - defensive
-                process.terminate()
-                process.join(timeout=5)
-        self._release_rings()
+                self._send(shard, (MSG_ABORT, None))
+            except ShardFailure:
+                continue
+        self._release(5)

@@ -50,7 +50,7 @@ static routing — rebalancing is purely a load-balance/performance knob.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from ..core.pipeline import PipelineConfig, PipelineMetrics
 from ..core.tuples import JoinResult, StreamTuple
@@ -59,9 +59,10 @@ from ..join.store import StoreMetrics
 from ..streams.source import Dataset
 from .executors import (
     DEFAULT_BATCH_SIZE,
-    MultiprocessingExecutor,
+    ProcessExecutor,
     SerialExecutor,
     ShardExecutor,
+    check_process_options,
 )
 from .rebalancer import (
     DEFAULT_MIN_SAMPLE,
@@ -78,14 +79,9 @@ from .shard import (
     ShardOutcome,
     empty_outputs,
     merge_outputs,
-    transport_encodes_blocks,
 )
 from .shm import DEFAULT_RING_BYTES
-from .supervision import (
-    SupervisedExecutor,
-    SupervisionConfig,
-    partition_failover_state,
-)
+from .supervision import SupervisionConfig, partition_failover_state
 
 #: Routed tuples between rebalance checks (``rebalance_interval``
 #: default).  Each check is one pass over the slot counters; an actual
@@ -108,26 +104,26 @@ class PartitionedPipeline:
     num_shards:
         Number of shard pipelines.
     executor:
-        ``"serial"`` (default), ``"process"``, ``"supervised"`` (the
-        process executor wrapped in heartbeat supervision and
-        checkpoint/replay recovery —
-        :class:`~repro.parallel.supervision.SupervisedExecutor`), or a
+        ``"serial"`` (default), ``"process"``
+        (:class:`~repro.parallel.executors.ProcessExecutor`), or a
         factory callable ``(config, num_shards) -> ShardExecutor``.
+        ``"supervised"`` is a synonym for ``executor="process",
+        supervision=SupervisionConfig()`` — it fills in a default, it
+        does not select a different executor.
     batch_size:
         Tuples buffered per shard before one IPC dispatch (``"process"``
         executor only).
     transport:
-        Wire format of the ``"process"`` executor:
-        :data:`~repro.parallel.shard.TRANSPORT_BLOCKS` (default —
-        columnar :class:`~repro.core.blocks.TupleBlock` /
-        :class:`~repro.core.blocks.ResultBlock` messages),
-        :data:`~repro.parallel.shard.TRANSPORT_SHM` (the same block
-        frames carried through a per-shard shared-memory ring, the
-        pipe reduced to a doorbell), or
-        :data:`~repro.parallel.shard.TRANSPORT_OBJECTS` (legacy
-        per-object pickling).
+        Carrier of the ``"process"`` executor's columnar
+        :class:`~repro.core.blocks.TupleBlock` /
+        :class:`~repro.core.blocks.ResultBlock` messages:
+        :data:`~repro.parallel.shard.TRANSPORT_BLOCKS` (default — the
+        worker's pipe), :data:`~repro.parallel.shard.TRANSPORT_SHM`
+        (a per-shard shared-memory ring, the pipe reduced to a
+        doorbell), or :data:`~repro.parallel.shard.TRANSPORT_SOCKET`
+        (TCP to workers on ``nodes``).  Validated under every executor.
     credit_window:
-        Arm credit-based backpressure on the process executors: at most
+        Arm credit-based backpressure on the process executor: at most
         this many dispatched-but-unprocessed batches per shard; the
         parent stalls (never drops, never deadlocks) until the worker
         grants credit.  ``None`` (default) keeps the OS pipe / ring
@@ -157,25 +153,23 @@ class PartitionedPipeline:
     rebalance_threshold:
         Max/mean shard-load ratio that triggers a plan.
     supervision:
-        Heartbeat / checkpoint / respawn tuning for the
-        ``"supervised"`` executor
-        (:class:`~repro.parallel.supervision.SupervisionConfig`;
-        defaults apply when ``None``).
+        Heartbeat / checkpoint / respawn tuning
+        (:class:`~repro.parallel.supervision.SupervisionConfig`).
+        Giving one arms supervision on the ``"process"`` executor;
+        the serial executor has no workers to supervise and rejects it.
     fault_plan:
         Deterministic fault-injection schedule
-        (:class:`~repro.faults.FaultPlan`) armed inside the
-        ``"supervised"`` executor's workers — testing/chaos only.
+        (:class:`~repro.faults.FaultPlan`) armed inside the process
+        executor's workers — testing/chaos only.  Arms supervision too
+        (with default tuning unless ``supervision`` is given); rejected
+        by the serial executor.
     nodes:
         ``transport="socket"`` only: the ``(host, port)`` addresses of
         the :class:`~repro.distributed.runtime.NodeServer` processes that
         host the shard workers.  Shards are dealt round-robin across the
-        nodes; the ``"process"`` executor becomes a
-        :class:`~repro.distributed.runtime.SocketExecutor` and
-        ``"supervised"`` a
-        :class:`~repro.distributed.runtime.SupervisedSocketExecutor`
-        (same protocol, heartbeats and checkpoint/replay included, with
-        respawns reconnecting — failing over to surviving nodes when a
-        whole node is gone).
+        nodes; the executor and its protocol are unchanged (heartbeats
+        and checkpoint/replay included, with respawns reconnecting —
+        failing over to surviving nodes when a whole node is gone).
     """
 
     def __init__(
@@ -195,6 +189,22 @@ class PartitionedPipeline:
         ring_bytes: int = DEFAULT_RING_BYTES,
         nodes: Optional[Sequence] = None,
     ) -> None:
+        # Everything is validated before any executor exists: a rejected
+        # configuration must not leak already-started worker processes.
+        check_process_options(transport, credit_window, nodes)
+        if executor == "supervised":
+            executor = "process"
+            if supervision is None:
+                supervision = SupervisionConfig()
+        elif executor == "serial" and (
+            supervision is not None
+            or fault_plan is not None
+            or transport == TRANSPORT_SOCKET
+        ):
+            raise ValueError(
+                "supervision, fault_plan and transport='socket' need worker "
+                "processes: they require the 'process' executor, not 'serial'"
+            )
         self.config = config
         self.num_shards = num_shards
         self.router = KeyRouter(
@@ -203,9 +213,6 @@ class PartitionedPipeline:
             num_shards,
             slots_per_shard=slots_per_shard,
         )
-        # Rebalancing is validated before the executor exists: a rejected
-        # configuration (broadcast condition, bad interval) must not leak
-        # already-started worker processes.
         if rebalance_interval < 1:
             raise ValueError(
                 f"rebalance_interval must be >= 1, got {rebalance_interval}"
@@ -224,70 +231,20 @@ class PartitionedPipeline:
             )
         else:
             self._rebalancer = None
-        if transport == TRANSPORT_SOCKET:
-            if executor not in ("process", "supervised"):
-                raise ValueError(
-                    "transport='socket' requires the 'process' or "
-                    f"'supervised' executor, got {executor!r}"
-                )
-            if not nodes:
-                raise ValueError(
-                    "transport='socket' requires `nodes`: the (host, port) "
-                    "addresses of the NodeServer processes hosting the shards"
-                )
-        elif nodes is not None:
-            raise ValueError(
-                "`nodes` is only meaningful with transport='socket'"
-            )
         if executor == "serial":
             self.executor: ShardExecutor = SerialExecutor(config, num_shards)
         elif executor == "process":
-            if transport == TRANSPORT_SOCKET:
-                # Deferred import: the distributed runtime builds on the
-                # parallel executors, so a module-level import here would
-                # be circular.
-                from ..distributed.runtime import SocketExecutor
-
-                self.executor = SocketExecutor(
-                    config,
-                    num_shards,
-                    nodes=nodes,
-                    batch_size=batch_size,
-                    credit_window=credit_window,
-                )
-            else:
-                self.executor = MultiprocessingExecutor(
-                    config,
-                    num_shards,
-                    batch_size=batch_size,
-                    transport=transport,
-                    credit_window=credit_window,
-                    ring_bytes=ring_bytes,
-                )
-        elif executor == "supervised":
-            if transport == TRANSPORT_SOCKET:
-                from ..distributed.runtime import SupervisedSocketExecutor
-
-                self.executor = SupervisedSocketExecutor(
-                    config,
-                    num_shards,
-                    nodes=nodes,
-                    batch_size=batch_size,
-                    supervision=supervision,
-                    fault_plan=fault_plan,
-                    credit_window=credit_window,
-                )
-            else:
-                self.executor = SupervisedExecutor(
-                    config,
-                    num_shards,
-                    batch_size=batch_size,
-                    transport=transport,
-                    supervision=supervision,
-                    fault_plan=fault_plan,
-                    credit_window=credit_window,
-                    ring_bytes=ring_bytes,
-                )
+            self.executor = ProcessExecutor(
+                config,
+                num_shards,
+                batch_size=batch_size,
+                transport=transport,
+                supervision=supervision,
+                fault_plan=fault_plan,
+                credit_window=credit_window,
+                ring_bytes=ring_bytes,
+                nodes=nodes,
+            )
         elif callable(executor):
             self.executor = executor(config, num_shards)
         else:
@@ -325,9 +282,9 @@ class PartitionedPipeline:
         #: Shards retired by :meth:`shrink` (their outcomes were captured
         #: at retirement; they own no slots and receive no traffic).
         self._retired_shards: set = set()
-        #: Shards permanently failed over to survivors (supervised
-        #: executor only: respawn-budget exhaustion demotes the shard and
-        #: its slots migrate to the survivors).
+        #: Shards permanently failed over to survivors (armed supervision
+        #: only: respawn-budget exhaustion demotes the shard and its
+        #: slots migrate to the survivors).
         self.failovers = 0
         self._dead_shards: set = set()
         self._flushed = False
@@ -411,22 +368,7 @@ class PartitionedPipeline:
 
     def process(self, t: StreamTuple) -> Outputs:
         """Feed one raw tuple; return results made available right now."""
-        if self._flushed:
-            raise RuntimeError("pipeline already flushed; create a new instance")
-        collect = self.config.collect_results
-        outputs = empty_outputs(collect)
-        for shard in self.router.route(t):
-            try:
-                produced = self.executor.submit(shard, t)
-            except ShardFailure as failure:
-                produced = self._fail_over(failure)
-            if shard in self._emit_shards:
-                outputs = merge_outputs(collect, outputs, produced)
-        if self._rebalancer is not None:
-            self._routed_since_check += 1
-            if self._routed_since_check >= self._rebalance_interval:
-                outputs = merge_outputs(collect, outputs, self._run_rebalance())
-        return outputs
+        return self.process_batch((t,))
 
     def process_batch(self, batch: Sequence[StreamTuple]) -> Outputs:
         """Feed a burst of raw tuples; return results made available now.
@@ -566,7 +508,8 @@ class PartitionedPipeline:
         rebalance uses; once the shard owns nothing it is flushed early
         and its outcome stashed for :meth:`flush`.  Shard ids are
         positional, so the pool keeps its indices — the retired shard
-        simply never receives traffic again.
+        simply never receives traffic again (which also disarms
+        ``rebalance``: its planner deals slots to every shard index).
         """
         if self._flushed:
             raise RuntimeError("pipeline already flushed; create a new instance")
@@ -598,6 +541,9 @@ class PartitionedPipeline:
         )
         self.executor.retire_shard(shard)
         self._retired_shards.add(shard)
+        # As after a failover: the rebalancer's plan geometry assumes
+        # every shard is live, and would hand slots back to this one.
+        self._rebalancer = None
         self.resizes += 1
         self.slots_moved += len(moves)
         return outputs
@@ -605,7 +551,7 @@ class PartitionedPipeline:
     def _fail_over(self, failure: ShardFailure) -> Outputs:
         """Migrate a permanently dead shard's slots and state to survivors.
 
-        Entered when the supervised executor exhausts a shard's respawn
+        Entered when the armed process executor exhausts a shard's respawn
         budget and hands back a :class:`~repro.parallel.shard.ShardFailure`
         carrying :class:`~repro.parallel.shard.FailoverState` — the dead
         shard's last-checkpoint window/pending state plus the replay-log
@@ -662,11 +608,10 @@ class PartitionedPipeline:
                 beacon_ts=0,
                 drain_floor_ts=0,
             )
-            encode = transport_encodes_blocks(
-                getattr(self.executor, "transport", None)
-            )
+            # Only the process executor attaches failover state, and
+            # its workers adopt encoded blocks.
             states = partition_failover_state(
-                payload.window, payload.pending, spec, encode=encode
+                payload.window, payload.pending, spec, encode=True
             )
             for state in states:
                 adopted = self.executor.adopt(state.dest, state)
@@ -759,41 +704,24 @@ def run_partitioned(
     dataset: Dataset,
     config: PipelineConfig,
     num_shards: int,
-    executor: ExecutorSpec = "serial",
-    batch_size: int = DEFAULT_BATCH_SIZE,
     chunk_size: Optional[int] = None,
-    transport: str = TRANSPORT_BLOCKS,
-    rebalance: bool = False,
-    rebalance_interval: int = DEFAULT_REBALANCE_INTERVAL,
-    slots_per_shard: int = DEFAULT_SLOTS_PER_SHARD,
-    rebalance_threshold: float = DEFAULT_THRESHOLD,
-    supervision: Optional[SupervisionConfig] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    credit_window: Optional[int] = None,
-    ring_bytes: int = DEFAULT_RING_BYTES,
     pipelined: bool = False,
     max_pending_batches: Optional[int] = None,
-    nodes: Optional[Sequence] = None,
+    **pipeline_options: Any,
 ) -> tuple:
     """Replay a finite dataset through a :class:`PartitionedPipeline`.
 
     Returns ``(outputs, metrics)`` where ``outputs`` accumulates every
-    :meth:`~PartitionedPipeline.process` return plus the final
+    :meth:`~PartitionedPipeline.process_batch` return plus the final
     :meth:`~PartitionedPipeline.flush` — the full result multiset under
-    either executor.
+    either executor.  ``pipeline_options`` are passed to
+    :class:`PartitionedPipeline` as given (``executor``, ``transport``,
+    ``rebalance``, ``supervision``, ``nodes``, ...: see there).
 
     ``chunk_size=None`` drives the pipeline tuple-at-a-time
     (:meth:`~PartitionedPipeline.process`); a positive ``chunk_size``
     slices the arrival stream into bursts of that many tuples and drives
     the batched engine (:meth:`~PartitionedPipeline.process_batch`).
-    ``transport`` picks the ``"process"`` executor's wire format and
-    ``rebalance`` / ``rebalance_interval`` / ``slots_per_shard`` /
-    ``rebalance_threshold`` enable and tune skew-aware slot rebalancing;
-    ``supervision`` / ``fault_plan`` configure the ``"supervised"``
-    executor's fault tolerance; ``credit_window`` / ``ring_bytes``
-    tune backpressure and the shared-memory transport; ``nodes`` names
-    the ``NodeServer`` addresses backing ``transport="socket"`` (see
-    :class:`PartitionedPipeline` for all of them).
 
     ``pipelined=True`` feeds through a
     :class:`~repro.parallel.ingest.PipelinedIngest` feeder thread:
@@ -802,26 +730,12 @@ def run_partitioned(
     overlapping ingestion with shard compute.  The outputs and merged
     metrics are byte-identical to the synchronous drive — the feeder
     preserves submission order end to end.  Bursts are ``chunk_size``
-    tuples (``batch_size`` when ``chunk_size`` is ``None``).
+    tuples (the pipeline's ``batch_size`` when ``chunk_size`` is
+    ``None``).
     """
     if chunk_size is not None and chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    with PartitionedPipeline(
-        config,
-        num_shards,
-        executor=executor,
-        batch_size=batch_size,
-        transport=transport,
-        rebalance=rebalance,
-        rebalance_interval=rebalance_interval,
-        slots_per_shard=slots_per_shard,
-        rebalance_threshold=rebalance_threshold,
-        supervision=supervision,
-        fault_plan=fault_plan,
-        credit_window=credit_window,
-        ring_bytes=ring_bytes,
-        nodes=nodes,
-    ) as pipeline:
+    with PartitionedPipeline(config, num_shards, **pipeline_options) as pipeline:
         collect = config.collect_results
         outputs = empty_outputs(collect)
         if pipelined:
@@ -829,7 +743,11 @@ def run_partitioned(
             # a module-level import here would be circular.
             from .ingest import DEFAULT_MAX_PENDING, PipelinedIngest
 
-            feed_chunk = chunk_size if chunk_size is not None else batch_size
+            feed_chunk = (
+                chunk_size
+                if chunk_size is not None
+                else pipeline_options.get("batch_size", DEFAULT_BATCH_SIZE)
+            )
             pending = (
                 max_pending_batches
                 if max_pending_batches is not None

@@ -7,8 +7,8 @@ module holds what both executors share:
 
 * :class:`ShardOutcome` — the record a shard hands back when it finishes
   (its remaining outputs plus its :class:`~repro.core.pipeline.PipelineMetrics`);
-* :func:`shard_worker` — the child-process loop run by the
-  multiprocessing executor.
+* :func:`shard_worker` — the child-process loop run by the process
+  executor.
 
 The ``Outputs`` accumulation helpers (result lists vs. plain counts, per
 ``PipelineConfig.collect_results``) live in :mod:`repro.core.pipeline`
@@ -77,7 +77,7 @@ class ShardOutcome:
 class FailoverState:
     """A dead shard's recoverable state, handed to the pipeline layer.
 
-    Built by the supervised executor when a shard's respawn budget is
+    Built by the armed process executor when a shard's respawn budget is
     exhausted: the last good checkpoint's window/pending state in
     decoded (adoptable) form plus the raw post-checkpoint tuple batches
     from the replay log.  The pipeline repartitions the state across the
@@ -134,9 +134,9 @@ class CheckpointRequest:
 
 
 #: A checkpoint record's shipped-output leg: the worker's result delta
-#: since its previous checkpoint, as a plain :data:`Outputs` or packed
-#: into a :class:`~repro.core.blocks.ResultBlock` (block transport with
-#: collected results — mirroring the outcome path).
+#: since its previous checkpoint, as a bare count or packed into a
+#: :class:`~repro.core.blocks.ResultBlock` (collected results —
+#: mirroring the outcome path).
 CheckpointOutputs = Union[Outputs, ResultBlock]
 
 
@@ -211,24 +211,21 @@ MSG_RING = "ring"
 #: pongs, errors, credits — stay inline on the pipe.
 MSG_RING_REPLY = "ring_reply"
 
-# Wire formats of the multiprocessing executor's tuple transfer.
-#: Columnar :class:`~repro.core.blocks.TupleBlock` messages with a
-#: schema-negotiating encoder/decoder pair per shard connection, and a
-#: :class:`~repro.core.blocks.ResultBlock` for collected results on the
-#: return path.  The default: one flat object per pipe message.
+# Carriers of the process executor's tuple transfer.  The wire format is
+# the same under all three: columnar :class:`~repro.core.blocks.TupleBlock`
+# messages with a schema-negotiating encoder/decoder pair per shard
+# connection, and a :class:`~repro.core.blocks.ResultBlock` for collected
+# results on the return path.
+#: Blocks over the worker's pipe.  The default: one flat object per
+#: pipe message.
 TRANSPORT_BLOCKS = "blocks"
-#: Legacy per-object pickling: each message carries a list of
-#: :class:`~repro.core.tuples.StreamTuple` graphs.  Kept as the
-#: benchmark baseline and as a fallback for exotic payload values whose
-#: pickling relies on object-graph context.
-TRANSPORT_OBJECTS = "objects"
-#: Columnar blocks carried over per-shard shared-memory rings instead of
+#: Blocks carried over per-shard shared-memory rings instead of
 #: the pipe: frames are written once into a :class:`ShmRing` and read in
 #: place by the peer, with tiny sequence-numbered doorbells on the pipe
 #: preserving ordering (and the supervisor's epoch/seq accounting).
 #: Messages too large for the ring fall back to the pipe transparently.
 TRANSPORT_SHM = "shm"
-#: Columnar blocks over a TCP socket: the same pickled ``(tag, payload)``
+#: Blocks over a TCP socket: the same pickled ``(tag, payload)``
 #: protocol messages, carried in length-prefixed CRC-tagged frames by
 #: :class:`~repro.distributed.runtime.SocketConnection` so a shard worker
 #: can live in a :class:`~repro.distributed.runtime.NodeServer` process
@@ -236,19 +233,7 @@ TRANSPORT_SHM = "shm"
 #: object satisfies the ``Connection`` send/recv surface.
 TRANSPORT_SOCKET = "socket"
 
-TRANSPORTS = (TRANSPORT_BLOCKS, TRANSPORT_OBJECTS, TRANSPORT_SHM, TRANSPORT_SOCKET)
-
-
-def transport_encodes_blocks(transport: Optional[str]) -> bool:
-    """Whether a transport ships columnar blocks (vs. object graphs).
-
-    The shm and socket transports reuse the block codec wholesale — same
-    ``TupleBlock``/``ResultBlock``/``StateBlock`` frames, different
-    carrier — so every "should I encode/decode?" decision in the
-    executors keys off this predicate instead of a ``== TRANSPORT_BLOCKS``
-    comparison.
-    """
-    return transport in (TRANSPORT_BLOCKS, TRANSPORT_SHM, TRANSPORT_SOCKET)
+TRANSPORTS = (TRANSPORT_BLOCKS, TRANSPORT_SHM, TRANSPORT_SOCKET)
 
 
 def slot_classifier(spec: MigrationSpec) -> Callable[[StreamTuple], Optional[int]]:
@@ -369,7 +354,6 @@ def checkpoint_shard_state(
     pipeline: QualityDrivenPipeline,
     shard: int,
     request: CheckpointRequest,
-    encode: bool,
 ) -> Tuple[CheckpointFrame, Outputs]:
     """Capture a shard's full state as a checkpoint frame, losslessly.
 
@@ -397,10 +381,7 @@ def checkpoint_shard_state(
     window: WindowPayload = []
     window.extend(window_groups.get(0, []))
     pending = pending_groups.get(0, [])
-    if encode:
-        state = encode_state(shard, shard, (), window, pending)
-    else:
-        state = StateBlock(shard, shard, (), list(window), list(pending))
+    state = encode_state(shard, shard, (), window, pending)
     frame = frame_checkpoint(shard, request.epoch, request.seq, state)
     readopted = pipeline.adopt_migration(window_groups.get(0, []), pending)
     collect = pipeline.config.collect_results
@@ -440,7 +421,6 @@ def shard_worker(
     conn: Connection,
     shard: int,
     config: PipelineConfig,
-    transport: str = TRANSPORT_OBJECTS,
     faults: Optional[FaultPlan] = None,
     rings: Optional[RingDescriptors] = None,
     grant_credits: bool = False,
@@ -448,16 +428,14 @@ def shard_worker(
     """Child-process loop: drain tuple batches, flush, send the outcome back.
 
     Protocol (parent → child): any number of ``(MSG_BATCH, payload)``
-    messages — ``payload`` is a list of tuples under
-    :data:`TRANSPORT_OBJECTS` or a :class:`~repro.core.blocks.TupleBlock`
-    under :data:`TRANSPORT_BLOCKS` — then exactly one ``(MSG_FLUSH,
-    None)``.  The child replies with a single ``("ok", ShardOutcome)`` —
-    or ``("error", text)`` if the pipeline raised — and exits.  Outputs
-    accumulate in the child and travel back once (as a
-    :class:`~repro.core.blocks.ResultBlock` in the outcome's ``outputs``
-    field under block transport with collected results; the parent
-    decodes before exposing the outcome), so steady-state IPC is just
-    the batched tuple stream.  ``(MSG_ABORT, None)`` makes the child
+    messages — ``payload`` is a :class:`~repro.core.blocks.TupleBlock` —
+    then exactly one ``(MSG_FLUSH, None)``.  The child replies with a
+    single ``("ok", ShardOutcome)`` — or ``("error", text)`` if the
+    pipeline raised — and exits.  Outputs accumulate in the child and
+    travel back once (as a :class:`~repro.core.blocks.ResultBlock` in
+    the outcome's ``outputs`` field when results are collected; the
+    parent decodes before exposing the outcome), so steady-state IPC is
+    just the batched tuple stream.  ``(MSG_ABORT, None)`` makes the child
     exit immediately with no reply — the shutdown path for abandoned
     runs; an explicit message rather than pipe EOF because under the
     ``fork`` start method sibling workers inherit copies of earlier pipe
@@ -481,7 +459,7 @@ def shard_worker(
     resets after the reply ships), and cumulative stats/metrics
     snapshots.  A :class:`~repro.faults.FaultPlan` in ``faults`` arms a
     deterministic :class:`~repro.faults.FaultInjector` around the batch,
-    migration, and checkpoint paths — the supervised executor's chaos
+    migration, and checkpoint paths — the armed executor's chaos
     harness.
 
     Under ``transport="shm"`` the executor also hands over ``rings`` —
@@ -507,9 +485,7 @@ def shard_worker(
             reply_ring = ShmRing.attach(*rings[1])
         pipeline = QualityDrivenPipeline(config)
         collect = config.collect_results
-        decoder: Optional[BlockDecoder] = (
-            BlockDecoder() if transport_encodes_blocks(transport) else None
-        )
+        decoder = BlockDecoder()
         armed = faults.for_shard(shard) if faults is not None else ()
         injector: Optional[FaultInjector] = FaultInjector(armed) if armed else None
         if injector is not None:
@@ -530,7 +506,7 @@ def shard_worker(
                 break
             if tag == MSG_MIGRATE_OUT:
                 drained, states = extract_shard_state(
-                    pipeline, shard, payload, encode=decoder is not None
+                    pipeline, shard, payload, encode=True
                 )
                 outputs = merge_outputs(collect, outputs, drained)
                 if injector is not None:
@@ -538,23 +514,19 @@ def shard_worker(
                 _reply(conn, reply_ring, ("state", states), injector)
                 continue
             if tag == MSG_MIGRATE_IN:
-                adopted = adopt_shard_state(
-                    pipeline, payload, decode=decoder is not None
-                )
+                adopted = adopt_shard_state(pipeline, payload, decode=True)
                 outputs = merge_outputs(collect, outputs, adopted)
                 continue
             if tag == MSG_PING:
                 conn.send((MSG_PONG, payload))
                 continue
             if tag == MSG_CHECKPOINT:
-                frame, barrier = checkpoint_shard_state(
-                    pipeline, shard, payload, encode=decoder is not None
-                )
+                frame, barrier = checkpoint_shard_state(pipeline, shard, payload)
                 outputs = merge_outputs(collect, outputs, barrier)
                 if injector is not None:
                     frame.payload = injector.corrupt_payload(frame.payload)
                 delta: CheckpointOutputs = outputs
-                if decoder is not None and collect:
+                if collect:
                     delta = BlockEncoder().encode_results(outputs)
                 record = CheckpointRecord(
                     shard,
@@ -578,21 +550,18 @@ def shard_worker(
                 raise ValueError(f"unknown protocol message tag {tag!r}")
             if injector is not None:
                 injector.before_batch()
-            if decoder is not None:
-                # Lazy decode: blocks materialize tuples here, right at
-                # the point of consumption — the pipe and the parent
-                # never hold per-tuple objects for this batch.
-                payload = decoder.decode(payload)
-            # Each IPC batch drains through the batched engine; identical
-            # to a per-tuple loop, minus the per-tuple driver overhead.
-            outputs = merge_outputs(collect, outputs, pipeline.process_batch(payload))
+            # Lazy decode: blocks materialize tuples here, right at the
+            # point of consumption — the pipe and the parent never hold
+            # per-tuple objects for this batch.
+            batch = decoder.decode(payload)
+            outputs = merge_outputs(collect, outputs, pipeline.process_batch(batch))
             if injector is not None:
                 injector.after_batch()
             consumed += 1
             if grant_credits:
                 conn.send((MSG_CREDIT, consumed))
         outputs = merge_outputs(collect, outputs, pipeline.flush())
-        if decoder is not None and collect:
+        if collect:
             outputs = BlockEncoder().encode_results(outputs)
         _reply(
             conn,

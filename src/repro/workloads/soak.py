@@ -74,7 +74,7 @@ from ..join.store import StoreSpec, TieredStore, TieredStoreConfig
 from ..parallel.executors import SerialExecutor
 from ..parallel.pipeline import PartitionedPipeline
 from ..parallel.shard import TRANSPORT_BLOCKS
-from ..parallel.supervision import SupervisedExecutor, SupervisionConfig
+from ..parallel.supervision import SupervisionConfig
 from ..quality.truth import compute_truth
 from . import Workload, WorkloadCaps, NexmarkConfig, auction_bids_workload
 
@@ -345,7 +345,7 @@ class PipelineDriver:
         executor attributes that outlive the worker processes.
         """
         executor = self.pipeline.executor
-        if not isinstance(executor, SupervisedExecutor):
+        if not getattr(executor, "supervised", False):
             return None
         return {
             "respawns": executor.respawns,

@@ -1,11 +1,12 @@
 """Determinism suite for the batched, plan-cached execution engine.
 
 The load-bearing contract of `process_batch` at every layer — operator,
-single pipeline, partitioned pipeline — is **exact equivalence** with
-per-tuple processing: the same disordered workload must produce the
-*identical result sequence* (not just set or multiset) and identical
-`JoinStatistics` / `PipelineMetrics` counters, because batching is a pure
-driver optimization, never a semantic change.  The probe-plan cache gets
+single pipeline, partitioned pipeline — is **chunk-size invariance**:
+`process(t)` is `process_batch((t,))`, and feeding the same disordered
+workload per tuple or in bursts of any size must produce the *identical
+result sequence* (not just set or multiset) and identical
+`JoinStatistics` / `PipelineMetrics` counters, on both window stores
+and under both executors.  The probe-plan cache gets
 the same treatment: clearing it between tuples (forcing a rebuild every
 trigger, i.e. the pre-cache behaviour) must not change a single result.
 """
@@ -22,6 +23,7 @@ from repro import (
     PipelineConfig,
     QualityDrivenPipeline,
     StreamTuple,
+    TieredStoreConfig,
     equi_join_chain,
     make_d3_syn,
     run_partitioned,
@@ -37,7 +39,14 @@ def _dataset(duration_s=10, seed=7):
     )
 
 
-def _config(dataset, policy=None, collect=True, gamma=0.95, adaptive=False):
+STORES = pytest.mark.parametrize(
+    "store", [None, TieredStoreConfig(hot_budget=64)], ids=["memory", "tiered"]
+)
+
+
+def _config(
+    dataset, policy=None, collect=True, gamma=0.95, adaptive=False, store=None
+):
     """Fixed-K by default; ``adaptive=True`` leaves ``policy=None`` so the
     pipeline runs the paper's ModelBasedPolicy adaptation loop."""
     k = dataset.max_delay()
@@ -56,6 +65,7 @@ def _config(dataset, policy=None, collect=True, gamma=0.95, adaptive=False):
         policy=policy,
         initial_k_ms=initial_k,
         collect_results=collect,
+        store=store,
     )
 
 
@@ -237,6 +247,18 @@ class TestPipelineBatched:
         assert pipeline.metrics.latency_sum_ms == ref.metrics.latency_sum_ms
         assert pipeline.join.stats.as_dict() == ref.join.stats.as_dict()
 
+    @STORES
+    @pytest.mark.parametrize("chunk_size", [1, 7, 10**9], ids=["1", "7", "whole"])
+    def test_chunk_size_invariance_on_both_stores(self, store, chunk_size):
+        dataset = _dataset(duration_s=6, seed=41)
+        expected, ref = self._per_tuple_run(dataset, _config(dataset, store=store))
+        got, pipeline = self._batched_run(
+            dataset, _config(dataset, store=store), chunk_size
+        )
+        assert expected  # fixture actually joins
+        assert _sequence(got) == _sequence(expected)
+        assert pipeline.join.stats.as_dict() == ref.join.stats.as_dict()
+
     def test_continuous_policy_byte_identical(self):
         # Max-K-slack bumps K on arrivals (mid-batch immediate releases).
         dataset = _dataset(seed=19)
@@ -322,6 +344,32 @@ class TestPartitionedBatched:
             chunk_size=128,
         )
         assert _sequence(batched) == _sequence(per_tuple)
+
+    @STORES
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_chunk_size_invariance_per_executor_and_store(self, executor, store):
+        dataset = _dataset(duration_s=6, seed=43)
+        from repro import PartitionedPipeline
+
+        def run(chunk_size):
+            with PartitionedPipeline(
+                _config(dataset, store=store), 2, executor=executor, batch_size=32
+            ) as pipeline:
+                results = []
+                arrivals = list(dataset.arrivals())
+                if chunk_size is None:
+                    for t in arrivals:
+                        results.extend(pipeline.process(t))
+                else:
+                    for chunk in _chunks(arrivals, chunk_size):
+                        results.extend(pipeline.process_batch(chunk))
+                results.extend(pipeline.flush())
+                return sorted(_sequence(results)), pipeline.join_statistics()
+
+        per_tuple = run(None)
+        assert per_tuple[0]  # fixture actually joins
+        for chunk_size in (1, 7, len(dataset)):
+            assert run(chunk_size) == per_tuple
 
     def test_join_statistics_identical_across_drivers(self):
         dataset = _dataset(seed=37)

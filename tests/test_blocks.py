@@ -11,9 +11,9 @@ Two layers of contract:
 * **Transport invariance** — the columnar wire format is a pure
   transport optimization: partitioned runs over block transport must
   produce byte-identical result sequences, ``JoinStatistics`` and merged
-  ``PipelineMetrics`` (deterministic fields) versus the object-pickling
-  transport and the serial batched engine, at shards 1/2/4, in collected
-  and count-only modes.
+  ``PipelineMetrics`` (deterministic fields) versus the serial
+  executor (which never encodes anything), at shards 1/2/4, in
+  collected and count-only modes.
 """
 
 import multiprocessing
@@ -28,16 +28,15 @@ from hypothesis import strategies as st
 from repro import (
     MISSING,
     TRANSPORT_BLOCKS,
-    TRANSPORT_OBJECTS,
     BandPredicate,
     BlockDecoder,
     BlockEncoder,
     FixedKPolicy,
     JoinCondition,
     JoinResult,
-    MultiprocessingExecutor,
     PartitionedPipeline,
     PipelineConfig,
+    ProcessExecutor,
     StreamTuple,
     equi_join_chain,
     from_tuple_specs,
@@ -299,21 +298,6 @@ def _run(dataset, config, shards, executor="serial",
 
 class TestTransportInvariance:
     @pytest.mark.parametrize("shards", [1, 2, 4])
-    def test_blocks_byte_identical_to_object_transport(self, shards):
-        dataset = _dataset()
-        blocks, m_blocks, s_blocks = _run(
-            dataset, _config(dataset), shards, executor="process",
-            transport=TRANSPORT_BLOCKS,
-        )
-        objects, m_objects, s_objects = _run(
-            dataset, _config(dataset), shards, executor="process",
-            transport=TRANSPORT_OBJECTS,
-        )
-        assert _sequence(blocks) == _sequence(objects)
-        assert s_blocks == s_objects
-        assert _metric_fields(m_blocks) == _metric_fields(m_objects)
-
-    @pytest.mark.parametrize("shards", [1, 2, 4])
     def test_blocks_match_serial_batched_engine(self, shards):
         dataset = _dataset()
         serial, m_serial, s_serial = _run(
@@ -344,12 +328,8 @@ class TestTransportInvariance:
             dataset, _config(dataset, collect=False), shards,
             executor="process", transport=TRANSPORT_BLOCKS,
         )
-        objects, _, s_objects = _run(
-            dataset, _config(dataset, collect=False), shards,
-            executor="process", transport=TRANSPORT_OBJECTS,
-        )
-        assert blocks == serial == objects
-        assert s_blocks == s_serial == s_objects
+        assert blocks == serial
+        assert s_blocks == s_serial
         assert _metric_fields(m_blocks) == _metric_fields(m_serial)
 
     def test_adaptive_run_k_trajectories_identical(self):
@@ -360,13 +340,12 @@ class TestTransportInvariance:
             dataset, _config(dataset, adaptive=True), 2, executor="process",
             transport=TRANSPORT_BLOCKS,
         )
-        objects, m_objects, s_objects = _run(
-            dataset, _config(dataset, adaptive=True), 2, executor="process",
-            transport=TRANSPORT_OBJECTS,
+        serial, m_serial, s_serial = _run(
+            dataset, _config(dataset, adaptive=True), 2, executor="serial"
         )
-        assert _sequence(blocks) == _sequence(objects)
-        assert s_blocks == s_objects
-        assert _metric_fields(m_blocks) == _metric_fields(m_objects)
+        assert _sequence(blocks) == sorted(_sequence(serial))
+        assert s_blocks == s_serial
+        assert _metric_fields(m_blocks) == _metric_fields(m_serial)
 
     def test_per_tuple_submission_over_blocks(self):
         # The submit() accumulation path (process() driver) must encode
@@ -410,7 +389,7 @@ class TestTransportInvariance:
     def test_rejects_unknown_transport(self):
         dataset = _dataset(duration_s=2)
         with pytest.raises(ValueError):
-            MultiprocessingExecutor(_config(dataset), 2, transport="carrier-pigeon")
+            ProcessExecutor(_config(dataset), 2, transport="carrier-pigeon")
 
 
 # ----------------------------------------------------------------------
@@ -440,14 +419,14 @@ class TestExecutorStartupFailure:
         )
         dataset = _dataset(duration_s=2)
         with pytest.raises(OSError):
-            MultiprocessingExecutor(_config(dataset), 3)
+            ProcessExecutor(_config(dataset), 3)
         assert len(started) == 1
         started[0].join(timeout=10)
         assert not started[0].is_alive()
 
     def test_close_idempotent_after_failure_and_normal_use(self):
         dataset = _dataset(duration_s=2)
-        executor = MultiprocessingExecutor(_config(dataset), 2)
+        executor = ProcessExecutor(_config(dataset), 2)
         executor.close()
         executor.close()  # second close is a no-op
         with pytest.raises(RuntimeError):

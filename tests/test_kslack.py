@@ -166,12 +166,6 @@ class TestFlushContract:
         assert b.flush() == []
         assert b.flush() == []
 
-    def test_process_batch_rejected_after_flush(self):
-        b = KSlackBuffer(100)
-        b.flush()
-        with pytest.raises(RuntimeError):
-            b.process_batch([_t(10)])
-
     def test_clock_and_delay_stats_survive_flush(self):
         # The terminal contract exists exactly because these stop moving:
         # they must still be readable (reporting) after the flush.
@@ -181,32 +175,3 @@ class TestFlushContract:
         b.flush()
         assert b.local_time == 100
         assert b.max_observed_delay == 70
-
-
-class TestBatchedProcessing:
-    def test_batch_equals_per_tuple_releases(self):
-        timestamps = [10, 7, 9, 8, 20, 3, 25, 24, 40]
-        per_tuple = KSlackBuffer(5)
-        expected = _feed(per_tuple, timestamps)
-        batched = KSlackBuffer(5)
-        got = [
-            t.ts
-            for t in batched.process_batch(
-                [_t(ts, seq) for seq, ts in enumerate(timestamps)]
-            )
-        ]
-        assert got == expected
-        assert batched.local_time == per_tuple.local_time
-        assert batched.max_observed_delay == per_tuple.max_observed_delay
-        assert batched.tuples_seen == per_tuple.tuples_seen
-        assert batched.buffered == per_tuple.buffered
-
-    def test_batch_annotates_delays(self):
-        b = KSlackBuffer(0)
-        tuples = [_t(10), _t(4, seq=1), _t(12, seq=2)]
-        b.process_batch(tuples)
-        assert [t.delay for t in tuples] == [0, 6, 0]
-
-    def test_empty_batch(self):
-        b = KSlackBuffer(5)
-        assert b.process_batch([]) == []

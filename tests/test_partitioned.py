@@ -16,10 +16,10 @@ from repro import (
     FixedKPolicy,
     JoinCondition,
     KeyRouter,
-    MultiprocessingExecutor,
     PartitionedPipeline,
     PipelineConfig,
     PipelineMetrics,
+    ProcessExecutor,
     QualityDrivenPipeline,
     SerialExecutor,
     StreamTuple,
@@ -275,7 +275,7 @@ class TestPartitionedLifecycle:
             _lossless_config(dataset, condition, 2), 2, executor="process"
         )
         pipeline.process(StreamTuple(ts=1, values={"a1": 1}, stream=0))
-        workers = pipeline.executor._processes
+        workers = [s.process for s in pipeline.executor._shards]
         pipeline.close()
         assert all(not worker.is_alive() for worker in workers)
         with pytest.raises(RuntimeError):
@@ -289,7 +289,7 @@ class TestPartitionedLifecycle:
             with PartitionedPipeline(
                 _lossless_config(dataset, condition, 2), 2, executor="process"
             ) as pipeline:
-                workers = pipeline.executor._processes
+                workers = [s.process for s in pipeline.executor._shards]
                 raise KeyError("feed loop blew up")
         assert all(not worker.is_alive() for worker in workers)
 
@@ -307,7 +307,7 @@ class TestPartitionedLifecycle:
         # pipeline raise inside the worker; finish() must report it.
         condition = equi_join_chain("a1", 2)
         dataset = _d3(duration_s=2)
-        executor = MultiprocessingExecutor(
+        executor = ProcessExecutor(
             _lossless_config(dataset, condition, 2), 1, batch_size=1
         )
         executor.submit(0, StreamTuple(ts=1, values={"a1": 1}, stream=5))

@@ -34,7 +34,7 @@ from repro import (
     Synchronizer,
     SlidingWindow,
     TRANSPORT_BLOCKS,
-    TRANSPORT_OBJECTS,
+    TRANSPORT_SHM,
     ZipfValueSampler,
     equi_join_chain,
     from_tuple_specs,
@@ -124,7 +124,7 @@ class TestRebalancingTransparency:
         assert static_m.tuples_processed == len(dataset)
         assert adaptive_m.results_produced == static_m.results_produced
 
-    @pytest.mark.parametrize("transport", [TRANSPORT_BLOCKS, TRANSPORT_OBJECTS])
+    @pytest.mark.parametrize("transport", [TRANSPORT_BLOCKS, TRANSPORT_SHM])
     def test_process_executor_migrates_identically(self, transport):
         dataset = skewed_dataset(num_tuples=2_500)
         config = _lossless_config(dataset)
@@ -132,6 +132,10 @@ class TestRebalancingTransparency:
             dataset, config, 2, rebalance=False,
             executor="process", transport=transport, batch_size=128,
         )
+        serial_seq, serial_stats, _, _ = _drive(
+            dataset, _lossless_config(dataset), 2, rebalance=False
+        )
+        assert (static_seq, static_stats) == (serial_seq, serial_stats)
         adaptive_seq, adaptive_stats, _, pipeline = _drive(
             dataset,
             _lossless_config(dataset),
@@ -657,8 +661,8 @@ class TestMigrationPrimitives:
                 super().__init__(config, num_shards)
                 self._inner = SerialExecutor(config, num_shards)
 
-            def submit(self, shard, t):
-                return self._inner.submit(shard, t)
+            def submit_batch(self, shard, batch):
+                return self._inner.submit_batch(shard, batch)
 
             def finish(self):
                 return self._inner.finish()

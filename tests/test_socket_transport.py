@@ -266,8 +266,8 @@ def test_four_shards_span_both_nodes(dataset, nodes):
         dataset, config, 4, executor="process", transport="socket",
         nodes=nodes,
     )
-    node_indexes = set(pipeline.executor._node_of)
-    assert node_indexes == {0, 1}
+    # Least-loaded first placement degenerates to round-robin.
+    assert [state.node for state in pipeline.executor._shards] == [0, 1, 0, 1]
 
 
 def test_mid_stream_node_join_is_byte_identical(dataset, pipe_reference, nodes):
@@ -286,8 +286,9 @@ def test_mid_stream_node_join_is_byte_identical(dataset, pipe_reference, nodes):
             executor="process", transport="socket", nodes=list(nodes),
             slots_per_shard=4,
         )
-        # The joined node (index 2) hosts the grown shard (shard 3).
-        assert pipeline.executor._node_of[3] == 2
+        # The joined node (index 2) is the least loaded, so it hosts
+        # the grown shard (shard 3).
+        assert pipeline.executor._shards[3].node == 2
     finally:
         process.terminate()
         process.join(5)
@@ -389,8 +390,10 @@ def test_socket_drop_recovers_byte_identically(
         batch_size=16, supervision=SUP, transport="socket", nodes=nodes,
         fault_plan=plan,
     )
-    # Not vacuous: the drop really killed a worker and it was respawned.
+    # Not vacuous: the drop really killed a worker and it was respawned
+    # — on its incumbent node, which is still there.
     assert pipeline.executor.respawns >= 1, "fault plan never fired"
+    assert [state.node for state in pipeline.executor._shards] == [0, 1]
     assert sequence == ref_sequence
     assert stats == ref_stats
 

@@ -8,8 +8,8 @@ recovers to the byte-identical canonical result sequence and summed
 both transports, over both window stores.  Around it: hang *detection*
 (typed :class:`ShardFailure` within the heartbeat timeout instead of a
 deadlock), respawn-budget exhaustion failing the dead shard's slots
-over to survivors, and the base process executor surfacing dead
-workers as typed errors in ``submit``/``finish``/``close``.
+over to survivors, and the process executor with supervision not armed
+surfacing dead workers as typed errors in ``submit``/``finish``/``close``.
 """
 
 import random
@@ -23,11 +23,10 @@ from repro import (
     FixedKPolicy,
     PartitionedPipeline,
     PipelineConfig,
+    ProcessExecutor,
     ShardFailure,
-    SupervisedExecutor,
     SupervisionConfig,
     TRANSPORT_BLOCKS,
-    TRANSPORT_OBJECTS,
     TRANSPORT_SHM,
     TieredStoreConfig,
     ZipfValueSampler,
@@ -143,9 +142,7 @@ def _crash_plan(shards):
     ))
 
 
-@pytest.mark.parametrize(
-    "transport", [TRANSPORT_BLOCKS, TRANSPORT_OBJECTS, TRANSPORT_SHM]
-)
+@pytest.mark.parametrize("transport", [TRANSPORT_BLOCKS, TRANSPORT_SHM])
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_crash_recovery_is_byte_identical(dataset, reference, shards,
                                           transport):
@@ -442,7 +439,7 @@ def test_budget_exhaustion_single_shard_is_terminal(dataset):
 
 
 # ---------------------------------------------------------------------------
-# base process executor: dead workers surface as typed errors (no deadlock)
+# supervision not armed: dead workers surface as typed errors (no deadlock)
 # ---------------------------------------------------------------------------
 
 
@@ -459,7 +456,7 @@ def test_dead_worker_surfaces_in_finish(dataset):
     )
     with pipeline:
         _feed_some(pipeline, dataset, 64)
-        victim = pipeline.executor._processes[0]
+        victim = pipeline.executor._shards[0].process
         victim.kill()
         victim.join(10)
         with pytest.raises(ShardFailure, match="shard 0"):
@@ -471,7 +468,7 @@ def test_dead_worker_surfaces_in_submit(dataset):
         _lossless_config(dataset), 2, executor="process", batch_size=16
     )
     with pipeline:
-        victim = pipeline.executor._processes[0]
+        victim = pipeline.executor._shards[0].process
         victim.kill()
         victim.join(10)
         with pytest.raises(ShardFailure, match="shard 0"):
@@ -488,12 +485,13 @@ def test_close_unwinds_past_dead_worker(dataset):
     )
     executor = pipeline.executor
     _feed_some(pipeline, dataset, 48)
-    executor._processes[0].kill()
-    executor._processes[0].join(10)
+    workers = [state.process for state in executor._shards]
+    workers[0].kill()
+    workers[0].join(10)
     # MSG_ABORT to the dead shard 0 must not skip aborting + joining
     # shards 1 and 2.
     pipeline.close()
-    assert all(not p.is_alive() for p in executor._processes)
+    assert all(not worker.is_alive() for worker in workers)
 
 
 def test_shard_failure_is_runtime_error():
@@ -556,10 +554,13 @@ def test_supervision_config_validation():
     assert disabled.heartbeat_interval == 0
 
 
-def test_supervised_executor_requires_supervision_type(dataset):
+def test_fault_plan_alone_arms_default_supervision(dataset):
     config = _lossless_config(dataset)
-    executor = SupervisedExecutor(config, 2, batch_size=16)
+    executor = ProcessExecutor(
+        config, 2, batch_size=16, fault_plan=FaultPlan(())
+    )
     try:
+        assert executor.supervised
         assert executor.supervision == SupervisionConfig()
     finally:
         executor.close()

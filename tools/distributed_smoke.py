@@ -122,7 +122,7 @@ def check_node_join(dataset, config, nodes, grow_at) -> list:
         )
         checks.append(
             ("grown shard placed on the late node",
-             pipeline.executor._node_of[3] == 2)
+             pipeline.executor._shards[3].node == 2)
         )
     finally:
         process.terminate()

@@ -7,7 +7,7 @@ reference, partitioned shards 1/2/4, static vs rebalanced routing — and
 checks the soak invariants (produced ⊆ true, phase recall,
 byte-identity across variants, analytic memory caps) per phase.  By
 default both executors are soaked: the in-process serial bank and the
-multiprocessing bank on the blocks transport.
+process-executor bank on the blocks transport.
 
 ``--store tiered`` adds tiered window-store twins to the bank: the join
 state lives in a bounded hot object tier plus columnar cold segments
@@ -26,7 +26,7 @@ Examples::
 
     python tools/soak.py --phases 3 --seed 7
     python tools/soak.py --phases 5 --executor serial --shards 1,2,4,8
-    python tools/soak.py --phases 3 --executor process --transport objects
+    python tools/soak.py --phases 3 --executor process --transport shm
     python tools/soak.py --phases 3 --window-s 4.0 --store tiered --hot-budget 256
     python tools/soak.py --chaos --seed 7 --phases 2 --phase-duration-ms 4000
 
@@ -52,7 +52,7 @@ if _SRC not in sys.path:
 
 from repro.experiments.report import print_and_save  # noqa: E402
 from repro.join.store import TieredStoreConfig  # noqa: E402
-from repro.parallel.shard import TRANSPORT_BLOCKS, TRANSPORT_OBJECTS  # noqa: E402
+from repro.parallel.shard import TRANSPORT_BLOCKS, TRANSPORT_SHM  # noqa: E402
 from repro.workloads.soak import SoakConfig, run_soak  # noqa: E402
 
 
@@ -75,9 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--transport",
-        choices=(TRANSPORT_BLOCKS, TRANSPORT_OBJECTS),
+        choices=(TRANSPORT_BLOCKS, TRANSPORT_SHM),
         default=TRANSPORT_BLOCKS,
-        help="process-executor wire format (default: blocks)",
+        help="process-executor block carrier (default: blocks, i.e. the pipe)",
     )
     parser.add_argument(
         "--shards",
