@@ -7,8 +7,9 @@ tuples are represented.  Two implementations ship:
 * :class:`InMemoryStore` — every live tuple is a Python object.  A
   byte-identical extraction of the original ``SlidingWindow`` internals:
   slot-id dict + lazy-deletion ts-heap + insertion-ordered hash indexes.
-* :class:`TieredStore` — a bounded **hot tier** of recent tuples as
-  objects, and a **cold tier** of older tuples compacted into
+* :class:`TieredStore` — an :class:`InMemoryStore` (it *is* one: the
+  hot tier and every operation on it are inherited, written once)
+  bounded by a budget, plus a **cold tier** of older tuples compacted into
   time-range buckets of :class:`~repro.core.blocks.ColdSegment`
   (``TupleBlock``-encoded columns, the PR 3 codec).  Probes touch cold
   state only when a segment's per-attribute value summary admits the
@@ -16,6 +17,11 @@ tuples are represented.  Two implementations ship:
   bucket-granular — segments wholly below the bound drop without
   decoding, the one straddling segment *thaws* back into the hot tier
   so expiration stays exact.
+
+The contract (:class:`WindowStore`) is what Alg. 2 needs of a window —
+insert, exact expiry, probe access — plus state migration
+(``extract_state`` / ``adopt_frozen``, the one extraction path) and
+metrics; it carries no diagnostic or second-path surface.
 
 Both stores observe the same externally visible contract — candidate
 order is slot-id (= insertion) order, expiration is exact, ``len`` is
@@ -169,12 +175,6 @@ class WindowStore(ABC):
         """Remove all tuples with ``ts < bound_ts``; return how many."""
 
     @abstractmethod
-    def extract(self, predicate: Callable[[StreamTuple], bool]) -> List[StreamTuple]:
-        """Remove and return live tuples matching ``predicate``, in slot
-        order.  ``predicate`` must be pure (evaluation order is
-        implementation-defined)."""
-
-    @abstractmethod
     def extract_state(
         self,
         classify: Classifier,
@@ -222,14 +222,6 @@ class WindowStore(ABC):
         bookkeeping where it has one (count-only probes)."""
 
     @abstractmethod
-    def min_ts(self) -> Optional[int]:
-        """Smallest live timestamp, or ``None`` when empty."""
-
-    @abstractmethod
-    def timestamps(self) -> List[int]:
-        """Sorted live timestamps (diagnostics)."""
-
-    @abstractmethod
     def metrics(self) -> StoreMetrics:
         """Current state-size / codec-traffic snapshot."""
 
@@ -257,6 +249,14 @@ class InMemoryStore(WindowStore):
     def insert(self, t: StreamTuple) -> None:
         slot = self._next_slot
         self._next_slot += 1
+        self._hold(slot, t)
+
+    def _hold(self, slot: int, t: StreamTuple) -> None:
+        """Hold ``t`` as a live object under ``slot``: slot dict, expiry
+        heap, every index.  The one way a tuple becomes resident —
+        :meth:`insert` with a fresh slot, a tiered thaw with the slot
+        the tuple was frozen under (which is why only a store that never
+        re-holds an old slot may read dict order as slot order)."""
         self._slots[slot] = t
         heapq.heappush(self._heap, (t.ts, slot))
         for attr, index in self._indexes.items():
@@ -287,16 +287,19 @@ class InMemoryStore(WindowStore):
                 if not bucket:
                     del index[value]
 
-    def extract(self, predicate: Callable[[StreamTuple], bool]) -> List[StreamTuple]:
-        removed: List[int] = []
-        extracted: List[StreamTuple] = []
+    def _carve(self, classify: Classifier) -> List[Tuple[int, object, StreamTuple]]:
+        """Remove every resident tuple ``classify`` gives a group; return
+        ``(slot, group, tuple)`` in slot-dict order.  Heap entries of the
+        carved slots stay behind as lazy deletions."""
+        moved: List[Tuple[int, object, StreamTuple]] = []
         for slot, t in self._slots.items():
-            if predicate(t):
-                removed.append(slot)
-                extracted.append(t)
-        for slot in removed:
-            self._unindex(slot, self._slots.pop(slot))
-        return extracted
+            group = classify(t)
+            if group is not None:
+                moved.append((slot, group, t))
+        for slot, _, t in moved:
+            del self._slots[slot]
+            self._unindex(slot, t)
+        return moved
 
     def extract_state(
         self,
@@ -305,14 +308,8 @@ class InMemoryStore(WindowStore):
         value_classifier: Optional[ValueClassifier] = None,
     ) -> Dict[object, List[StateItem]]:
         groups: Dict[object, List[StateItem]] = {}
-        removed: List[int] = []
-        for slot, t in self._slots.items():
-            group = classify(t)
-            if group is not None:
-                removed.append(slot)
-                groups.setdefault(group, []).append(t)
-        for slot in removed:
-            self._unindex(slot, self._slots.pop(slot))
+        for _, group, t in self._carve(classify):
+            groups.setdefault(group, []).append(t)
         return groups
 
     def adopt_frozen(self, segment: ColdSegment) -> None:
@@ -354,17 +351,6 @@ class InMemoryStore(WindowStore):
         slots = index.get(value)
         return len(slots) if slots else 0
 
-    def min_ts(self) -> Optional[int]:
-        while self._heap:
-            ts, slot = self._heap[0]
-            if slot in self._slots:
-                return ts
-            heapq.heappop(self._heap)
-        return None
-
-    def timestamps(self) -> List[int]:
-        return sorted(t.ts for t in self._slots.values())
-
     def metrics(self) -> StoreMetrics:
         return StoreMetrics(
             resident_objects=len(self._slots),
@@ -384,14 +370,16 @@ class _CacheEntry:
         self.indexes: Dict[str, Dict[object, List[Tuple[int, StreamTuple]]]] = {}
 
 
-class TieredStore(WindowStore):
-    """Hot object tier + cold columnar tier (see module docstring).
+class TieredStore(InMemoryStore):
+    """An :class:`InMemoryStore` bounded by a cold columnar tier (see
+    module docstring).
 
-    Hot tier: same structures as :class:`InMemoryStore` (slot dict,
-    lazy-deletion heap, insertion-ordered indexes) — but bounded.  When
-    it outgrows ``config.hot_budget``, every hot tuple that lies in a
-    *completed* time bucket (strictly below the bucket of the maximum
-    seen timestamp) and above the expiry bound is frozen: grouped by
+    Hot tier: the inherited structures (slot dict, lazy-deletion heap,
+    insertion-ordered indexes) and operations — this class adds only
+    what the cold tier needs.  When the hot tier outgrows
+    ``config.hot_budget``, every hot tuple that lies in a *completed*
+    time bucket (strictly below the bucket of the maximum seen
+    timestamp) and above the expiry bound is frozen: grouped by
     ``ts // bucket_span_ms``, sorted by slot, and encoded into one
     :class:`~repro.core.blocks.ColdSegment` per bucket.
 
@@ -411,16 +399,10 @@ class TieredStore(WindowStore):
         indexed_attributes: Sequence[str] = (),
         config: Optional[TieredStoreConfig] = None,
     ) -> None:
+        super().__init__(indexed_attributes)
         self.config = config or TieredStoreConfig()
         self._attrs: Tuple[str, ...] = tuple(indexed_attributes)
         self._span = self.config.bucket_span_ms
-        # hot tier
-        self._hot: Dict[int, StreamTuple] = {}
-        self._next_slot = 0
-        self._heap: List[Tuple[int, int]] = []  # (ts, slot)
-        self._hot_indexes: Dict[str, Dict[object, Dict[int, None]]] = {
-            attr: {} for attr in self._attrs
-        }
         # cold tier
         self._buckets: Dict[int, List[ColdSegment]] = {}
         self._cold_count = 0
@@ -435,7 +417,6 @@ class TieredStore(WindowStore):
         self._expire_bound: Optional[int] = None
         self._compact_trigger = self.config.hot_budget
         # cumulative metrics
-        self._evicted = 0
         self._decode_hits = 0
         self._decode_misses = 0
         self._freezes = 0
@@ -444,94 +425,42 @@ class TieredStore(WindowStore):
     # -- content maintenance ------------------------------------------
 
     def insert(self, t: StreamTuple) -> None:
-        slot = self._next_slot
-        self._next_slot += 1
-        self._hot[slot] = t
-        heapq.heappush(self._heap, (t.ts, slot))
-        for attr, index in self._hot_indexes.items():
-            index.setdefault(t.get(attr), {})[slot] = None
+        super().insert(t)
         if self._max_ts_seen is None or t.ts > self._max_ts_seen:
             self._max_ts_seen = t.ts
-        if len(self._hot) > self._compact_trigger:
+        if len(self._slots) > self._compact_trigger:
             self._compact()
 
     def needs_expiry(self, bound_ts: int) -> bool:
-        heap = self._heap
-        if heap and heap[0][0] < bound_ts:
+        if super().needs_expiry(bound_ts):
             return True
         return self._cold_min is not None and self._cold_min < bound_ts
 
     def expire_before(self, bound_ts: int) -> int:
         if self._expire_bound is None or bound_ts > self._expire_bound:
             self._expire_bound = bound_ts
-        removed = 0
+        evicted = self._evicted
         if self._cold_min is not None and self._cold_min < bound_ts:
-            span = self._span
-            for key in sorted(self._buckets):
-                if key * span >= bound_ts:
-                    break
-                kept: List[ColdSegment] = []
-                for seg in self._buckets[key]:
-                    if seg.max_ts < bound_ts:
-                        removed += len(seg)
-                        self._drop_segment(seg)
-                    elif seg.min_ts < bound_ts:
-                        # Straddler: thaw into the hot tier (original
-                        # slots) so the heap sweep below expires exactly.
-                        self._thaw(seg)
-                    else:
-                        kept.append(seg)
-                if kept:
-                    self._buckets[key] = kept
+
+            def sweep(seg: ColdSegment) -> Optional[ColdSegment]:
+                if seg.max_ts < bound_ts:
+                    self._evicted += len(seg)
+                    self._drop_segment(seg)
+                elif seg.min_ts < bound_ts:
+                    # Straddler: thaw into the hot tier (original
+                    # slots) so the heap sweep below expires exactly.
+                    self._thaw(seg)
                 else:
-                    del self._buckets[key]
-            self._recompute_cold_min()
-        while self._heap and self._heap[0][0] < bound_ts:
-            _, slot = heapq.heappop(self._heap)
-            t = self._hot.pop(slot, None)
-            if t is None:
-                continue  # lazily deleted earlier
-            removed += 1
-            self._unindex(slot, t)
-        self._evicted += removed
+                    return seg
+                return None
+
+            self._rebuild_buckets(sweep, below=bound_ts)
+        # Thawed straddlers are resident (and on the heap) by now, so
+        # the inherited heap sweep finishes the job exactly.
+        super().expire_before(bound_ts)
         # Expiry changes freeze eligibility; re-arm the compaction probe.
         self._compact_trigger = self.config.hot_budget
-        return removed
-
-    def extract(self, predicate: Callable[[StreamTuple], bool]) -> List[StreamTuple]:
-        moved: List[Tuple[int, StreamTuple]] = []
-        dead: List[int] = []
-        for slot, t in self._hot.items():
-            if predicate(t):
-                dead.append(slot)
-                moved.append((slot, t))
-        for slot in dead:
-            self._unindex(slot, self._hot.pop(slot))
-        if self._cold_count:
-            for key in sorted(self._buckets):
-                kept: List[ColdSegment] = []
-                for seg in self._buckets[key]:
-                    movers: List[Tuple[int, StreamTuple]] = []
-                    stayers: List[Tuple[int, StreamTuple]] = []
-                    for pair in self._pairs_of(seg):
-                        if predicate(pair[1]):
-                            movers.append(pair)
-                        else:
-                            stayers.append(pair)
-                    if not movers:
-                        kept.append(seg)
-                        continue
-                    self._drop_segment(seg)
-                    if stayers:
-                        kept.append(self._refreeze(stayers))
-                    moved.extend(movers)
-                if kept:
-                    self._buckets[key] = kept
-                else:
-                    del self._buckets[key]
-            self._recompute_cold_min()
-        moved.sort(key=_SLOT)
-        return [t for _, t in moved]
+        return self._evicted - evicted
 
     def extract_state(
         self,
@@ -541,55 +470,40 @@ class TieredStore(WindowStore):
     ) -> Dict[object, List[StateItem]]:
         # (first slot, last slot, group, item) — slots kept so the final
         # per-group assembly can detect slot-range interleavings.
-        moved: List[Tuple[int, int, object, StateItem]] = []
-        dead: List[int] = []
-        for slot, t in self._hot.items():
-            group = classify(t)
-            if group is not None:
-                dead.append(slot)
-                moved.append((slot, slot, group, t))
-        for slot in dead:
-            self._unindex(slot, self._hot.pop(slot))
-        if self._cold_count:
-            for key in sorted(self._buckets):
-                kept: List[ColdSegment] = []
-                for seg in self._buckets[key]:
-                    if value_classifier is not None and partition_attr is not None:
-                        # Column fast path: classify without decoding.
-                        per_tuple = [
-                            value_classifier(v)
-                            for v in segment_column(seg, partition_attr)
-                        ]
-                    else:
-                        per_tuple = [
-                            classify(t) for _, t in self._pairs_of(seg)
-                        ]
-                    first = per_tuple[0]
-                    if all(g is None for g in per_tuple):
-                        kept.append(seg)
-                        continue
-                    if first is not None and all(g == first for g in per_tuple):
-                        # Uniform destination: the whole segment moves
-                        # as the already-encoded block.
-                        self._drop_segment(seg)
-                        moved.append((seg.slots[0], seg.slots[-1], first, seg))
-                        continue
-                    # Mixed destinations: decode and split per tuple.
-                    pairs = self._pairs_of(seg)
-                    self._drop_segment(seg)
-                    stayers: List[Tuple[int, StreamTuple]] = []
-                    for (slot, t), group in zip(pairs, per_tuple):
-                        if group is None:
-                            stayers.append((slot, t))
-                        else:
-                            moved.append((slot, slot, group, t))
-                    if stayers:
-                        kept.append(self._refreeze(stayers))
-                if kept:
-                    self._buckets[key] = kept
+        moved: List[Tuple[int, int, object, StateItem]] = [
+            (slot, slot, group, t) for slot, group, t in self._carve(classify)
+        ]
+
+        def split(seg: ColdSegment) -> Optional[ColdSegment]:
+            if value_classifier is not None and partition_attr is not None:
+                # Column fast path: classify without decoding.
+                per_tuple = [
+                    value_classifier(v) for v in segment_column(seg, partition_attr)
+                ]
+            else:
+                per_tuple = [classify(t) for _, t in self._entry_of(seg).pairs]
+            first = per_tuple[0]
+            if all(g is None for g in per_tuple):
+                return seg
+            if first is not None and all(g == first for g in per_tuple):
+                # Uniform destination: the whole segment moves as the
+                # already-encoded block.
+                self._drop_segment(seg)
+                moved.append((seg.slots[0], seg.slots[-1], first, seg))
+                return None
+            # Mixed destinations: decode and split per tuple.
+            pairs = self._entry_of(seg).pairs
+            self._drop_segment(seg)
+            stayers: List[Tuple[int, StreamTuple]] = []
+            for (slot, t), group in zip(pairs, per_tuple):
+                if group is None:
+                    stayers.append((slot, t))
                 else:
-                    del self._buckets[key]
-            self._recompute_cold_min()
+                    moved.append((slot, slot, group, t))
+            return self._freeze(stayers) if stayers else None
+
+        if self._cold_count:
+            self._rebuild_buckets(split)
         moved.sort(key=_SLOT)
         grouped: Dict[object, List[Tuple[int, int, StateItem]]] = {}
         for lo, hi, group, item in moved:
@@ -634,26 +548,18 @@ class TieredStore(WindowStore):
         if missing:
             # Summaries don't cover this store's probe indexes (peer had
             # different attrs); fall back to object adoption.
-            for t in thaw_segment(segment):
-                self.insert(t)
+            super().adopt_frozen(segment)
             return
         n = len(segment)
         base = self._next_slot
         self._next_slot = base + n
-        seg = segment.with_slots(tuple(range(base, base + n)))
+        seg = self._admit(segment.with_slots(tuple(range(base, base + n))))
         self._buckets.setdefault(seg.min_ts // self._span, []).append(seg)
-        self._cold_count += n
-        self._encoded_bytes += seg.encoded_bytes
-        if self._cold_min is None or seg.min_ts < self._cold_min:
-            self._cold_min = seg.min_ts
         if self._max_ts_seen is None or seg.max_ts > self._max_ts_seen:
             self._max_ts_seen = seg.max_ts
 
     def clear(self) -> None:
-        self._hot.clear()
-        self._heap.clear()
-        for index in self._hot_indexes.values():
-            index.clear()
+        super().clear()
         self._buckets.clear()
         self._cold_count = 0
         self._cold_min = None
@@ -667,26 +573,23 @@ class TieredStore(WindowStore):
     # -- probe access -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._hot) + self._cold_count
+        return len(self._slots) + self._cold_count
 
     def tuples(self) -> Iterator[StreamTuple]:
-        pairs: List[Tuple[int, StreamTuple]] = list(self._hot.items())
+        pairs: List[Tuple[int, StreamTuple]] = list(self._slots.items())
         for key in sorted(self._buckets):
             for seg in self._buckets[key]:
-                pairs.extend(self._pairs_of(seg))
+                pairs.extend(self._entry_of(seg).pairs)
         pairs.sort(key=_SLOT)
         return iter([t for _, t in pairs])
 
-    def has_index(self, attr: str) -> bool:
-        return attr in self._hot_indexes
-
     def lookup(self, attr: str, value: object) -> Iterable[StreamTuple]:
-        index = self._hot_indexes.get(attr)
+        index = self._indexes.get(attr)
         if index is None:
             raise KeyError(f"no index maintained on attribute {attr!r}")
         bucket = index.get(value)
         pairs: List[Tuple[int, StreamTuple]] = (
-            [(slot, self._hot[slot]) for slot in bucket] if bucket else []
+            [(slot, self._slots[slot]) for slot in bucket] if bucket else []
         )
         if self._cold_count:
             for key in sorted(self._buckets):
@@ -706,31 +609,10 @@ class TieredStore(WindowStore):
         # finds (thawing through the decode cache as it does).
         return len(self.lookup(attr, value))
 
-    def min_ts(self) -> Optional[int]:
-        hot_min: Optional[int] = None
-        while self._heap:
-            ts, slot = self._heap[0]
-            if slot in self._hot:
-                hot_min = ts
-                break
-            heapq.heappop(self._heap)
-        if hot_min is None:
-            return self._cold_min
-        if self._cold_min is None:
-            return hot_min
-        return min(hot_min, self._cold_min)
-
-    def timestamps(self) -> List[int]:
-        out = [t.ts for t in self._hot.values()]
-        for segments in self._buckets.values():
-            for seg in segments:
-                out.extend(seg.block.ts)
-        return sorted(out)
-
     def metrics(self) -> StoreMetrics:
         return StoreMetrics(
-            resident_objects=len(self._hot) + self._cached_tuples,
-            hot_objects=len(self._hot),
+            resident_objects=len(self._slots) + self._cached_tuples,
+            hot_objects=len(self._slots),
             cold_tuples=self._cold_count,
             encoded_bytes=self._encoded_bytes,
             segments=sum(len(segs) for segs in self._buckets.values()),
@@ -742,15 +624,6 @@ class TieredStore(WindowStore):
         )
 
     # -- internals ----------------------------------------------------
-
-    def _unindex(self, slot: int, t: StreamTuple) -> None:
-        for attr, index in self._hot_indexes.items():
-            value = t.get(attr)
-            bucket = index.get(value)
-            if bucket is not None:
-                bucket.pop(slot, None)
-                if not bucket:
-                    del index[value]
 
     def _compact(self) -> None:
         """Freeze completed-bucket hot tuples into cold segments.
@@ -766,43 +639,41 @@ class TieredStore(WindowStore):
         assert self._max_ts_seen is not None  # insert() set it
         active_key = self._max_ts_seen // span
         bound = self._expire_bound
-        groups: Dict[int, List[int]] = {}
-        frozen = 0
-        for slot, t in self._hot.items():
+        groups: Dict[int, List[Tuple[int, StreamTuple]]] = {}
+        for slot, t in self._slots.items():
             key = t.ts // span
             if key < active_key and (bound is None or key * span >= bound):
-                groups.setdefault(key, []).append(slot)
+                groups.setdefault(key, []).append((slot, t))
         for key in sorted(groups):
-            slots = sorted(groups[key])
-            batch = [self._hot[slot] for slot in slots]
-            seg = freeze_segment(batch, slots, self._attrs)
-            for slot, t in zip(slots, batch):
-                del self._hot[slot]
+            pairs = sorted(groups[key], key=_SLOT)
+            for slot, t in pairs:
+                del self._slots[slot]
                 self._unindex(slot, t)
-            self._buckets.setdefault(key, []).append(seg)
-            self._cold_count += len(seg)
-            self._encoded_bytes += seg.encoded_bytes
-            if self._cold_min is None or seg.min_ts < self._cold_min:
-                self._cold_min = seg.min_ts
-            self._freezes += 1
-            frozen += len(seg)
-        if frozen:
+            self._buckets.setdefault(key, []).append(self._freeze(pairs))
+        if groups:
             self._compact_trigger = self.config.hot_budget
         else:
-            self._compact_trigger = len(self._hot) + max(
+            self._compact_trigger = len(self._slots) + max(
                 1, self.config.hot_budget // 8
             )
 
-    def _refreeze(self, stayers: List[Tuple[int, StreamTuple]]) -> ColdSegment:
-        """Re-encode a split segment's staying tuples (slot order kept)."""
-        seg = freeze_segment(
-            [t for _, t in stayers], [s for s, _ in stayers], self._attrs
+    def _freeze(self, pairs: List[Tuple[int, StreamTuple]]) -> ColdSegment:
+        """Encode slot-ordered ``(slot, tuple)`` pairs — a compacted
+        bucket, or the staying part of a split segment — as one admitted
+        segment (the caller files it under its bucket)."""
+        self._freezes += 1
+        return self._admit(
+            freeze_segment([t for _, t in pairs], [s for s, _ in pairs], self._attrs)
         )
+
+    def _admit(self, seg: ColdSegment) -> ColdSegment:
+        """Enter a segment into cold accounting (:meth:`_drop_segment`
+        is the inverse; ``_cold_min`` only ever lowers here and is
+        recomputed by :meth:`_rebuild_buckets`)."""
         self._cold_count += len(seg)
         self._encoded_bytes += seg.encoded_bytes
         if self._cold_min is None or seg.min_ts < self._cold_min:
             self._cold_min = seg.min_ts
-        self._freezes += 1
         return seg
 
     def _drop_segment(self, seg: ColdSegment) -> None:
@@ -814,25 +685,37 @@ class TieredStore(WindowStore):
         if entry is not None:
             self._cached_tuples -= len(entry.pairs)
 
+    def _rebuild_buckets(
+        self,
+        keep: Callable[[ColdSegment], Optional[ColdSegment]],
+        below: Optional[int] = None,
+    ) -> None:
+        """Pass every segment (bucket by bucket, ascending; with
+        ``below``, only buckets starting under that timestamp) through
+        ``keep`` and rebuild each bucket's list from what it returns —
+        the segment itself, a re-frozen remainder, or ``None`` once
+        ``keep`` has dropped or thawed it — then refresh ``_cold_min``."""
+        for key in sorted(self._buckets):
+            if below is not None and key * self._span >= below:
+                break
+            kept = [seg for seg in map(keep, self._buckets[key]) if seg is not None]
+            if kept:
+                self._buckets[key] = kept
+            else:
+                del self._buckets[key]
+        self._cold_min = min(
+            (seg.min_ts for segs in self._buckets.values() for seg in segs),
+            default=None,
+        )
+
     def _thaw(self, seg: ColdSegment) -> None:
         """Move a straddling segment's tuples back to the hot tier under
         their original slot ids (exact expiry then proceeds on the heap)."""
         pairs = self._entry_of(seg).pairs
         self._drop_segment(seg)
         for slot, t in pairs:
-            self._hot[slot] = t
-            heapq.heappush(self._heap, (t.ts, slot))
-            for attr, index in self._hot_indexes.items():
-                index.setdefault(t.get(attr), {})[slot] = None
+            self._hold(slot, t)
         self._thaws += 1
-
-    def _recompute_cold_min(self) -> None:
-        cold_min: Optional[int] = None
-        for segments in self._buckets.values():
-            for seg in segments:
-                if cold_min is None or seg.min_ts < cold_min:
-                    cold_min = seg.min_ts
-        self._cold_min = cold_min
 
     def _entry_of(self, seg: ColdSegment) -> _CacheEntry:
         key = id(seg)
@@ -850,9 +733,6 @@ class TieredStore(WindowStore):
             _, old = self._cache.popitem(last=False)
             self._cached_tuples -= len(old.pairs)
         return entry
-
-    def _pairs_of(self, seg: ColdSegment) -> List[Tuple[int, StreamTuple]]:
-        return self._entry_of(seg).pairs
 
     def _segment_lookup(
         self, seg: ColdSegment, attr: str, value: object

@@ -14,9 +14,11 @@ operations Alg. 2 needs:
 The window itself is a thin façade: live state lives behind a pluggable
 :class:`~repro.join.store.WindowStore` — :class:`~repro.join.store.InMemoryStore`
 (all tuples as objects; the default) or
-:class:`~repro.join.store.TieredStore` (bounded hot object tier + cold
-``TupleBlock``-encoded segments).  Every store honours the same probe
-contract — candidates in slot (= insertion) order, exact expiry — so
+:class:`~repro.join.store.TieredStore` (the same store as a bounded hot
+tier, plus cold ``TupleBlock``-encoded segments).  Beyond the three
+operations above, the façade passes through only state migration
+(:meth:`SlidingWindow.extract_state` / :meth:`SlidingWindow.adopt_frozen`)
+and the store's metrics.  Every store honours the same probe contract — candidates in slot (= insertion) order, exact expiry — so
 the choice changes memory shape, never join output (the byte-identity
 differential tests pin this).
 
@@ -35,7 +37,7 @@ store: the bucket's length) and by counting its own lookup otherwise
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
 
 from ..core.blocks import ColdSegment
 from ..core.tuples import StreamTuple
@@ -99,21 +101,6 @@ class SlidingWindow:
         """Remove all tuples with ``ts < bound_ts``; return how many."""
         return self.store.expire_before(bound_ts)
 
-    def extract(
-        self, predicate: Callable[[StreamTuple], bool]
-    ) -> List[StreamTuple]:
-        """Remove and return live tuples matching ``predicate``.
-
-        Returned in slot-id (= insertion) order — the same order
-        :meth:`lookup` would have yielded them — so a peer window that
-        re-inserts the extracted tuples in sequence reproduces the exact
-        per-bucket candidate order, which is what keeps result
-        *sequences* (not just sets) stable across a shard-state
-        migration.  ``predicate`` must be pure: a tiered store evaluates
-        it in tier order, not slot order.
-        """
-        return self.store.extract(predicate)
-
     def extract_state(
         self,
         classify: Classifier,
@@ -173,14 +160,6 @@ class SlidingWindow:
         """How many tuples :meth:`lookup` would yield — the index
         bucket's size where the store keeps one."""
         return self.store.count(attr, value)
-
-    def min_ts(self) -> Optional[int]:
-        """Smallest live timestamp (None when empty)."""
-        return self.store.min_ts()
-
-    def timestamps(self) -> List[int]:
-        """Sorted list of live timestamps (test/diagnostic helper)."""
-        return self.store.timestamps()
 
     def store_metrics(self) -> StoreMetrics:
         """The backing store's state-size snapshot."""

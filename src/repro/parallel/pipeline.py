@@ -519,23 +519,9 @@ class PartitionedPipeline:
             )
         if shard in self._retired_shards or shard in self._dead_shards:
             raise ValueError(f"shard {shard} is already retired or dead")
-        survivors = [
-            s
-            for s in range(self.num_shards)
-            if s != shard
-            and s not in self._retired_shards
-            and s not in self._dead_shards
-        ]
-        if not survivors:
+        moves = self._evacuation_moves(shard)
+        if moves is None:
             raise ValueError("cannot retire the last live shard")
-        owned = [
-            slot
-            for slot, owner in enumerate(self.router.slot_table)
-            if owner == shard
-        ]
-        moves = {
-            slot: survivors[i % len(survivors)] for i, slot in enumerate(owned)
-        }
         outputs = self._execute_migration(moves) if moves else empty_outputs(
             self.config.collect_results
         )
@@ -547,6 +533,26 @@ class PartitionedPipeline:
         self.resizes += 1
         self.slots_moved += len(moves)
         return outputs
+
+    def _evacuation_moves(self, leaving: int) -> Optional[Dict[int, int]]:
+        """Deal ``leaving``'s slots round-robin to the surviving shards
+        (not retired, not dead, not ``leaving``), as a ``slot → shard``
+        plan; ``None`` when no shard is left to take them."""
+        survivors = [
+            s
+            for s in range(self.num_shards)
+            if s != leaving
+            and s not in self._retired_shards
+            and s not in self._dead_shards
+        ]
+        if not survivors:
+            return None
+        owned = [
+            slot
+            for slot, owner in enumerate(self.router.slot_table)
+            if owner == leaving
+        ]
+        return {slot: survivors[i % len(survivors)] for i, slot in enumerate(owned)}
 
     def _fail_over(self, failure: ShardFailure) -> Outputs:
         """Migrate a permanently dead shard's slots and state to survivors.
@@ -576,25 +582,11 @@ class PartitionedPipeline:
         payload = failure.failover
         if payload is None or not self.router.exact or self.num_shards < 2:
             raise failure
-        survivors = [
-            s
-            for s in range(self.num_shards)
-            if s != failure.shard
-            and s not in self._dead_shards
-            and s not in self._retired_shards
-        ]
-        if not survivors:
+        moves = self._evacuation_moves(failure.shard)
+        if moves is None:
             raise failure
         self._dead_shards.add(failure.shard)
         router = self.router
-        moves: Dict[int, int] = {}
-        owned = [
-            slot
-            for slot, shard in enumerate(router.slot_table)
-            if shard == failure.shard
-        ]
-        for i, slot in enumerate(owned):
-            moves[slot] = survivors[i % len(survivors)]
         collect = self.config.collect_results
         outputs = empty_outputs(collect)
         if moves:
@@ -608,12 +600,9 @@ class PartitionedPipeline:
                 beacon_ts=0,
                 drain_floor_ts=0,
             )
-            # Only the process executor attaches failover state, and
-            # its workers adopt encoded blocks.
-            states = partition_failover_state(
-                payload.window, payload.pending, spec, encode=True
-            )
-            for state in states:
+            for state in partition_failover_state(
+                payload.window, payload.pending, spec
+            ):
                 adopted = self.executor.adopt(state.dest, state)
                 outputs = merge_outputs(collect, outputs, adopted)
             router.reassign(moves)

@@ -119,7 +119,6 @@ class KeyRouter:
         self.attributes: Optional[Dict[int, str]] = condition.partition_attributes(
             num_streams
         )
-        self._all_shards: Tuple[int, ...] = tuple(range(num_shards))
         # Flat per-stream key-attribute lookup for the batched routing
         # path: indexing a tuple beats a dict probe per routed tuple.
         self._attr_by_stream: Optional[Tuple[Optional[str], ...]] = (
@@ -174,7 +173,7 @@ class KeyRouter:
         A missing key attribute reads as ``None`` and hashes like any
         other value — consistent with ``EquiPredicate``, where ``None``
         only matches ``None``, so all such tuples meet in one shard.
-        Pure query: unlike :meth:`route` it updates no load counters.
+        Pure query: unlike :meth:`route_batch` it updates no load counters.
         """
         if self.attributes is None:
             return None
@@ -207,7 +206,6 @@ class KeyRouter:
         new_total = self.num_shards + count
         old_shards = self.num_shards
         self.num_shards = new_total
-        self._all_shards = tuple(range(new_total))
         self.shard_loads.extend([0] * count)
         quota, extra = divmod(self.num_slots, new_total)
         target = [quota + (1 if s < extra else 0) for s in range(new_total)]
@@ -242,29 +240,6 @@ class KeyRouter:
                     f"shard {shard} outside [0, {self.num_shards})"
                 )
             self.slot_table[slot] = shard
-
-    def route(self, t: StreamTuple) -> Tuple[int, ...]:
-        """Shards that must receive ``t`` (one, or all when broadcasting).
-
-        The single-tuple sibling of :meth:`route_batch`: updates the same
-        slot/shard load counters and the arrival watermark.
-        """
-        if self.attributes is None:
-            return self._all_shards
-        stream = t.stream
-        slot = stable_hash(t.get(self.attributes[stream])) % self.num_slots
-        self.slot_loads[slot] += 1
-        shard = self.slot_table[slot]
-        self.shard_loads[shard] += 1
-        ts = t.ts
-        arrival = t.arrival
-        if arrival < ts:
-            arrival = ts
-        if arrival > self.watermark_ts:
-            self.watermark_ts = arrival
-        if ts > self.stream_progress_ts[stream]:
-            self.stream_progress_ts[stream] = ts
-        return (shard,)
 
     def route_batch(
         self, batch: Sequence[StreamTuple]

@@ -167,7 +167,6 @@ def partition_failover_state(
     window: Sequence[WindowStateItem],
     pending: Sequence[StreamTuple],
     spec: MigrationSpec,
-    encode: bool,
 ) -> List[StateBlock]:
     """Split a dead shard's recovered state into per-survivor blocks.
 
@@ -181,6 +180,8 @@ def partition_failover_state(
     item classifies to some survivor; anything that doesn't (a tuple
     whose key hashed outside the moved slots would indicate router
     drift) is routed to the first destination rather than dropped.
+    Blocks come back encoded: only the process executor attaches
+    failover state, and its workers adopt encoded blocks.
     """
     classify = slot_classifier(spec)
     classify_value = value_classifier(spec)
@@ -224,10 +225,5 @@ def partition_failover_state(
         window_leg.extend(per_dest_window.get(dest, []))
         pending_leg = per_dest_pending.get(dest, [])
         slots = tuple(slots_by_dest.get(dest, []))
-        if encode:
-            states.append(encode_state(-1, dest, slots, window_leg, pending_leg))
-        else:
-            states.append(
-                StateBlock(-1, dest, slots, list(window_leg), pending_leg)
-            )
+        states.append(encode_state(-1, dest, slots, window_leg, pending_leg))
     return states

@@ -111,17 +111,20 @@ class TestKeyRouter:
         router = KeyRouter(equi_join_chain("a1", 2), 2, 4)
         assert router.exact
         for value in range(50):
-            shards = {
-                router.route(StreamTuple(ts=1, values={"a1": value}, stream=s))
-                for s in (0, 1)
-            }
-            assert len(shards) == 1  # both streams land on the same shard
-            assert len(shards.pop()) == 1  # exactly one shard each
+            pair = [
+                StreamTuple(ts=1, values={"a1": value}, stream=s) for s in (0, 1)
+            ]
+            slices = router.route_batch(pair)
+            # both streams land on the same shard, and on exactly one
+            assert sorted(len(part) for part in slices) == [0, 0, 0, 2]
+            owner = next(shard for shard, part in enumerate(slices) if part)
+            assert [router.shard_of(t) for t in pair] == [owner, owner]
 
     def test_broadcast_fallback_routes_to_all_shards(self):
         router = KeyRouter(JoinCondition([]), 2, 3)
         assert not router.exact
-        assert router.route(StreamTuple(ts=1, stream=0)) == (0, 1, 2)
+        # No owning shard: the caller feeds the batch to every shard.
+        assert router.route_batch([StreamTuple(ts=1, stream=0)]) is None
         assert router.shard_of(StreamTuple(ts=1, stream=0)) is None
 
     def test_stable_hash_is_equality_consistent(self):
@@ -144,7 +147,9 @@ class TestKeyRouter:
 
     def test_single_shard_router(self):
         router = KeyRouter(equi_join_chain("a1", 2), 2, 1)
-        assert router.route(StreamTuple(ts=1, values={"a1": 3}, stream=0)) == (0,)
+        t = StreamTuple(ts=1, values={"a1": 3}, stream=0)
+        assert router.route_batch([t]) == [[t]]
+        assert router.shard_of(t) == 0
 
 
 class TestShardCountInvariance:

@@ -375,7 +375,7 @@ class TestStoreCount:
         ]
         store.adopt_frozen(freeze_segment(batch, range(3), ("v",)))
         self._assert_counts(store)
-        store.extract(lambda t: t.get("v") == 2)
+        assert store.extract_state(lambda t: "gone" if t.get("v") == 2 else None)
         self._assert_counts(store)
         with pytest.raises(KeyError):
             store.count("unindexed", 1)

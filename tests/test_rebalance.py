@@ -572,7 +572,7 @@ class TestMigrationPrimitives:
         ]
         for t in tuples:
             window.insert(t)
-        extracted = window.extract(lambda t: t["a1"] == 1)
+        extracted = window.extract_state(lambda t: "peer" if t["a1"] == 1 else None)["peer"]
         # Insertion order among extracted (ts odd): 5, 9, 1 — not sorted.
         assert [t.ts for t in extracted] == [5, 9, 1]
         assert window.cardinality == 2

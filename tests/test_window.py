@@ -42,14 +42,14 @@ class TestExpiration:
             w.insert(_t(ts))
         removed = w.expire_before(20)
         assert removed == 1
-        assert w.timestamps() == [20, 30]
+        assert sorted(t.ts for t in w.tuples()) == [20, 30]
 
     def test_expire_with_out_of_order_inserts(self):
         w = SlidingWindow(1000)
         for ts in (30, 10, 20, 5):
             w.insert(_t(ts))
         assert w.expire_before(15) == 2  # 10 and 5
-        assert w.timestamps() == [20, 30]
+        assert sorted(t.ts for t in w.tuples()) == [20, 30]
 
     def test_expire_everything(self):
         w = SlidingWindow(1000)
@@ -63,15 +63,6 @@ class TestExpiration:
         w.insert(_t(50))
         assert w.expire_before(10) == 0
         assert len(w) == 1
-
-    def test_min_ts(self):
-        w = SlidingWindow(1000)
-        assert w.min_ts() is None
-        for ts in (7, 3, 9):
-            w.insert(_t(ts))
-        assert w.min_ts() == 3
-        w.expire_before(5)
-        assert w.min_ts() == 7
 
 
 class TestIndexes:

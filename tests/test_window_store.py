@@ -5,8 +5,11 @@ representation changes the memory shape of the join, never its output.
 These tests pin that promise at three levels:
 
 * **operation equivalence** (hypothesis) — arbitrary interleavings of
-  insert / expire / extract / adopt_frozen leave both stores with the
-  same observable surface (length, tuple order, lookups, timestamps);
+  insert / expire / extract_state / adopt_frozen leave both stores with
+  the same observable surface (length, tuple order, lookups, counts);
+* **an independent oracle** (hypothesis) — the two stores share their
+  hot tier, so the same interleavings also run against a plain-list
+  model of the contract, for each store on its own;
 * **migration round-trips** (hypothesis) — ``extract_state`` at random
   cut points, shipped through ``encode_state``/``decode_state`` and a
   real pickle, adopts into either store kind with identical content
@@ -75,13 +78,55 @@ def observe(store):
     return {
         "len": len(store),
         "tuples": list(store.tuples()),
-        "timestamps": store.timestamps(),
-        "min_ts": store.min_ts(),
         "lookups": {
             value: list(store.lookup("v", value)) for value in range(DOMAIN)
         },
         "counts": {value: store.count("v", value) for value in range(DOMAIN)},
     }
+
+
+def flatten(items):
+    """Extracted state items as plain tuples (cold segments decoded)."""
+    out = []
+    for item in items:
+        if isinstance(item, ColdSegment):
+            out.extend(thaw_segment(item))
+        else:
+            out.append(item)
+    return out
+
+
+class ListModel:
+    """The window-state contract spelled as a plain list in insertion
+    order — shares no code with either store."""
+
+    def __init__(self):
+        self.rows = []
+
+    def insert(self, t):
+        self.rows.append(t)
+
+    def expire_before(self, bound_ts):
+        before = len(self.rows)
+        self.rows = [t for t in self.rows if t.ts >= bound_ts]
+        return before - len(self.rows)
+
+    def extract_state(self, classify):
+        groups, kept = {}, []
+        for t in self.rows:
+            group = classify(t)
+            if group is None:
+                kept.append(t)
+            else:
+                groups.setdefault(group, []).append(t)
+        self.rows = kept
+        return groups
+
+    def adopt_frozen(self, segment):
+        self.rows.extend(thaw_segment(segment))
+
+    def lookup(self, attr, value):
+        return [t for t in self.rows if t.get(attr) == value]
 
 
 def assert_equivalent(memory, tiered):
@@ -149,7 +194,10 @@ def apply_op(store, op):
         return store.expire_before(op[1])
     if op[0] == "extract":
         target = op[1]
-        return store.extract(lambda t: t.get("v") == target)
+        groups = store.extract_state(
+            lambda t: "moved" if t.get("v") == target else None
+        )
+        return flatten(groups.get("moved", []))
     batch = [make_tuple(ts, value, seq) for ts, value, seq in op[1]]
     slots = list(range(len(batch)))
     store.adopt_frozen(freeze_segment(batch, slots, ATTRS))
@@ -210,6 +258,32 @@ class TestOperationEquivalence:
 
 
 # ---------------------------------------------------------------------------
+# hypothesis: each store against the plain-list model
+# ---------------------------------------------------------------------------
+
+
+class TestListModelOracle:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: InMemoryStore(ATTRS), lambda: TieredStore(ATTRS, SMALL_TIERED)],
+        ids=["memory", "tiered"],
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(ops=op_sequences())
+    def test_store_matches_plain_list_model(self, make, ops):
+        store, model = make(), ListModel()
+        for op in ops:
+            # expire_before's count, extract_state's tuples in slot order
+            assert apply_op(store, op) == apply_op(model, op)
+            assert len(store) == len(model.rows)
+            assert list(store.tuples()) == model.rows
+            for value in range(DOMAIN):
+                expected = model.lookup("v", value)
+                assert list(store.lookup("v", value)) == expected
+                assert store.count("v", value) == len(expected)
+
+
+# ---------------------------------------------------------------------------
 # hypothesis: migration round-trips at random cut points
 # ---------------------------------------------------------------------------
 
@@ -265,13 +339,7 @@ class TestMigrationRoundTrip:
             # The in-memory store moves plain tuples in slot order; the
             # tiered store may ship whole cold segments — flattened,
             # both spell out the same tuple sequence.
-            flattened = []
-            for item in tier_groups[group]:
-                if isinstance(item, ColdSegment):
-                    flattened.extend(thaw_segment(item))
-                else:
-                    flattened.append(item)
-            assert flattened == items
+            assert flatten(tier_groups[group]) == items
 
             # Ship the tiered group through the real wire path (encode,
             # pickle, decode) and adopt into fresh stores of each kind:
@@ -315,16 +383,7 @@ class TestMigrationRoundTrip:
         slow = without_column.extract_state(classify)
 
         def flat(groups):
-            out = {}
-            for group, items in groups.items():
-                tuples = []
-                for item in items:
-                    if isinstance(item, ColdSegment):
-                        tuples.extend(thaw_segment(item))
-                    else:
-                        tuples.append(item)
-                out[group] = tuples
-            return out
+            return {group: flatten(items) for group, items in groups.items()}
 
         assert flat(fast) == flat(slow)
         assert_equivalent(with_column, without_column)
@@ -457,14 +516,21 @@ class TestTieredMechanics:
     def test_compaction_freezes_completed_buckets_only(self):
         store = TieredStore(ATTRS, TieredStoreConfig(hot_budget=4,
                                                      bucket_span_ms=100))
-        for seq, ts in enumerate([10, 20, 30, 40, 110, 120, 130, 140, 210]):
+        for seq, ts in enumerate([10, 20, 30, 40, 110, 120, 130, 140]):
             store.insert(make_tuple(ts, seq % DOMAIN, seq))
+        store.insert(make_tuple(210, "active", 8))
         m = store.metrics()
         assert m.freezes >= 1
         assert m.cold_tuples > 0
         assert m.encoded_bytes > 0
-        # The active bucket (ts 210) never freezes.
-        assert any(t.ts == 210 for t in [store._hot[s] for s in store._hot])
+        # The active bucket (ts 210) never freezes: its tuple is found
+        # among the resident objects, with no decode traffic.
+        assert m.hot_objects >= 1
+        assert [t.ts for t in store.lookup("v", "active")] == [210]
+        after = store.metrics()
+        assert (after.decode_hits, after.decode_misses) == (
+            m.decode_hits, m.decode_misses
+        )
         assert len(store) == 9
 
     def test_bucket_granular_expiry_drops_whole_segments(self):
@@ -476,7 +542,7 @@ class TestTieredMechanics:
         assert before.cold_tuples > 0
         removed = store.expire_before(200)
         assert removed == 4
-        assert store.timestamps() == [210, 220, 310]
+        assert sorted(t.ts for t in store.tuples()) == [210, 220, 310]
         assert store.metrics().evicted == 4
 
     def test_straddler_segments_thaw_for_exact_expiry(self):
@@ -487,7 +553,7 @@ class TestTieredMechanics:
         # Bucket 1 holds {110, 190}; expiring to 150 straddles it.
         removed = store.expire_before(150)
         assert removed == 1
-        assert store.timestamps() == [190, 250, 260, 350]
+        assert sorted(t.ts for t in store.tuples()) == [190, 250, 260, 350]
         assert store.metrics().thaws >= 1
 
     def test_lookup_skips_segments_via_summaries(self):
