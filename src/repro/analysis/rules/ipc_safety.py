@@ -30,10 +30,10 @@ from ..astutils import call_attr, flatten_container_values
 from ..core import Finding, ModuleIndex, Rule, register
 
 #: Method/function names whose arguments cross a process boundary.
-#: ``_send_message`` / ``_reply`` pickle their message themselves (to
-#: frame it for a shared-memory ring), and ``send_frame`` is the socket
-#: transport's framing layer, so their arguments face exactly the same
-#: constraints as a pipe ``send``.
+#: ``send`` is a pipe's or a :class:`~repro.parallel.channel.Channel`'s
+#: (which pickles the message whichever carrier it then takes) and
+#: ``_send`` the typed-failure wrappers around it; the carriers below
+#: take bytes that are already pickled.
 IPC_CALLEES = (
     "submit",
     "submit_batch",
@@ -41,11 +41,6 @@ IPC_CALLEES = (
     "adopt",
     "send",
     "_send",
-    "_send_frame",
-    "send_bytes",
-    "send_frame",
-    "_send_message",
-    "_reply",
 )
 
 #: Constructor names treated as process spawns.

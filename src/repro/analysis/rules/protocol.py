@@ -10,9 +10,9 @@ closes the loop statically:
 
 * every defined ``MSG_*`` constant must appear in at least one **send**
   — as the first element of a tuple passed to a call whose callee is
-  named ``send`` / ``_send`` / ``send_bytes`` / ``_send_message`` /
-  ``_reply`` (the latter two wrap pipe-or-ring delivery for the
-  shared-memory transport);
+  named ``send`` (:meth:`repro.parallel.channel.Channel.send`, which
+  hides pipe, ring and socket alike) or ``_send`` (the executor's and
+  the tree stage stub's typed-failure wrappers around it);
 * every defined ``MSG_*`` constant must appear in at least one
   **dispatch arm** — an ``==`` / ``!=`` comparison against it;
 * a comparison against an *undefined* ``MSG_*`` name is a stale arm
@@ -39,20 +39,11 @@ from ..core import Finding, ModuleIndex, Rule, SourceModule, register
 
 MSG_NAME = re.compile(r"^MSG_[A-Z0-9_]+$")
 
-#: Callee names whose tuple arguments count as protocol sends.  The
-#: ``_send_message`` / ``_reply`` wrappers route one already-built
-#: protocol tuple through either the pipe or a shared-memory ring, and
-#: ``send_frame`` is the socket transport's framing layer
-#: (:class:`repro.distributed.runtime.SocketConnection`) — a tag whose
-#: only sender goes through any of them is live, not dead, protocol.
-SEND_CALLEES = (
-    "send",
-    "_send",
-    "send_bytes",
-    "send_frame",
-    "_send_message",
-    "_reply",
-)
+#: Callee names whose tuple arguments count as protocol sends: a
+#: channel's ``send`` and the ``_send`` wrappers around it.  Everything
+#: below the channel (``send_bytes``, ``send_frame``, ``write_frame``)
+#: carries already-pickled bytes, never a protocol tuple.
+SEND_CALLEES = ("send", "_send")
 
 
 def _defined_tags(

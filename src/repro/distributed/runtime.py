@@ -5,13 +5,14 @@ workers through ``multiprocessing`` pipes — which confines a run to one
 machine.  This module lifts the *same* executor ↔ worker protocol onto
 TCP:
 
-* :class:`SocketConnection` — a ``Connection``-shaped wrapper over a TCP
-  socket carrying pickled ``(tag, payload)`` protocol messages in
-  length-prefixed, CRC-tagged, sequence-numbered frames (the same
-  ``<QII`` header discipline as :class:`~repro.parallel.shm.ShmRing`).
-  It satisfies the ``send`` / ``send_bytes`` / ``recv`` / ``poll`` /
-  ``close`` surface the executors and :func:`~repro.parallel.shard.shard_worker`
-  already use, so the worker loop runs over it **unchanged**.
+* :class:`SocketConnection` — the TCP carrier: a ``Connection``-shaped
+  wrapper over a socket that ships each pickled ``(tag, payload)``
+  message as one frame of :mod:`repro.parallel.channel` (the same
+  ``<QII`` frame, checked by the same reader, as
+  :class:`~repro.parallel.shm.ShmRing`).  A
+  :class:`~repro.parallel.channel.Channel` takes it in place of a pipe
+  end, so :func:`~repro.parallel.shard.shard_worker` and the executor
+  run over it **unchanged**.
 * :class:`NodeServer` — the remote end: an accept loop that hosts shard
   (or join-tree) workers as forked child processes, one per accepted
   :data:`MSG_JOIN` handshake.  Workers arm ``PDEATHSIG`` so a killed
@@ -25,13 +26,14 @@ TCP:
   and elastic ``add_shard``/``retire_shard`` included); its workers
   simply live in ``NodeServer`` processes addressed by ``(host, port)``.
 * :class:`DistributedTreeJoin` — the tree-of-binary-joins execution of
-  the paper's Sec. V scaled out node-to-node: every
-  :class:`~repro.distributed.tree.BinaryJoinNode` becomes a *stage*
-  hosted in its own remote worker; base tuples route to the leaf stages
-  and intermediate :class:`~repro.distributed.tree.PartialResult`
-  composites flow stage-to-stage through the same frame codec
-  (:class:`PartialBlock`), with per-port :data:`MSG_CLOSE` propagation
-  mirroring :meth:`~repro.distributed.tree.TreeJoinOperator.close_stream`.
+  the paper's Sec. V scaled out node-to-node.  It *is* the
+  :class:`~repro.distributed.tree.TreeJoinOperator`, with every
+  :class:`~repro.distributed.tree.BinaryJoinNode` hosted as a *stage*
+  in its own remote worker behind a stub of the node's surface:
+  routing, the close cascade and result materialization are the
+  operator's; composites cross each hop columnar
+  (:class:`PartialBlock`) over a channel, with :data:`MSG_CLOSE`
+  carrying ``flush_input``.
 
 Because worker specs cross the wire pickled (no fork inheritance from
 the driver), socket-distributed runs require picklable configs — equi
@@ -54,10 +56,8 @@ import pickle
 import select
 import signal
 import socket
-import struct
-import zlib
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
 from ..core.blocks import PICKLE_PROTOCOL, BlockDecoder, BlockEncoder, TupleBlock
 from ..core.pipeline import PipelineConfig
@@ -65,6 +65,8 @@ from ..core.tuples import JoinResult, StreamTuple
 from ..faults import FaultPlan
 from ..faults import plan as _fault_plan_module
 from ..join.conditions import JoinCondition
+from ..parallel.channel import Channel, frame_header, read_frame
+from ..parallel.executors import dead_worker, receive
 from ..parallel.shard import (
     MSG_ABORT,
     MSG_BATCH,
@@ -72,14 +74,7 @@ from ..parallel.shard import (
     ShardFailure,
     shard_worker,
 )
-from .tree import BinaryJoinNode, PartialResult
-
-#: Frame header of the socket transport: ``(seq, length, crc32)``, the
-#: same integrity discipline as the shm ring's frames.  ``seq`` is
-#: per-direction and strictly monotone — a dropped, duplicated, or
-#: reordered frame surfaces as :class:`SocketIntegrityError` instead of
-#: silently desynchronizing the protocol.
-_FRAME_HEADER = struct.Struct("<QII")
+from .tree import BinaryJoinNode, PartialResult, TreeJoinOperator
 
 #: Seconds a connecting parent (and the accepting node) will wait on the
 #: :data:`MSG_JOIN` handshake before treating the peer as unreachable.
@@ -93,10 +88,9 @@ HANDSHAKE_TIMEOUT_S = 10.0
 MSG_JOIN = "join"
 #: Driver → tree-stage: payload is the input port (0 or 1) to close.
 #: The stage runs :meth:`~repro.distributed.tree.BinaryJoinNode.flush_input`
-#: and replies ``("ok", (PartialBlock | None, exhausted))`` — the
-#: emissions the closure unlocked (which the driver must forward
-#: downstream *before* cascading further closes) plus whether both ports
-#: are now closed.
+#: and replies ``("ok", PartialBlock | None)`` — the emissions the
+#: closure unlocked, which the driver forwards downstream *before*
+#: cascading further closes.
 MSG_CLOSE = "close"
 
 #: Worker kinds a :class:`NodeServer` can host.
@@ -114,14 +108,17 @@ class SocketIntegrityError(OSError):
 
 
 class SocketConnection:
-    """``multiprocessing.Connection``-shaped framing over a TCP socket.
+    """``multiprocessing.Connection``-shaped carrier over a TCP socket.
 
-    One pickled message per frame; per-direction sequence numbers and a
-    CRC-32 per frame catch reordering, duplication, and corruption.  The
-    error surface mirrors a pipe ``Connection``: clean peer shutdown
-    raises :class:`EOFError` from ``recv``, everything else is an
-    :class:`OSError` — so :func:`~repro.parallel.shard.shard_worker` and
-    the executors' polling reply paths run over it unmodified.
+    One pickled message per frame of :mod:`repro.parallel.channel`;
+    ``seq`` is per-direction and strictly monotone, so a dropped,
+    duplicated or reordered frame — like a corrupted one — surfaces as
+    :class:`SocketIntegrityError` instead of silently desynchronizing
+    the protocol.  The error surface mirrors a pipe ``Connection``:
+    clean peer shutdown raises :class:`EOFError` from ``recv``,
+    everything else is an :class:`OSError` — so a
+    :class:`~repro.parallel.channel.Channel` (and the polling receive
+    step above it) runs over either.
     """
 
     __slots__ = ("_sock", "_send_seq", "_recv_seq", "_closed")
@@ -145,10 +142,7 @@ class SocketConnection:
         if self._closed:
             raise OSError("socket connection is closed")
         self._send_seq += 1
-        header = _FRAME_HEADER.pack(
-            self._send_seq, len(payload), zlib.crc32(payload)
-        )
-        self._sock.sendall(header + payload)
+        self._sock.sendall(frame_header(self._send_seq, payload) + payload)
 
     # -- receive side --------------------------------------------------
 
@@ -156,27 +150,19 @@ class SocketConnection:
         return pickle.loads(self.recv_bytes())
 
     def recv_bytes(self) -> bytes:
-        header = self._recv_exact(_FRAME_HEADER.size)
-        seq, length, crc = _FRAME_HEADER.unpack(header)
-        expected = self._recv_seq + 1
-        if seq != expected:
-            raise SocketIntegrityError(
-                f"frame sequence violation: got {seq}, expected {expected}"
-            )
-        payload = self._recv_exact(length) if length else b""
-        actual = zlib.crc32(payload)
-        if actual != crc:
-            raise SocketIntegrityError(
-                f"frame {seq} fails CRC: stored {crc:#010x}, "
-                f"computed {actual:#010x}"
-            )
-        self._recv_seq = seq
+        payload = read_frame(
+            self._recv_exact, self._recv_seq + 1, SocketIntegrityError
+        )
+        self._recv_seq += 1
         return payload
 
     def _recv_exact(self, n: int) -> bytes:
+        """Exactly ``n`` bytes off the socket (the frame reader keeps
+        ``n`` bounded, so this buffer never outgrows what arrives)."""
         if self._closed:
             raise OSError("socket connection is closed")
-        view = memoryview(bytearray(n))
+        buffer = bytearray(n)
+        view = memoryview(buffer)
         got = 0
         while got < n:
             read = self._sock.recv_into(view[got:])
@@ -184,7 +170,7 @@ class SocketConnection:
                 # Clean peer shutdown mid-stream == pipe EOF semantics.
                 raise EOFError("socket closed by peer")
             got += read
-        return view.obj if isinstance(view.obj, bytes) else bytes(view.obj)
+        return bytes(buffer)
 
     def poll(self, timeout: float = 0.0) -> bool:
         """Readability check, ``Connection.poll``-compatible.
@@ -313,13 +299,6 @@ def _node_worker(conn: SocketConnection, spec: _WorkerSpec) -> None:
         conn.close()
 
 
-def _encode_partials(partials: Sequence[PartialResult]) -> Optional["PartialBlock"]:
-    """Pack composites for one hop; ``None`` stands for an empty batch."""
-    if not partials:
-        return None
-    return encode_partials(partials)
-
-
 class PartialBlock:
     """A batch of :class:`~repro.distributed.tree.PartialResult`
     composites in columnar form — the tree runtime's wire unit.
@@ -394,18 +373,18 @@ def decode_partials(block: PartialBlock) -> List[PartialResult]:
 
 
 def _tree_node_worker(conn: SocketConnection, spec: _TreeNodeSpec) -> None:
-    """Stage loop hosting one :class:`BinaryJoinNode` behind a socket.
+    """Stage loop hosting one :class:`BinaryJoinNode` behind a channel.
 
-    Protocol (driver → stage): ``(MSG_BATCH, (port, PartialBlock))``
-    feeds decoded composites to the node in block order and replies
-    ``("ok", PartialBlock | None)`` with whatever the feeds emitted;
-    ``(MSG_CLOSE, port)`` closes the port and replies ``("ok",
-    (PartialBlock | None, exhausted))``; ``(MSG_FLUSH, None)`` drains
-    the node's synchronizer, replies ``("ok", PartialBlock | None)``,
-    and ends the stage; ``(MSG_ABORT, None)`` ends it with no reply.
+    Protocol (driver → stage), every request answered by ``("ok",
+    PartialBlock | None)`` carrying whatever it made the node emit:
+    ``(MSG_BATCH, (port, PartialBlock))`` feeds decoded composites to
+    the node in block order; ``(MSG_CLOSE, port)`` closes the port;
+    ``(MSG_FLUSH, None)`` drains the node's synchronizer and ends the
+    stage after the reply; ``(MSG_ABORT, None)`` ends it with no reply.
     Unknown tags raise (surfaced as an ``("error", ...)`` reply) —
     dispatch stays exhaustive like the shard worker's.
     """
+    channel = Channel(conn)
     emitted: List[PartialResult] = []
     node = BinaryJoinNode(
         spec.window_sizes_ms,
@@ -416,34 +395,31 @@ def _tree_node_worker(conn: SocketConnection, spec: _TreeNodeSpec) -> None:
     )
     try:
         while True:
-            tag, payload = conn.recv()
+            tag, payload = channel.recv()
             if tag == MSG_ABORT:
                 return
-            if tag == MSG_FLUSH:
+            last = tag == MSG_FLUSH
+            if last:
                 node.flush()
-                conn.send(("ok", _encode_partials(emitted)))
-                return
-            if tag == MSG_CLOSE:
+            elif tag == MSG_CLOSE:
                 node.flush_input(payload)
-                reply = (_encode_partials(emitted), node.exhausted)
-                emitted.clear()
-                conn.send(("ok", reply))
-                continue
-            if tag != MSG_BATCH:
+            elif tag == MSG_BATCH:
+                port, block = payload
+                for item in decode_partials(block):
+                    node.feed(port, item)
+            else:
                 raise ValueError(f"unknown protocol message tag {tag!r}")
-            port, block = payload
-            for item in decode_partials(block):
-                node.feed(port, item)
-            batch_reply = _encode_partials(emitted)
+            channel.send(("ok", encode_partials(emitted) if emitted else None))
             emitted.clear()
-            conn.send(("ok", batch_reply))
-    except Exception as exc:  # surfaced by the driver as a RuntimeError
+            if last:
+                return
+    except Exception as exc:  # surfaced by the driver as a ShardFailure
         try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            channel.send(("error", f"{type(exc).__name__}: {exc}"))
         except OSError:
             pass
     finally:
-        conn.close()
+        channel.close()
 
 
 class NodeServer:
@@ -605,44 +581,6 @@ def connect_worker(
     )
 
 
-class _RemoteWorker:
-    """Process-handle stand-in for a worker living in a remote node.
-
-    The executors track per-shard ``Process`` objects for exitcode-based
-    death detection and join/terminate lifecycle.  A remote worker has
-    no local handle, so this stub reports "not mine to manage":
-    ``exitcode`` stays ``None`` (death detection rides the connection's
-    EOF/OSError paths instead, which the polling reply loops already
-    handle) and join/terminate are no-ops (closing the connection is
-    what actually releases the worker — it exits on EOF).
-    """
-
-    __slots__ = ("address", "node_pid")
-
-    def __init__(self, address: NodeAddress, node_pid: int) -> None:
-        self.address = address
-        self.node_pid = node_pid
-
-    @property
-    def exitcode(self) -> Optional[int]:
-        return None
-
-    def is_alive(self) -> bool:
-        return False
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        pass
-
-    def terminate(self) -> None:
-        pass
-
-    def kill(self) -> None:
-        pass
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"_RemoteWorker(node={self.address}, node_pid={self.node_pid})"
-
-
 def place_shard_worker(
     nodes: Sequence[NodeAddress],
     preferred: int,
@@ -650,13 +588,15 @@ def place_shard_worker(
     config: PipelineConfig,
     faults: Optional[FaultPlan],
     grant_credits: bool,
-) -> Tuple[SocketConnection, _RemoteWorker, int]:
+) -> Tuple[SocketConnection, int]:
     """Host one shard worker on a node: the executor's remote placement.
 
-    Returns ``(connection, process stand-in, node index)`` — the same
-    triple a local fork yields, so the executor above cannot tell the
-    two apart.  Every node refusing the dial is a (recoverable) shard
-    failure, like a fork that did not start.
+    Returns ``(connection, node index)``.  There is no process handle:
+    the worker is the node's child, its death surfaces as EOF / reset on
+    the connection (which the polling receive step already handles), and
+    closing the connection is what releases it — it exits on EOF.  Every
+    node refusing the dial is a (recoverable) shard failure, like a fork
+    that did not start.
     """
     spec = _WorkerSpec(
         kind=KIND_SHARD,
@@ -666,10 +606,10 @@ def place_shard_worker(
         grant_credits=grant_credits,
     )
     try:
-        conn, node_pid, node_index = connect_worker(nodes, spec, preferred)
+        conn, _node_pid, node_index = connect_worker(nodes, spec, preferred)
     except ConnectionError as exc:
         raise ShardFailure(shard, str(exc)) from exc
-    return conn, _RemoteWorker(nodes[node_index], node_pid), node_index
+    return conn, node_index
 
 
 # ----------------------------------------------------------------------
@@ -677,21 +617,76 @@ def place_shard_worker(
 # ----------------------------------------------------------------------
 
 
-class DistributedTreeJoin:
+class _RemoteStage:
+    """A :class:`BinaryJoinNode` hosted by a tree-stage worker on a node.
+
+    Presents the node's surface — ``feed`` / ``flush_input`` / ``flush``
+    / ``exhausted`` — so :class:`TreeJoinOperator` drives it like a
+    local node: each call is one request, and the emissions in the
+    stage's reply go, in emission order and before the call returns, to
+    the same ``output`` callback a local node would call.  Port closure
+    is mirrored here (``exhausted`` is "both ports closed" on either
+    side), so the idempotent repeats of the operator's close cascade
+    cost no round trip.  A dead or erroring stage surfaces as a typed
+    :class:`~repro.parallel.shard.ShardFailure` carrying the stage
+    index, through the executor's own receive step.
+    """
+
+    def __init__(
+        self,
+        index: int,
+        channel: Channel,
+        output: Callable[[PartialResult], None],
+    ) -> None:
+        self.index = index
+        self.channel = channel
+        self._output = output
+        self._port_closed = [False, False]
+
+    def feed(self, port: int, item: PartialResult) -> None:
+        self._send((MSG_BATCH, (port, encode_partials([item]))))
+
+    @property
+    def exhausted(self) -> bool:
+        return self._port_closed[0] and self._port_closed[1]
+
+    def flush_input(self, port: int) -> None:
+        if not self._port_closed[port]:
+            self._port_closed[port] = True
+            self._send((MSG_CLOSE, port))
+
+    def flush(self) -> None:
+        """Drain the stage's synchronizer; the stage worker then ends."""
+        self._send((MSG_FLUSH, None))
+
+    def _send(self, message: tuple) -> None:
+        """One request; the reply's emissions go to ``output``."""
+        try:
+            self.channel.send(message)
+        except OSError as exc:
+            raise dead_worker(self.channel, None, self.index, str(exc)) from exc
+        tag, payload = receive(self.channel, None, self.index, None)
+        if tag != "ok":
+            raise ShardFailure(self.index, str(payload), recoverable=False)
+        if payload is not None:
+            for item in decode_partials(payload):
+                self._output(item)
+
+
+class DistributedTreeJoin(TreeJoinOperator):
     """A left-deep join tree with every binary node on a NodeServer.
 
-    The distributed twin of
-    :class:`~repro.distributed.tree.TreeJoinOperator`: stage *i* hosts
-    the node covering streams ``{0..i+1}``; base stream 0 feeds stage
-    0's port 0, stream ``s >= 1`` feeds stage ``s-1``'s port 1, and each
-    stage's emissions are forwarded — in emission order, before anything
-    else happens — to the next stage's port 0, with the root stage's
-    emissions materializing as :class:`~repro.core.tuples.JoinResult`
-    (components in stream order, the ``_root_sink`` rule).  Because
-    every stage applies Alg. 2 on exactly the same composite sequence
-    the in-process tree would see, results match it one for one
+    The :class:`~repro.distributed.tree.TreeJoinOperator` over remote
+    stages: stage *i* hosts the node covering streams ``{0..i+1}``
+    behind a :class:`_RemoteStage`, and the operator's own ``process``
+    / ``close_stream`` / ``flush`` route base tuples, forward each
+    stage's emissions to the next stage's port 0 and materialize the
+    root's as :class:`~repro.core.tuples.JoinResult`.  Because every
+    stage applies Alg. 2 on exactly the same composite sequence the
+    in-process tree would see, results match it one for one
     (``test_socket_transport`` pins this differentially, close orders
-    included).
+    included).  What this class adds is lifecycle: ``flush`` is
+    terminal (it ends the stage workers) and ``close`` aborts them.
 
     Emission is gated by the pairwise-window check
     (:func:`~repro.distributed.tree._pairwise_windows_ok`), which holds
@@ -708,109 +703,66 @@ class DistributedTreeJoin:
         nodes: Sequence[NodeAddress],
         collect_results: bool = True,
     ) -> None:
-        if len(window_sizes_ms) < 2:
-            raise ValueError("a join tree needs at least two streams")
-        self.window_sizes_ms = [int(w) for w in window_sizes_ms]
-        self.num_streams = len(window_sizes_ms)
-        self._collect = collect_results
-        self._results: List[JoinResult] = []
-        self._count = 0
-        self._closed = [False] * self.num_streams
+        self._addresses = [(str(host), int(port)) for host, port in nodes]
         self._flushed = False
-        self._stages: List[SocketConnection] = []
-        self._stage_exhausted = [False] * (self.num_streams - 1)
-        addresses = [(str(host), int(port)) for host, port in nodes]
+        super().__init__(window_sizes_ms, condition, collect_results)
+
+    def _make_node(
+        self,
+        left_cover: frozenset,
+        right_cover: frozenset,
+        output: Callable[[PartialResult], None],
+    ) -> _RemoteStage:
+        index = len(self.nodes)
+        spec = _WorkerSpec(
+            kind=KIND_TREE,
+            index=index,
+            config=_TreeNodeSpec(
+                window_sizes_ms=self.window_sizes_ms,
+                condition=self.condition,
+                left_cover=left_cover,
+                right_cover=right_cover,
+            ),
+        )
         try:
-            left_cover = frozenset({0})
-            for index in range(self.num_streams - 1):
-                spec = _WorkerSpec(
-                    kind=KIND_TREE,
-                    index=index,
-                    config=_TreeNodeSpec(
-                        window_sizes_ms=self.window_sizes_ms,
-                        condition=condition,
-                        left_cover=left_cover,
-                        right_cover=frozenset({index + 1}),
-                    ),
-                )
-                conn, _node_pid, _node_index = connect_worker(
-                    addresses, spec, preferred=index % len(addresses)
-                )
-                self._stages.append(conn)
-                left_cover = left_cover | {index + 1}
+            conn, _node_pid, _node_index = connect_worker(
+                self._addresses, spec, preferred=index % len(self._addresses)
+            )
         except BaseException:
-            self.close()
+            self.close()  # the stages already placed
             raise
+        return _RemoteStage(index, Channel(conn), output)
 
     # -- driving -------------------------------------------------------
 
     def process(self, t: StreamTuple) -> Union[List[JoinResult], int]:
-        """Feed one base tuple; return results completed by the root."""
-        if self._flushed:
-            raise RuntimeError("tree already flushed")
-        if not 0 <= t.stream < self.num_streams:
-            raise ValueError(
-                f"tuple stream index {t.stream} outside [0, {self.num_streams})"
-            )
-        if self._closed[t.stream]:
-            raise ValueError(f"stream {t.stream} already closed")
-        before = self._count
-        if t.stream == 0:
-            self._feed(0, 0, [PartialResult.of(t)])
-        else:
-            self._feed(t.stream - 1, 1, [PartialResult.of(t)])
-        return self._drain(before)
+        self._check_live()
+        return super().process(t)
 
     def close_stream(self, stream: int) -> Union[List[JoinResult], int]:
-        """Close one base stream; cascade exhaustion down the tree.
-
-        Mirrors :meth:`TreeJoinOperator.close_stream` exactly: the
-        closed port's unlocked emissions forward downstream *first*,
-        then each exhausted stage closes its successor's port 0, left
-        to right, stopping at the first non-exhausted stage.
-        """
-        if self._flushed:
-            raise RuntimeError("tree already flushed")
-        if not 0 <= stream < self.num_streams:
-            raise ValueError(
-                f"stream index {stream} outside [0, {self.num_streams})"
-            )
-        before = self._count
-        if self._closed[stream]:
-            return self._drain(before)
-        self._closed[stream] = True
-        if stream == 0:
-            self._close_port(0, 0)
-        else:
-            self._close_port(stream - 1, 1)
-        for index in range(len(self._stages) - 1):
-            if self._stage_exhausted[index]:
-                self._close_port(index + 1, 0)
-            else:
-                break
-        return self._drain(before)
+        self._check_live()
+        return super().close_stream(stream)
 
     def flush(self) -> Union[List[JoinResult], int]:
         """Flush every stage left to right; ends the stage workers."""
         if self._flushed:
             return self._drain(self._count)
         self._flushed = True
-        before = self._count
-        for index, conn in enumerate(self._stages):
-            conn.send((MSG_FLUSH, None))
-            block = self._await_ok(index)
-            self._emit(index, decode_partials(block) if block is not None else [])
-        return self._drain(before)
+        return super().flush()
+
+    def _check_live(self) -> None:
+        if self._flushed:
+            raise RuntimeError("tree already flushed")
 
     def close(self) -> None:
         """Abort every stage without draining (abandoned run)."""
-        for conn in self._stages:
+        for stage in self.nodes:
             if not self._flushed:
                 try:
-                    conn.send((MSG_ABORT, None))
+                    stage.channel.send((MSG_ABORT, None))
                 except OSError:
                     pass
-            conn.close()
+            stage.channel.close()
         self._flushed = True
 
     def __enter__(self) -> "DistributedTreeJoin":
@@ -818,60 +770,3 @@ class DistributedTreeJoin:
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
-
-    @property
-    def results_produced(self) -> int:
-        return self._count
-
-    # -- internals -----------------------------------------------------
-
-    def _feed(
-        self, stage: int, port: int, partials: Sequence[PartialResult]
-    ) -> None:
-        conn = self._stages[stage]
-        conn.send((MSG_BATCH, (port, encode_partials(partials))))
-        block = self._await_ok(stage)
-        if block is not None:
-            self._emit(stage, decode_partials(block))
-
-    def _close_port(self, stage: int, port: int) -> None:
-        conn = self._stages[stage]
-        conn.send((MSG_CLOSE, port))
-        block, exhausted = self._await_ok(stage)
-        self._stage_exhausted[stage] = exhausted
-        if block is not None:
-            # Forward what the closure unlocked BEFORE any further
-            # closes reach the downstream stages (close-order fidelity).
-            self._emit(stage, decode_partials(block))
-
-    def _emit(self, stage: int, emissions: List[PartialResult]) -> None:
-        if not emissions:
-            return
-        if stage == len(self._stages) - 1:
-            for item in emissions:
-                self._count += 1
-                if self._collect:
-                    components = tuple(
-                        item.components[s] for s in range(self.num_streams)
-                    )
-                    self._results.append(JoinResult(item.ts, components))
-        else:
-            self._feed(stage + 1, 0, emissions)
-
-    def _await_ok(self, stage: int) -> Any:
-        try:
-            tag, payload = self._stages[stage].recv()
-        except (EOFError, OSError) as exc:
-            raise RuntimeError(
-                f"tree stage {stage} worker died: {exc}"
-            ) from exc
-        if tag != "ok":
-            raise RuntimeError(f"tree stage {stage} failed: {payload}")
-        return payload
-
-    def _drain(self, before: int) -> Union[List[JoinResult], int]:
-        if self._collect:
-            new = self._results
-            self._results = []
-            return new
-        return self._count - before

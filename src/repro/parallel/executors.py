@@ -39,14 +39,12 @@ cold segments over as already-encoded blocks inside the same
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.blocks import (
-    PICKLE_PROTOCOL,
     BlockDecoder,
     BlockEncoder,
     CheckpointIntegrityError,
@@ -59,6 +57,7 @@ from ..core.blocks import (
 from ..core.pipeline import PipelineConfig, PipelineMetrics, QualityDrivenPipeline
 from ..core.tuples import StreamTuple
 from ..faults import FaultPlan
+from .channel import Channel
 from .rebalancer import MigrationSpec
 from .shard import (
     MSG_ABORT,
@@ -70,8 +69,6 @@ from .shard import (
     MSG_MIGRATE_OUT,
     MSG_PING,
     MSG_PONG,
-    MSG_RING,
-    MSG_RING_REPLY,
     TRANSPORT_BLOCKS,
     TRANSPORT_SHM,
     TRANSPORT_SOCKET,
@@ -88,7 +85,7 @@ from .shard import (
     merge_outputs,
     shard_worker,
 )
-from .shm import DEFAULT_RING_BYTES, RingAborted, RingError, ShmRing
+from .shm import DEFAULT_RING_BYTES, ShmRing
 from .supervision import (
     KIND_ADOPT,
     KIND_BATCH,
@@ -310,12 +307,87 @@ def _reap(process: Any, patience_s: float) -> None:
             process.join(timeout=5)
 
 
-def _close_quietly(connection: Any) -> None:
-    if connection is not None:
+def _exitcode(process: Any) -> Optional[int]:
+    """A worker's exit code: ``None`` while it runs — and always for a
+    worker hosted on a node, which has no local handle (its death
+    surfaces through the connection's EOF / reset instead)."""
+    return None if process is None else process.exitcode
+
+
+def dead_worker(
+    channel: Channel, process: Any, shard: int, cause: str
+) -> ShardFailure:
+    """Build the typed failure for a channel that broke under a send.
+
+    A worker whose pipeline raised reports ``("error", text)`` and
+    exits, closing its end; the *next* send then breaks.  Drain
+    whatever the dead worker left buffered so that report — the real
+    diagnosis — wins over the generic broken-pipe symptom.
+    """
+    try:
+        while channel.poll(0):
+            tag, payload = channel.recv()
+            if tag == "error":
+                return ShardFailure(shard, str(payload), recoverable=False)
+    except (EOFError, OSError):
+        pass
+    return ShardFailure(
+        shard, f"worker pipe closed (exit code {_exitcode(process)}): {cause}"
+    )
+
+
+def receive(
+    channel: Channel, process: Any, shard: int, timeout: Optional[float]
+) -> Tuple[Any, Any]:
+    """Receive one worker message with death (and hang) detection.
+
+    The one receive step under every wait — the executor's reply and
+    credit waits and the tree driver's stage replies.  Polls instead of
+    blocking in ``recv()``: a dead worker surfaces as a typed
+    :class:`ShardFailure` via EOF, a torn frame or its exitcode, and —
+    when ``timeout`` is given — a worker that is alive but unresponsive
+    surfaces as a failure too, instead of deadlocking the caller
+    forever.  A message already buffered by a worker that exited
+    afterwards is still delivered (writes complete before exit, so
+    observing a non-``None`` exitcode means everything the worker ever
+    sent is pollable).
+    """
+    waited = 0.0
+    while True:
         try:
-            connection.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
+            ready = channel.poll(POLL_INTERVAL_S)
+        except OSError as exc:
+            # A SIGKILLed peer resets the pipe: poll() itself raises.
+            raise ShardFailure(
+                shard,
+                f"worker pipe broken (exit code {_exitcode(process)}): {exc}",
+            ) from None
+        if ready:
+            try:
+                return channel.recv()
+            except (EOFError, OSError) as exc:
+                raise ShardFailure(
+                    shard,
+                    "worker died without reporting "
+                    f"(exit code {_exitcode(process)}): {exc!r}",
+                ) from None
+        code = _exitcode(process)
+        if code is not None:
+            try:
+                buffered = channel.poll(0)
+            except OSError:
+                buffered = False
+            if not buffered:
+                raise ShardFailure(
+                    shard, f"worker exited with code {code} before replying"
+                )
+        waited += POLL_INTERVAL_S
+        if timeout is not None and waited >= timeout:
+            raise ShardFailure(
+                shard,
+                f"no reply within {timeout:.1f}s "
+                "(worker alive but unresponsive)",
+            )
 
 
 @dataclass
@@ -331,15 +403,13 @@ class _Shard:
     deltas: Outputs
     #: Parent-side buffer of routed-but-undispatched tuples.
     pending: List[StreamTuple] = field(default_factory=list)
-    #: The current incarnation's connection, process handle and schema
-    #: negotiation state; all three are replaced together on a respawn.
-    connection: Any = None
+    #: The current incarnation's channel (connection plus, under the
+    #: shm transport, its ring pair), process handle (``None`` for a
+    #: worker hosted on a node) and schema negotiation state; all three
+    #: are replaced together on a respawn.
+    channel: Optional[Channel] = None
     process: Any = None
     encoder: BlockEncoder = field(default_factory=BlockEncoder)
-    #: Shared-memory ring pair (shm transport only): parent→worker data
-    #: ring and worker→parent reply ring, fresh per incarnation.
-    ring: Optional[ShmRing] = None
-    reply_ring: Optional[ShmRing] = None
     #: Index into the executor's node list (socket transport only):
     #: where the current incarnation lives.
     node: Optional[int] = None
@@ -372,14 +442,10 @@ class _Shard:
             metrics = PipelineMetrics.merge([self.metrics_base, metrics])
         return _add_stats(self.stats_base, stats), metrics
 
-    def release_rings(self) -> None:
-        """Close and unlink the ring pair.  Idempotent; part of every
-        unwind path so no ``/dev/shm`` segment outlives its incarnation."""
-        for ring in (self.ring, self.reply_ring):
-            if ring is not None:
-                ring.close()
-                ring.unlink()
-        self.ring = self.reply_ring = None
+    def close(self) -> None:
+        """Close the incarnation's channel (connection + rings), if any."""
+        if self.channel is not None:
+            self.channel.close()
 
 
 class ProcessExecutor(ShardExecutor):
@@ -389,9 +455,10 @@ class ProcessExecutor(ShardExecutor):
     :class:`~repro.core.blocks.TupleBlock` through a per-shard
     schema-negotiating :class:`~repro.core.blocks.BlockEncoder`, and the
     worker ships collected results back as one
-    :class:`~repro.core.blocks.ResultBlock`.  Messages leave through
-    ``send_bytes`` with pickle protocol ``5`` — serialization happens
-    exactly once, in :meth:`_send` / :meth:`_send_message`.
+    :class:`~repro.core.blocks.ResultBlock`.  Every message leaves and
+    arrives through the shard's :class:`~repro.parallel.channel.Channel`
+    (:meth:`_send` / :func:`receive`), which serializes it exactly once
+    and decides whether it rides the pipe, the socket or the shm ring.
 
     Where a worker lives follows from what the executor is given:
     without ``nodes`` it is forked here and reached over a pipe (plus a
@@ -400,8 +467,8 @@ class ProcessExecutor(ShardExecutor):
     :class:`~repro.distributed.runtime.NodeServer` addresses by a
     ``MSG_JOIN`` handshake.  Everything above :meth:`_spawn_worker` —
     batching, credits, migration barriers, supervision cadence, elastic
-    resize — is the same code, because every connection speaks the pipe
-    surface and the protocol does not change.
+    resize — is the same code, because the channel hides the carrier
+    and the protocol does not change.
 
     Supervision is **armed** by passing ``supervision`` or
     ``fault_plan`` (see :mod:`repro.parallel.supervision` for the
@@ -418,10 +485,10 @@ class ProcessExecutor(ShardExecutor):
     the :class:`~repro.core.pipeline.PipelineConfig` must pickle.  Worker
     failures surface as a typed
     :class:`~repro.parallel.shard.ShardFailure` (a ``RuntimeError``
-    subclass) carrying the shard id: a broken pipe raises from
+    subclass) carrying the shard id: a broken carrier raises from
     :meth:`_send` at the next dispatch, and the reply paths poll with
-    ``Process.exitcode`` checks instead of blocking in ``recv()``, so a
-    crashed worker can never deadlock the parent.
+    ``Process.exitcode`` checks (:func:`receive`) instead of blocking in
+    ``recv()``, so a crashed worker can never deadlock the parent.
     """
 
     def __init__(
@@ -530,14 +597,16 @@ class ProcessExecutor(ShardExecutor):
 
     def _fork_worker(self, shard: int, state: _Shard) -> None:
         """Worker placement, local: fork + pipe (+ shm rings)."""
-        rings: Optional[RingDescriptors] = None
-        if self.transport == TRANSPORT_SHM:
-            state.release_rings()  # the retired incarnation's segments
-            state.ring = ShmRing.create(self._ring_bytes)
-            state.reply_ring = ShmRing.create(self._ring_bytes)
-            rings = (state.ring.descriptor, state.reply_ring.descriptor)
-        state.connection, child_conn = self._context.Pipe(duplex=True)
+        connection, child_conn = self._context.Pipe(duplex=True)
+        state.channel = channel = Channel(connection)
         try:
+            rings: Optional[RingDescriptors] = None
+            if self.transport == TRANSPORT_SHM:
+                # Hung on the channel one by one: whatever exists when
+                # a later step fails is unlinked by the unwind.
+                channel.send_ring = ShmRing.create(self._ring_bytes)
+                channel.recv_ring = ShmRing.create(self._ring_bytes)
+                rings = (channel.send_ring.descriptor, channel.recv_ring.descriptor)
             process = self._context.Process(
                 target=shard_worker,
                 args=(
@@ -554,6 +623,8 @@ class ProcessExecutor(ShardExecutor):
         finally:
             child_conn.close()
         state.process = process
+        # Lets a ring write that waits for space notice a dead consumer.
+        channel.peer_dead = lambda: process.exitcode is not None
 
     def _place_worker(self, shard: int, state: _Shard) -> None:
         """Worker placement, remote: dial a node + ``MSG_JOIN``.
@@ -579,7 +650,8 @@ class ProcessExecutor(ShardExecutor):
                 if other.node is not None:
                     loads[other.node] += 1
             state.node = loads.index(min(loads))
-        state.connection, state.process, state.node = place_shard_worker(
+        state.process = None  # lives on the node; the channel is the handle
+        connection, state.node = place_shard_worker(
             nodes,
             state.node,
             shard,
@@ -587,6 +659,7 @@ class ProcessExecutor(ShardExecutor):
             self._fault_plan_for(shard),
             self._credit_window is not None,
         )
+        state.channel = Channel(connection)
 
     def add_node(self, address: Tuple[str, int]) -> int:
         """Register a freshly-started NodeServer; return its index.
@@ -639,14 +712,14 @@ class ProcessExecutor(ShardExecutor):
         self._send(shard, (MSG_FLUSH, None))
         self._retired[shard] = self._await_outcome(shard)
         state = self._shards[shard]
-        state.connection.close()
+        state.close()
         _reap(state.process, 30)
-        state.release_rings()
 
     def _terminate_worker(self, shard: int) -> None:
-        """Retire an incarnation: close its pipe, make sure it is dead."""
+        """Retire an incarnation: close its channel (unlinking its
+        rings), make sure it is dead."""
         state = self._shards[shard]
-        _close_quietly(state.connection)
+        state.close()
         _reap(state.process, 0)
 
     def _recover(self, shard: int, failure: ShardFailure) -> None:
@@ -694,8 +767,8 @@ class ProcessExecutor(ShardExecutor):
         state = self._shards[shard]
         ckpt = state.checkpoint
         if ckpt is not None:
-            self._send_message(
-                shard, (MSG_MIGRATE_IN, unframe_checkpoint(ckpt.frame))
+            self._send(
+                shard, (MSG_MIGRATE_IN, unframe_checkpoint(ckpt.frame)), bulky=True
             )
             state.stats_base = dict(ckpt.stats)
             state.metrics_base = ckpt.metrics
@@ -707,7 +780,7 @@ class ProcessExecutor(ShardExecutor):
                 self._send_batch(shard, payload)
                 self.replayed_batches += 1
             else:
-                self._send_message(shard, (MSG_MIGRATE_IN, payload))
+                self._send(shard, (MSG_MIGRATE_IN, payload), bulky=True)
         self._ping(shard, ("restore", state.epoch, state.seq), desync_recoverable=False)
 
     def _exhausted(self, shard: int, failure: ShardFailure) -> ShardFailure:
@@ -835,7 +908,7 @@ class ProcessExecutor(ShardExecutor):
         state = self._shards[shard]
         if self._credit_window is not None:
             self._await_credit(shard)
-        self._send_message(shard, (MSG_BATCH, state.encoder.encode(window)))
+        self._send(shard, (MSG_BATCH, state.encoder.encode(window)), bulky=True)
         state.dispatched += 1
 
     def _cadence(self, shard: int) -> None:
@@ -976,7 +1049,7 @@ class ProcessExecutor(ShardExecutor):
         try:
             # Migrated state can be arbitrarily large — ride the ring
             # when one is armed, like any bulky message.
-            self._send_message(shard, (MSG_MIGRATE_IN, state))
+            self._send(shard, (MSG_MIGRATE_IN, state), bulky=True)
             if self.supervised:
                 self._checkpoint(shard)
         except ShardFailure as failure:
@@ -987,155 +1060,34 @@ class ProcessExecutor(ShardExecutor):
     # wire primitives
     # ------------------------------------------------------------------
 
-    def _send(self, shard: int, message: tuple) -> None:
-        # Serialize exactly once (protocol 5) and ship raw bytes.
-        self._send_frame(shard, pickle.dumps(message, protocol=PICKLE_PROTOCOL))
+    def _send(self, shard: int, message: tuple, bulky: bool = False) -> None:
+        """Ship one message on ``shard``'s channel.
 
-    def _send_frame(self, shard: int, frame: bytes) -> None:
-        # A broken pipe means the worker is gone: surface it as a typed
-        # failure right here — preferring the worker's own buffered
-        # ("error", ...) report when one exists — instead of letting a
-        # later blocking recv() deadlock on a reply that can never come.
+        ``bulky`` marks the messages that ride the shm ring when one is
+        armed (batches, adopted and restored state).  A broken carrier
+        means the worker is gone: surface it as a typed failure right
+        here — preferring the worker's own buffered ``("error", ...)``
+        report when one exists — instead of letting a later reply wait
+        run into a reply that can never come.
+        """
+        state = self._shards[shard]
         try:
-            self._shards[shard].connection.send_bytes(frame)
+            state.channel.send(message, bulky)
         except OSError as exc:
-            raise self._dead_worker(shard, str(exc)) from exc
-
-    def _send_message(self, shard: int, message: tuple) -> None:
-        """Ship one bulky parent → worker message by the armed transport.
-
-        Under the shm transport the pickled message is written once into
-        the shard's inbound ring and only a ``(MSG_RING, seq)`` doorbell
-        crosses the pipe; frames the ring can never hold fall back to
-        the pipe whole.  Other transports go straight through
-        :meth:`_send`.  The doorbell travels the same pipe as every
-        other message, so FIFO ordering — and with it the supervised
-        epoch/seq accounting — is untouched by which carrier the bytes
-        took.
-        """
-        state = self._shards[shard]
-        ring = state.ring
-        if ring is None:
-            self._send(shard, message)
-            return
-        frame = pickle.dumps(message, protocol=PICKLE_PROTOCOL)
-        if not ring.fits(len(frame)):
-            self._send_frame(shard, frame)
-            return
-        process = state.process
-
-        def worker_dead() -> bool:
-            return process is not None and process.exitcode is not None
-
-        try:
-            seq = ring.write_frame(frame, should_abort=worker_dead)
-        except RingAborted as exc:
-            raise self._dead_worker(shard, str(exc)) from exc
-        self._send(shard, (MSG_RING, seq))
-
-    def _dead_worker(self, shard: int, cause: str) -> ShardFailure:
-        """Build the typed failure for a pipe that broke under a send.
-
-        A worker whose pipeline raised reports ``("error", text)`` and
-        exits, closing its pipe end; the *next* send then breaks.  Drain
-        whatever the dead worker left buffered so that report — the real
-        diagnosis — wins over the generic broken-pipe symptom.
-        """
-        state = self._shards[shard]
-        conn = state.connection
-        try:
-            while conn.poll(0):
-                tag, payload = conn.recv()
-                if tag == "error":
-                    return ShardFailure(shard, str(payload), recoverable=False)
-        except (EOFError, OSError):
-            pass
-        # During constructor unwind the connection may exist without its
-        # process (spawn failed between the two assignments).
-        exitcode = None if state.process is None else state.process.exitcode
-        return ShardFailure(
-            shard, f"worker pipe closed (exit code {exitcode}): {cause}"
-        )
-
-    def _receive(self, shard: int, timeout: Optional[float]) -> Tuple[Any, Any]:
-        """Receive one worker message with death (and hang) detection.
-
-        The one receive step under every wait.  Polls instead of
-        blocking in ``recv()``: a dead worker surfaces as a typed
-        :class:`ShardFailure` via pipe EOF or its exitcode, and — when
-        ``timeout`` is given — a worker that is alive but unresponsive
-        surfaces as a failure too, instead of deadlocking the parent
-        forever.  A message already buffered by a worker that exited
-        afterwards is still delivered (writes complete before exit, so
-        observing a non-``None`` exitcode means everything the worker
-        ever sent is pollable).
-        """
-        state = self._shards[shard]
-        conn, process = state.connection, state.process
-        waited = 0.0
-        while True:
-            try:
-                ready = conn.poll(POLL_INTERVAL_S)
-            except OSError as exc:
-                # A SIGKILLed peer resets the pipe: poll() itself raises.
-                raise ShardFailure(
-                    shard,
-                    f"worker pipe broken (exit code {process.exitcode}): "
-                    f"{exc}",
-                ) from None
-            if ready:
-                try:
-                    return conn.recv()
-                except (EOFError, OSError):
-                    raise ShardFailure(
-                        shard,
-                        "worker died without reporting "
-                        f"(exit code {process.exitcode})",
-                    ) from None
-            if process.exitcode is not None:
-                try:
-                    buffered = conn.poll(0)
-                except OSError:
-                    buffered = False
-                if not buffered:
-                    raise ShardFailure(
-                        shard,
-                        f"worker exited with code {process.exitcode} "
-                        "before replying",
-                    )
-            waited += POLL_INTERVAL_S
-            if timeout is not None and waited >= timeout:
-                raise ShardFailure(
-                    shard,
-                    f"no reply within {timeout:.1f}s "
-                    "(worker alive but unresponsive)",
-                )
+            raise dead_worker(
+                state.channel, state.process, shard, str(exc)
+            ) from exc
 
     def _await_reply(
         self, shard: int, timeout: Optional[float] = None
     ) -> Tuple[Any, Any]:
-        """The next worker reply, past any interleaved credit grants and
-        with a ring doorbell resolved into the framed reply."""
+        """The next worker reply, past any interleaved credit grants."""
         state = self._shards[shard]
         while True:
-            tag, payload = self._receive(shard, timeout)
-            if tag == MSG_CREDIT:
-                state.credited = max(state.credited, payload)
-            elif tag == MSG_RING_REPLY:
-                assert state.reply_ring is not None
-                try:
-                    # The worker writes the frame before ringing the
-                    # doorbell, so the read never truly waits; the
-                    # timeout is a torn-state backstop, not a liveness
-                    # mechanism.
-                    frame = state.reply_ring.read_frame(payload, timeout_s=60.0)
-                except RingError as exc:
-                    raise ShardFailure(
-                        shard, f"reply ring failed: {exc}"
-                    ) from exc
-                return pickle.loads(frame)
-            else:
+            tag, payload = receive(state.channel, state.process, shard, timeout)
+            if tag != MSG_CREDIT:
                 return tag, payload
+            state.credited = max(state.credited, payload)
 
     def _await_credit(self, shard: int) -> None:
         """Stall until the shard's in-flight batch count drops below the
@@ -1152,7 +1104,7 @@ class ProcessExecutor(ShardExecutor):
         window = self._credit_window
         assert window is not None
         while state.dispatched - state.credited >= window:
-            tag, payload = self._receive(shard, None)
+            tag, payload = receive(state.channel, state.process, shard, None)
             if tag == "error":
                 raise ShardFailure(shard, str(payload), recoverable=False)
             if tag != MSG_CREDIT:
@@ -1251,12 +1203,11 @@ class ProcessExecutor(ShardExecutor):
         return ShardOutcome(shard, state.deltas, metrics, stats)
 
     def _release(self, patience_s: float) -> None:
-        """Close every connection, reap every worker, unlink every ring."""
+        """Close every channel (unlinking its rings), reap every worker."""
         for state in self._shards:
-            _close_quietly(state.connection)
+            state.close()
         for state in self._shards:
             _reap(state.process, patience_s)  # instant for one already reaped
-            state.release_rings()
 
     def close(self) -> None:
         """Terminate workers without collecting outcomes (abandoned run).
@@ -1281,7 +1232,7 @@ class ProcessExecutor(ShardExecutor):
 
     def _abandon(self) -> None:
         for shard, state in enumerate(self._shards):
-            if shard in self._retired or state.connection is None:
+            if shard in self._retired or state.channel is None:
                 continue  # worker already flushed and joined / never started
             try:
                 self._send(shard, (MSG_ABORT, None))

@@ -17,14 +17,12 @@ and are re-exported here for the rest of the parallel layer.
 
 from __future__ import annotations
 
-import pickle
 from copy import deepcopy
 from dataclasses import dataclass, field
 from multiprocessing.connection import Connection
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..core.blocks import (
-    PICKLE_PROTOCOL,
     BlockDecoder,
     BlockEncoder,
     CheckpointFrame,
@@ -46,13 +44,14 @@ from ..core.pipeline import (
 )
 from ..core.tuples import StreamTuple
 from ..faults import FaultInjector, FaultPlan
+from .channel import Channel
 from .rebalancer import MigrationSpec
 from .router import stable_hash
 from .shm import RingDescriptor, ShmRing
 
-#: Both rings of one shard, as picklable ``(name, capacity)`` handles in
-#: doorbell order: parent→worker (batches etc.) then worker→parent
-#: (bulky replies).
+#: Both rings of one shard, as picklable ``(name, capacity)`` handles:
+#: parent→worker (batches, adopted state) then worker→parent (bulky
+#: replies).
 RingDescriptors = Tuple[RingDescriptor, RingDescriptor]
 
 #: Safety net on a worker's reply-ring writes.  The parent reads every
@@ -196,21 +195,6 @@ MSG_CHECKPOINT = "checkpoint"
 #: a pipelined feeder can never overrun a slow shard by more than the
 #: window (backpressure, not unbounded queueing).
 MSG_CREDIT = "credit"
-#: Parent → worker doorbell of the shm transport: payload is the
-#: sequence number of a frame already written to the shard's inbound
-#: :class:`~repro.parallel.shm.ShmRing`.  The frame holds the pickled
-#: ``(tag, payload)`` message itself, so the ring carries *any* bulky
-#: protocol message (batches, adopted state) while the pipe keeps its
-#: FIFO role — a doorbell acknowledges nothing by itself, but pipe
-#: ordering still serializes it against pings and replies exactly as if
-#: the full message had traveled inline.
-MSG_RING = "ring"
-#: Worker → parent doorbell, same contract in the reply direction: the
-#: frame in the shard's outbound ring holds the pickled reply (state
-#: lists, checkpoint records, the final outcome).  Small replies —
-#: pongs, errors, credits — stay inline on the pipe.
-MSG_RING_REPLY = "ring_reply"
-
 # Carriers of the process executor's tuple transfer.  The wire format is
 # the same under all three: columnar :class:`~repro.core.blocks.TupleBlock`
 # messages with a schema-negotiating encoder/decoder pair per shard
@@ -219,18 +203,20 @@ MSG_RING_REPLY = "ring_reply"
 #: Blocks over the worker's pipe.  The default: one flat object per
 #: pipe message.
 TRANSPORT_BLOCKS = "blocks"
-#: Blocks carried over per-shard shared-memory rings instead of
-#: the pipe: frames are written once into a :class:`ShmRing` and read in
-#: place by the peer, with tiny sequence-numbered doorbells on the pipe
-#: preserving ordering (and the supervisor's epoch/seq accounting).
-#: Messages too large for the ring fall back to the pipe transparently.
+#: Bulky messages (batches, adopted state; state lists, checkpoint
+#: records, the outcome) carried over per-shard shared-memory rings
+#: instead of the pipe: written once into a :class:`ShmRing` and read in
+#: place by the peer, with the channel's sequence-numbered doorbells on
+#: the pipe preserving ordering (and the supervisor's epoch/seq
+#: accounting).  Messages too large for the ring fall back to the pipe
+#: transparently; pongs, errors and credits always stay inline.
 TRANSPORT_SHM = "shm"
 #: Blocks over a TCP socket: the same pickled ``(tag, payload)``
 #: protocol messages, carried in length-prefixed CRC-tagged frames by
 #: :class:`~repro.distributed.runtime.SocketConnection` so a shard worker
 #: can live in a :class:`~repro.distributed.runtime.NodeServer` process
-#: on another machine.  ``shard_worker`` runs unchanged — the connection
-#: object satisfies the ``Connection`` send/recv surface.
+#: on another machine.  ``shard_worker`` runs unchanged — its
+#: :class:`~repro.parallel.channel.Channel` takes either connection.
 TRANSPORT_SOCKET = "socket"
 
 TRANSPORTS = (TRANSPORT_BLOCKS, TRANSPORT_SHM, TRANSPORT_SOCKET)
@@ -389,34 +375,6 @@ def checkpoint_shard_state(
     return frame, outputs
 
 
-def _reply(
-    conn: Connection,
-    ring: Optional[ShmRing],
-    message: Tuple[str, object],
-    injector: Optional[FaultInjector] = None,
-) -> None:
-    """Ship one bulky worker → parent reply.
-
-    With a reply ring armed, the pickled message rides the ring and only
-    a ``(MSG_RING_REPLY, seq)`` doorbell crosses the pipe; without one —
-    or when the frame can never fit — the message travels the pipe
-    whole.  The injector hook sits *between* pickling and the ring
-    write: the ``crash-mid-ring-write`` fault tears the frame there and
-    kills the process, proving a half-written frame is unobservable.
-    """
-    if ring is None:
-        conn.send(message)
-        return
-    frame = pickle.dumps(message, protocol=PICKLE_PROTOCOL)
-    if not ring.fits(len(frame)):
-        conn.send_bytes(frame)
-        return
-    if injector is not None:
-        injector.on_ring_write(ring, frame)
-    seq = ring.write_frame(frame, timeout_s=RING_REPLY_TIMEOUT_S)
-    conn.send((MSG_RING_REPLY, seq))
-
-
 def shard_worker(
     conn: Connection,
     shard: int,
@@ -462,27 +420,28 @@ def shard_worker(
     migration, and checkpoint paths — the armed executor's chaos
     harness.
 
-    Under ``transport="shm"`` the executor also hands over ``rings`` —
+    The loop talks through one :class:`~repro.parallel.channel.Channel`
+    over ``conn`` and never learns which carrier a message took.  Under
+    ``transport="shm"`` the executor also hands over ``rings`` —
     descriptors of the shard's inbound and outbound
-    :class:`~repro.parallel.shm.ShmRing` pair.  Bulky messages then ride
-    the rings: the parent writes a frame and sends ``(MSG_RING, seq)``,
-    which this loop resolves back into the framed ``(tag, payload)``
-    before dispatching; bulky replies go out through :func:`_reply` the
-    same way.  With ``grant_credits`` the worker confirms every
-    *processed* batch with ``(MSG_CREDIT, cumulative count)`` — the
-    pipelined feeder's backpressure signal.
+    :class:`~repro.parallel.shm.ShmRing` pair — which the channel
+    attaches; the three bulky replies (state lists, checkpoint records,
+    the outcome) are then sent ``bulky`` and ride the outbound ring,
+    with the fault injector's ``crash-mid-ring-write`` hook sitting
+    between pickling and the ring write.  With ``grant_credits`` the
+    worker confirms every *processed* batch with ``(MSG_CREDIT,
+    cumulative count)`` — the pipelined feeder's backpressure signal.
 
     Dispatch is exhaustive over the ``MSG_*`` tags (the
     ``protocol-exhaustiveness`` lint rule pins this): any other tag
     raises, surfacing as an ``("error", ...)`` reply, instead of being
     silently treated as a tuple batch.
     """
-    recv_ring: Optional[ShmRing] = None
-    reply_ring: Optional[ShmRing] = None
+    channel = Channel(conn, ring_timeout_s=RING_REPLY_TIMEOUT_S)
     try:
         if rings is not None:
-            recv_ring = ShmRing.attach(*rings[0])
-            reply_ring = ShmRing.attach(*rings[1])
+            channel.recv_ring = ShmRing.attach(*rings[0])
+            channel.send_ring = ShmRing.attach(*rings[1])
         pipeline = QualityDrivenPipeline(config)
         collect = config.collect_results
         decoder = BlockDecoder()
@@ -490,16 +449,13 @@ def shard_worker(
         injector: Optional[FaultInjector] = FaultInjector(armed) if armed else None
         if injector is not None:
             # The socket-drop fault tears down the transport from inside
-            # the worker; hand the injector the live connection so it can.
-            injector.connection = conn
+            # the worker; hand the injector the live channel so it can.
+            injector.connection = channel
+            channel.on_ring_write = injector.on_ring_write
         outputs: Outputs = empty_outputs(collect)
         consumed = 0
         while True:
-            tag, payload = conn.recv()
-            if tag == MSG_RING:
-                if recv_ring is None:
-                    raise ValueError("ring doorbell without an attached ring")
-                tag, payload = pickle.loads(recv_ring.read_frame(payload))
+            tag, payload = channel.recv()
             if tag == MSG_ABORT:
                 return
             if tag == MSG_FLUSH:
@@ -511,14 +467,14 @@ def shard_worker(
                 outputs = merge_outputs(collect, outputs, drained)
                 if injector is not None:
                     injector.on_migrate()
-                _reply(conn, reply_ring, ("state", states), injector)
+                channel.send(("state", states), bulky=True)
                 continue
             if tag == MSG_MIGRATE_IN:
                 adopted = adopt_shard_state(pipeline, payload, decode=True)
                 outputs = merge_outputs(collect, outputs, adopted)
                 continue
             if tag == MSG_PING:
-                conn.send((MSG_PONG, payload))
+                channel.send((MSG_PONG, payload))
                 continue
             if tag == MSG_CHECKPOINT:
                 frame, barrier = checkpoint_shard_state(pipeline, shard, payload)
@@ -537,7 +493,7 @@ def shard_worker(
                     pipeline.join.stats.as_dict(),
                     deepcopy(pipeline.metrics),
                 )
-                _reply(conn, reply_ring, (MSG_CHECKPOINT, record), injector)
+                channel.send((MSG_CHECKPOINT, record), bulky=True)
                 # The delta shipped exactly once; restart the
                 # accumulator so the next checkpoint (or the outcome)
                 # carries only newer results.
@@ -559,29 +515,18 @@ def shard_worker(
                 injector.after_batch()
             consumed += 1
             if grant_credits:
-                conn.send((MSG_CREDIT, consumed))
+                channel.send((MSG_CREDIT, consumed))
         outputs = merge_outputs(collect, outputs, pipeline.flush())
         if collect:
             outputs = BlockEncoder().encode_results(outputs)
-        _reply(
-            conn,
-            reply_ring,
-            (
-                "ok",
-                ShardOutcome(
-                    shard, outputs, pipeline.metrics, pipeline.join.stats.as_dict()
-                ),
-            ),
-            injector,
+        outcome = ShardOutcome(
+            shard, outputs, pipeline.metrics, pipeline.join.stats.as_dict()
         )
+        channel.send(("ok", outcome), bulky=True)
     except Exception as exc:  # surfaced by the parent as a RuntimeError
         try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
+            channel.send(("error", f"{type(exc).__name__}: {exc}"))
         except OSError:  # parent already gone; nothing left to report to
             pass
     finally:
-        if recv_ring is not None:
-            recv_ring.close()
-        if reply_ring is not None:
-            reply_ring.close()
-        conn.close()
+        channel.close()

@@ -4,11 +4,11 @@ The pipe transport pays for every hot-path byte twice: once to pickle it
 into the pipe and once for the kernel to copy it out again.  A
 :class:`ShmRing` removes the second copy — the producer writes a frame
 into a ``multiprocessing.shared_memory`` segment exactly once and the
-consumer reads it in place.  The ``transport="shm"`` executor keeps the
-*control* plane on the pipe (tiny ``(MSG_RING, seq)`` doorbells, replies,
-credits), which preserves the pipe's FIFO ordering guarantees — and with
-them the supervised executor's epoch/seq accounting — while the *data*
-plane rides the ring.
+consumer reads it in place.  Under ``transport="shm"`` a
+:class:`~repro.parallel.channel.Channel` keeps the *control* plane on
+the pipe (its doorbells, small replies, credits), which preserves the
+pipe's FIFO ordering guarantees — and with them the supervised
+executor's epoch/seq accounting — while the *data* plane rides the ring.
 
 Layout and invariants
 ---------------------
@@ -19,13 +19,16 @@ One segment per ring per direction::
 Both cursors are **monotone logical byte offsets** (they never wrap; the
 physical offset is ``pos % capacity``), each written by exactly one side:
 ``write_pos`` by the producer, ``read_pos`` by the consumer.  A frame is
-``<QII`` (seq, payload length, CRC-32) followed by the payload, split
-across the physical wrap when needed.  The producer publishes
+the shared ``<QII`` frame of :mod:`repro.parallel.channel` (seq, payload
+length, CRC-32, then the payload), split across the physical wrap when
+needed.  The producer publishes
 ``write_pos`` only **after** the complete frame is in place, so a torn
 write — a producer dying mid-frame — is never observable as data, only
 as an unadvanced cursor (the crash-mid-ring-write fault tests pin this).
-The consumer checks the frame's sequence number against the doorbell and
-its CRC against the payload before advancing ``read_pos``.
+The consumer has :func:`~repro.parallel.channel.read_frame` check the
+frame's sequence number against the doorbell and its CRC against the
+payload — and refuses a length beyond what was published — before
+advancing ``read_pos``.
 
 Lifecycle: the parent side ``create()``\\ s and later ``unlink()``\\ s
 every segment (on *every* unwind path — constructor failure, dead
@@ -43,9 +46,10 @@ import itertools
 import os
 import struct
 import time
-import zlib
 from multiprocessing import shared_memory
 from typing import Callable, Optional, Tuple
+
+from .channel import FRAME, frame_header, read_frame
 
 __all__ = [
     "DEFAULT_RING_BYTES",
@@ -70,9 +74,6 @@ MIN_RING_BYTES = 64
 _CURSORS = struct.Struct("<QQ")
 _HEADER_BYTES = _CURSORS.size
 
-#: Per-frame header: sequence number, payload length, CRC-32 of payload.
-_FRAME = struct.Struct("<QII")
-
 #: Spin granularity of the blocking waits.  Short enough that a granted
 #: credit or freed slot is noticed promptly, long enough not to burn a
 #: core while a peer is busy.
@@ -89,8 +90,13 @@ _NAME_COUNTER = itertools.count()
 RingDescriptor = Tuple[str, int]
 
 
-class RingError(RuntimeError):
-    """Base class of ring transport failures."""
+class RingError(OSError):
+    """Base class of ring transport failures.
+
+    An :class:`OSError`, like a broken pipe or a torn socket frame: the
+    code above a :class:`~repro.parallel.channel.Channel` handles a
+    failed carrier the same way whichever carrier it was.
+    """
 
 
 class RingTimeout(RingError):
@@ -205,7 +211,7 @@ class ShmRing:
 
     def fits(self, payload_len: int) -> bool:
         """Whether a payload of this size can *ever* ride this ring."""
-        return _FRAME.size + payload_len <= self._capacity
+        return FRAME.size + payload_len <= self._capacity
 
     def write_frame(
         self,
@@ -221,7 +227,7 @@ class ShmRing:
         passes a worker-death probe so a dead consumer surfaces as
         :class:`RingAborted` instead of an indefinite stall.
         """
-        total = _FRAME.size + len(payload)
+        total = FRAME.size + len(payload)
         if total > self._capacity:
             raise ValueError(
                 f"frame of {total} bytes exceeds ring capacity {self._capacity}"
@@ -230,9 +236,8 @@ class ShmRing:
         while self._capacity - (self._write_pos - self._peer_read_pos()) < total:
             self._wait(should_abort, deadline, "free ring space")
         seq = self._next_seq
-        header = _FRAME.pack(seq, len(payload), zlib.crc32(payload))
-        self._copy_in(self._write_pos, header)
-        self._copy_in(self._write_pos + _FRAME.size, payload)
+        self._copy_in(self._write_pos, frame_header(seq, payload))
+        self._copy_in(self._write_pos + FRAME.size, payload)
         # Publish *after* the full frame is in place: a crash anywhere
         # above leaves the cursor unmoved and the torn bytes invisible.
         self._write_pos += total
@@ -251,22 +256,23 @@ class ShmRing:
         deadline = None if timeout_s is None else time.perf_counter() + timeout_s
         while self._peer_write_pos() <= self._read_pos:
             self._wait(should_abort, deadline, f"frame {expected_seq}")
-        seq, length, crc = _FRAME.unpack(self._copy_out(self._read_pos, _FRAME.size))
-        available = self._peer_write_pos() - self._read_pos
-        if seq != expected_seq:
-            raise RingIntegrityError(
-                f"ring frame sequence {seq} != expected {expected_seq}"
-            )
-        if _FRAME.size + length > available:
-            raise RingIntegrityError(
-                f"ring frame claims {length} payload bytes, only "
-                f"{available - _FRAME.size} published"
-            )
-        payload = self._copy_out(self._read_pos + _FRAME.size, length)
-        if zlib.crc32(payload) != crc:
-            raise RingIntegrityError(f"ring frame {seq} failed its CRC check")
-        self._read_pos += _FRAME.size + length
-        struct.pack_into("<Q", self._shm.buf, 8, self._read_pos)
+        published = self._peer_write_pos()
+        pos = self._read_pos
+
+        def take(n: int) -> bytes:
+            nonlocal pos
+            if pos + n > published:
+                raise RingIntegrityError(
+                    f"ring frame claims {n} more bytes, only "
+                    f"{published - pos} published"
+                )
+            pos += n
+            return self._copy_out(pos - n, n)
+
+        payload = read_frame(take, expected_seq, RingIntegrityError)
+        # Consumed only once both checks passed.
+        self._read_pos = pos
+        struct.pack_into("<Q", self._shm.buf, 8, pos)
         return payload
 
     def torn_write(self, payload: bytes) -> None:
@@ -277,9 +283,8 @@ class ShmRing:
         between :meth:`write_frame`'s copies leaves behind.  A correct
         consumer must never observe it as data.
         """
-        header = _FRAME.pack(self._next_seq, len(payload), zlib.crc32(payload))
-        self._copy_in(self._write_pos, header)
-        self._copy_in(self._write_pos + _FRAME.size, payload[: len(payload) // 2])
+        self._copy_in(self._write_pos, frame_header(self._next_seq, payload))
+        self._copy_in(self._write_pos + FRAME.size, payload[: len(payload) // 2])
 
     # ------------------------------------------------------------------
     # internals

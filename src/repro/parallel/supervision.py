@@ -9,7 +9,7 @@ checkpoint record and the failover repartitioning; the protocol it
 describes is implemented by the executor:
 
 * **Liveness** — every dispatch path runs through the polling
-  ``_await_reply`` (pipe EOF + ``Process.exitcode`` + timeout) and a
+  ``receive`` step (channel EOF + ``Process.exitcode`` + timeout) and a
   configurable heartbeat cadence sends ``MSG_PING`` probes whose
   ``MSG_PONG`` echo, by pipe ordering, acknowledges every batch
   dispatched before it.  Crashes and hangs surface as a typed

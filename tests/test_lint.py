@@ -435,9 +435,9 @@ MSG_JOIN = "join"
 MSG_CLOSE = "close"
 
 
-def dial(conn, spec, port):
+def dial(conn, channel, spec, port):
     conn.send((MSG_JOIN, spec))
-    conn.send_frame((MSG_CLOSE, port))
+    channel.send((MSG_CLOSE, port))
 
 
 def node(conn):
@@ -459,15 +459,16 @@ def test_protocol_socket_handshake_tags_are_covered():
     assert findings == []
 
 
-def test_protocol_counts_send_frame_as_a_sender():
-    # send_frame is the SocketConnection framing layer; a tag whose only
-    # sender goes through it must register as sent, not dead protocol.
+def test_protocol_counts_bulky_channel_send_as_a_sender():
+    # Channel.send is the one way onto any carrier; a tag whose only
+    # sender marks its message bulky (so it rides the ring) must still
+    # register as sent, not dead protocol.
     source = '''
 MSG_CLOSE = "close"
 
 
-def dial(conn, port):
-    conn.send_frame((MSG_CLOSE, port))
+def dial(channel, port):
+    channel.send((MSG_CLOSE, port), bulky=True)
 
 
 def node(tag):
@@ -583,49 +584,38 @@ def test_protocol_flags_raw_ping_literal_in_dispatcher():
     assert any("raw tag literal 'ping'" in f.message for f in findings)
 
 
-# Mirrors the shm-transport extension: bulky messages ride a ring behind
-# a (MSG_RING, seq) doorbell, replies come back via (MSG_RING_REPLY, seq),
-# and workers confirm consumption with (MSG_CREDIT, count).  Sends go
-# through the _send_message/_reply wrappers — which SEND_CALLEES must
-# recognize, or every doorbell-delivered tag reads as dead protocol.
+# Mirrors the shm-transport extension: bulky messages (batches, adopted
+# state, the big replies) are marked ``bulky`` and ride a ring behind the
+# channel's private doorbell, and workers confirm consumption with
+# (MSG_CREDIT, count).  The doorbell is not a protocol tag; what the rule
+# must see is the tuple inside channel.send(..., bulky=True) and inside
+# the executor's _send(shard, ..., bulky=True) wrapper — or every
+# ring-delivered tag reads as dead protocol.
 PROTOCOL_RING = '''
 MSG_BATCH = "batch"
 MSG_CREDIT = "credit"
-MSG_RING = "ring"
-MSG_RING_REPLY = "ring_reply"
+MSG_MIGRATE_IN = "migrate_in"
 
 
-def parent(conn, ring, frame, payload):
-    seq = ring.write_frame(frame)
-    conn.send((MSG_RING, seq))
-    _send_message(conn, (MSG_BATCH, payload))
-    tag, granted = conn.recv()
+def parent(self, channel, shard, payload, state):
+    self._send(shard, (MSG_BATCH, payload), bulky=True)
+    channel.send((MSG_MIGRATE_IN, state), bulky=True)
+    tag, granted = channel.recv()
     if tag == MSG_CREDIT:
         return granted
-    if tag != MSG_RING_REPLY:
-        raise ValueError(tag)
-    return ring.read_frame(granted)
+    raise ValueError(tag)
 
 
-def _send_message(conn, message):
-    conn.send(message)
-
-
-def _reply(conn, ring, message):
-    seq = ring.write_frame(message)
-    conn.send((MSG_RING_REPLY, seq))
-
-
-def worker(conn, ring, consumed):
+def worker(channel, consumed):
     while True:
-        tag, payload = conn.recv()
-        if tag == MSG_RING:
-            tag, payload = ring.read_frame(payload)
+        tag, payload = channel.recv()
+        if tag == MSG_MIGRATE_IN:
+            continue
         if tag != MSG_BATCH:
             raise ValueError(tag)
         consumed += 1
-        conn.send((MSG_CREDIT, consumed))
-        _reply(conn, ring, (MSG_BATCH, payload))
+        channel.send((MSG_CREDIT, consumed))
+        channel.send(("ok", payload), bulky=True)
 '''
 
 
@@ -647,41 +637,39 @@ def test_protocol_flags_credit_sent_but_never_dispatched():
     )
 
 
-def test_protocol_flags_ring_doorbell_without_worker_arm():
+def test_protocol_flags_bulky_tag_without_worker_arm():
     bad = PROTOCOL_RING.replace(
-        "        if tag == MSG_RING:\n"
-        "            tag, payload = ring.read_frame(payload)\n",
+        "        if tag == MSG_MIGRATE_IN:\n"
+        "            continue\n",
         "",
     )
     assert bad != PROTOCOL_RING
     findings = analyze_sources({"proto.py": bad}, ["protocol-exhaustiveness"])
     assert any(
-        "MSG_RING has no dispatch arm" in f.message for f in findings
+        "MSG_MIGRATE_IN has no dispatch arm" in f.message for f in findings
     )
 
 
 def test_protocol_recognizes_wrapper_sends():
-    # Route MSG_RING_REPLY's only send through the _reply wrapper (drop
-    # the direct conn.send variant): still a live tag, not dead protocol.
+    # MSG_BATCH's only send goes through the executor's _send wrapper.
+    # Drop it: the tag is dead protocol.  Put the tuple back inside the
+    # wrapper call: live again.
     bad = PROTOCOL_RING.replace(
-        "def _reply(conn, ring, message):\n"
-        "    seq = ring.write_frame(message)\n"
-        '    conn.send((MSG_RING_REPLY, seq))\n',
-        "def _reply(conn, ring, message):\n"
-        "    ring.write_frame(message)\n",
+        "    self._send(shard, (MSG_BATCH, payload), bulky=True)\n", ""
     )
     assert bad != PROTOCOL_RING
     findings = analyze_sources({"proto.py": bad}, ["protocol-exhaustiveness"])
     assert any(
-        "MSG_RING_REPLY is never sent" in f.message for f in findings
+        "MSG_BATCH is never sent" in f.message for f in findings
     ), "dropping the last real send must flag the tag"
     fixed = bad.replace(
-        "        _reply(conn, ring, (MSG_BATCH, payload))",
-        "        _reply(conn, ring, (MSG_RING_REPLY, payload))",
+        "    channel.send((MSG_MIGRATE_IN, state), bulky=True)\n",
+        "    channel.send((MSG_MIGRATE_IN, state), bulky=True)\n"
+        "    self._send(shard, message=(MSG_BATCH, payload))\n",
     )
     assert analyze_sources(
         {"proto.py": fixed}, ["protocol-exhaustiveness"]
-    ) == [], "a tuple passed to the _reply wrapper is a recognized send"
+    ) == [], "a tuple passed to the _send wrapper is a recognized send"
 
 
 # ---------------------------------------------------------------------------
@@ -829,13 +817,14 @@ def local(batch):
 
 
 def test_ipc_safety_covers_ring_send_wrappers():
-    # _send_message/_reply pickle their message for the shm ring — a
-    # lambda or generator smuggled through them fails exactly like one
-    # passed to conn.send, and the rule must see it.
+    # A bulky message is pickled for the shm ring — a lambda or
+    # generator smuggled through the executor's _send wrapper or a
+    # channel's bulky send fails exactly like one passed to conn.send,
+    # and the rule must see it.
     source = '''
-def ship(self, conn, ring, batch):
-    self._send_message(0, (MSG_BATCH, lambda: batch))
-    _reply(conn, ring, ("ok", (t for t in batch)))
+def ship(self, channel, batch):
+    self._send(0, (MSG_BATCH, lambda: batch), bulky=True)
+    channel.send(("ok", (t for t in batch)), bulky=True)
 '''
     findings = analyze_sources({"i.py": source}, ["ipc-safety"])
     messages = " | ".join(finding.message for finding in findings)
@@ -844,18 +833,18 @@ def ship(self, conn, ring, batch):
     assert "generator expression" in messages
 
 
-def test_ipc_safety_covers_socket_send_frame():
-    # The socket transport's framing layer pickles its message exactly
-    # like a pipe send — an unpicklable argument fails on the wire the
-    # same way, and the rule must see it through send_frame too.
+def test_ipc_safety_covers_tree_stage_requests():
+    # A tree driver's request crosses a socket inside a channel, pickled
+    # like any pipe send — an unpicklable argument fails on the wire the
+    # same way, and the rule must see it through the stage stub's _send.
     source = '''
-def ship(conn, batch):
-    conn.send_frame((MSG_BATCH, lambda: batch))
+def feed(stage, port, batch):
+    stage._send((MSG_BATCH, (port, lambda: batch)))
 '''
     findings = analyze_sources({"i.py": source}, ["ipc-safety"])
     assert len(findings) == 1
     assert "lambda" in findings[0].message
-    assert "send_frame" in findings[0].message
+    assert "_send" in findings[0].message
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from repro.faults import (
     KIND_NODE_SIGKILL,
     KIND_SOCKET_DROP,
 )
-from repro.parallel import PartitionedPipeline, SupervisionConfig
+from repro.parallel import PartitionedPipeline, ShardFailure, SupervisionConfig
 
 # ---------------------------------------------------------------------------
 # SocketConnection unit tests
@@ -102,6 +102,40 @@ def test_peer_close_raises_eof(conn_pair):
     left.close()
     with pytest.raises(EOFError):
         right.recv()
+
+
+def test_claimed_length_is_not_allocated_before_it_arrives(conn_pair):
+    # The header's length field is unverified input (NodeServer.serve
+    # reads a frame before it has checked the MSG_JOIN handshake): 16
+    # bytes claiming 256 MiB must not make the receiver hold 256 MiB.
+    import struct
+    import tracemalloc
+
+    left, right = conn_pair
+    left._sock.sendall(struct.pack("<QII", 1, 256 << 20, 0))
+    left.close()
+    tracemalloc.start()
+    try:
+        with pytest.raises(EOFError):
+            right.recv_bytes()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
+def test_multi_chunk_payload_roundtrips(conn_pair):
+    # Larger than the frame reader's bounded read: reassembled exactly.
+    import threading
+
+    left, right = conn_pair
+    payload = bytes(range(256)) * 4096  # 1 MiB
+    sender = threading.Thread(target=left.send_frame, args=(payload,))
+    sender.start()
+    try:
+        assert right.recv_bytes() == payload
+    finally:
+        sender.join(10)
 
 
 def test_closed_connection_rejects_send_and_poll(conn_pair):
@@ -518,6 +552,53 @@ def test_distributed_tree_close_orders_match(dataset, nodes, closes):
     condition = equi_join_chain("a1", 3)
     assert _tree_distributed(dataset, windows, condition, nodes, closes) == \
         _tree_reference(dataset, windows, condition, closes)
+
+
+def _feed_until_failure(tree, dataset):
+    for t in dataset.arrivals():
+        tree.process(t)
+    tree.flush()
+
+
+def test_distributed_tree_dead_stage_is_a_typed_failure(dataset):
+    # SIGKILL the node hosting the stages mid-run: its workers die with
+    # it (PDEATHSIG) and the driver must see a typed failure carrying
+    # the stage index within seconds — not a bare RuntimeError out of a
+    # blocking recv(), and never a hang.
+    import time
+
+    process, address = NodeServer.spawn()
+    try:
+        windows = [seconds(1)] * 3
+        condition = equi_join_chain("a1", 3)
+        with DistributedTreeJoin(windows, condition, nodes=[address]) as tree:
+            arrivals = dataset.arrivals()
+            for _ in range(60):
+                tree.process(next(arrivals))
+            process.kill()
+            process.join(10)
+            started = time.perf_counter()
+            with pytest.raises(ShardFailure) as excinfo:
+                _feed_until_failure(tree, dataset)
+            assert time.perf_counter() - started < 10
+            assert excinfo.value.shard in (0, 1)
+            assert excinfo.value.recoverable
+    finally:
+        process.kill()
+        process.join(10)
+
+
+def test_distributed_tree_stage_error_is_not_recoverable(nodes):
+    # A stage whose node raised reports ("error", ...): deterministic,
+    # so the typed failure says a retry would only reproduce it.
+    windows = [seconds(1)] * 2
+    condition = equi_join_chain("a1", 2)
+    with DistributedTreeJoin(windows, condition, nodes=nodes) as tree:
+        stage = tree.nodes[0]
+        with pytest.raises(ShardFailure, match="unknown protocol") as excinfo:
+            stage._send(("bogus", None))
+        assert excinfo.value.shard == 0
+        assert not excinfo.value.recoverable
 
 
 def test_distributed_tree_rejects_closed_stream_feed(nodes):
