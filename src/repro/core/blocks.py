@@ -18,10 +18,11 @@ get their scaling from exactly this kind of cheap bulk transport:
   flat component-index array, and one :class:`TupleBlock` of the
   *distinct* component tuples (components repeat heavily across results;
   they are interned once and shared again after decode).
-* :class:`StateBlock` — the rebalancing path: the window + in-flight
-  state of migrated routing slots, shipped source worker → parent →
-  destination worker when the skew-aware router moves slots between
-  shards (see :mod:`repro.parallel.rebalancer`).
+* :class:`StateBlock` — shard state on the move: the window +
+  in-flight state of a set of routing slots, always encoded, whatever
+  takes it out of a shard — the skew-aware router moving slots between
+  shards (see :mod:`repro.parallel.rebalancer`), a checkpoint, a
+  restore, or a dead shard's failover to the survivors.
 * :class:`ColdSegment` — the tiered window store's cold-tier unit
   (see :mod:`repro.join.store`): one slot-ordered run of window tuples
   frozen into a :class:`TupleBlock`, carrying the slot ids, the time
@@ -69,21 +70,17 @@ from .tuples import JoinResult, StreamTuple
 #: available on every supported interpreter, 3.8+).
 PICKLE_PROTOCOL = 5
 
-#: A state-block payload leg: raw tuples (serial executor / object
-#: transport) or one columnar block (block transport).
-StatePayload = Union[List[StreamTuple], "TupleBlock"]
-
-#: One item of a state-block *window* leg in decoded (adoptable) form:
-#: a raw tuple, or a still-frozen cold segment that the destination
-#: store installs without decoding.
+#: One item of a state block's window leg once *decoded* — what
+#: :func:`decode_state` returns and a pipeline adopts: a raw tuple, or a
+#: still-frozen cold segment that the destination store installs
+#: without decoding.
 WindowStateItem = Union[StreamTuple, "ColdSegment"]
 
 #: The window leg of a :class:`StateBlock`, kept in source slot (=
-#: insertion) order: raw tuples (serial executor), :class:`TupleBlock`
-#: runs (block transport packs consecutive raw tuples), and
-#: :class:`ColdSegment` items (either executor — they are already
-#: encoded and ship verbatim).
-WindowPayload = List[Union[StreamTuple, "TupleBlock", "ColdSegment"]]
+#: insertion) order: :class:`TupleBlock` runs (consecutive raw tuples
+#: packed together) and :class:`ColdSegment` items (already encoded;
+#: they ship verbatim).
+WindowPayload = List[Union["TupleBlock", "ColdSegment"]]
 
 #: Bare pickle-state tuples (kept positional — see the ``__getstate__``
 #: comments); the aliases keep the mypy-strict signatures readable.
@@ -99,7 +96,7 @@ _TupleBlockState = Tuple[
     List[List[Any]],
 ]
 _ResultBlockState = Tuple[int, List[int], List[int], "TupleBlock"]
-_StateBlockState = Tuple[int, int, Tuple[int, ...], "WindowPayload", StatePayload]
+_StateBlockState = Tuple[int, int, Tuple[int, ...], "WindowPayload", "TupleBlock"]
 _ColdSegmentState = Tuple[
     "TupleBlock",
     Tuple[int, ...],
@@ -259,27 +256,30 @@ class ResultBlock:
 
 
 class StateBlock:
-    """Window + in-flight state of migrated routing slots, one hop.
+    """Window + in-flight state of a set of routing slots, one hop.
 
     The third block message (alongside :class:`TupleBlock` and
     :class:`ResultBlock`): when the partitioned engine's rebalancer moves
     virtual routing slots between shards, the source shard's state for
     those slots crosses the parent twice — source worker → parent →
-    destination worker — as one ``StateBlock`` per destination.
+    destination worker — as one ``StateBlock`` per destination.  A
+    checkpoint is the same block with source = destination and every
+    slot in it.
 
-    ``window`` carries the state removed from the source's join windows
-    as a :data:`WindowPayload` — slot-ordered items that are raw tuples,
-    :class:`TupleBlock` runs, or already-frozen :class:`ColdSegment`
-    objects from a tiered store's cold tier (re-adopting the items in
-    sequence reproduces probe candidate order); ``pending`` carries the
-    tuples still in flight in the source's disorder-handling front,
-    either as a raw :class:`~repro.core.tuples.StreamTuple` list (serial
-    executor / object transport) or as :class:`TupleBlock` columns
-    (block transport).  Unlike the steady-state tuple stream, state
-    blocks are rare one-shot messages, so each is self-contained:
-    :func:`encode_state` uses fresh encoders whose schemas travel
-    inline, and :func:`decode_state` pairs them with fresh decoders — no
-    connection-level schema negotiation.
+    A state block is **always encoded** — the one portable form of shard
+    state, whatever moves it (rebalance / grow / shrink, checkpoint,
+    restore, failover) and whichever executor carries it (the serial
+    executor hands over the same blocks a worker ships).  ``window``
+    carries the state removed from the source's join windows as a
+    :data:`WindowPayload` — slot-ordered :class:`TupleBlock` runs and
+    already-frozen :class:`ColdSegment` objects from a tiered store's
+    cold tier (re-adopting the items in sequence reproduces probe
+    candidate order); ``pending`` carries the tuples still in flight in
+    the source's disorder-handling front as one :class:`TupleBlock`.
+    Unlike the steady-state tuple stream, state blocks are rare one-shot
+    messages, so each is self-contained: :func:`encode_state` uses fresh
+    encoders whose schemas travel inline, and :func:`decode_state` pairs
+    them with fresh decoders — no connection-level schema negotiation.
     """
 
     __slots__ = ("source", "dest", "slots", "window", "pending")
@@ -290,7 +290,7 @@ class StateBlock:
         dest: int,
         slots: Tuple[int, ...],
         window: WindowPayload,
-        pending: StatePayload,
+        pending: TupleBlock,
     ) -> None:
         self.source = source
         self.dest = dest
@@ -446,8 +446,8 @@ def encode_state(
     window: Sequence[WindowStateItem],
     pending: Sequence[StreamTuple],
 ) -> StateBlock:
-    """Pack a migration payload columnar-side for the pipe (see
-    :class:`StateBlock`).
+    """Pack extracted shard state into its portable form (see
+    :class:`StateBlock`) — the only constructor of state blocks.
 
     Runs of consecutive raw tuples in the window leg are packed into
     :class:`TupleBlock` columns (one shared encoder, schemas inline on
@@ -487,9 +487,7 @@ def decode_state(
             window.extend(decoder.decode(item))
         else:
             window.append(item)
-    # A decoded StateBlock always carries a TupleBlock pending leg
-    # (encode_state built it); the cast states that invariant for mypy.
-    return window, BlockDecoder().decode(cast(TupleBlock, block.pending))
+    return window, BlockDecoder().decode(block.pending)
 
 
 class BlockEncoder:

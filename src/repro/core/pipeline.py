@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..join.conditions import JoinCondition
@@ -215,6 +216,32 @@ class PipelineMetrics:
             deduped.append(entry)
         merged.k_history = deduped
         return merged
+
+    def continued_by(self, later: "PipelineMetrics") -> "PipelineMetrics":
+        """These metrics continued by a later incarnation of the *same*
+        pipeline (a respawned shard worker restored from a checkpoint).
+
+        Incarnations are sequential, not concurrent: what :meth:`merge`
+        adds or concatenates (counters, latency moments, adaptation
+        timings, the cumulative ``stream_evicted``) still adds, but the
+        sampled state-size peaks are peaks of one store over time — the
+        maximum, not the sum — and there is still one K trajectory: the
+        later incarnation's opening ``(0, initial_k)`` entry is an
+        artifact of its construction, not a K change, so its history
+        continues this one without it, and no per-shard history is
+        recorded (a later :meth:`merge` files the result as one shard).
+        """
+        total = PipelineMetrics.merge([self, later])
+        total.k_history = self.k_history + later.k_history[1:]
+        total.shard_k_histories = []
+        for name in (
+            "stream_resident_objects",
+            "stream_hot_objects",
+            "stream_encoded_bytes",
+        ):
+            peaks = zip_longest(getattr(self, name), getattr(later, name), fillvalue=0)
+            setattr(total, name, [max(pair) for pair in peaks])
+        return total
 
     @staticmethod
     def _time_weighted_k(

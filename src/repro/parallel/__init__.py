@@ -34,8 +34,8 @@ from .pipeline import (
     PartitionedPipeline,
     run_partitioned,
 )
-from .rebalancer import MigrationSpec, Rebalancer, load_imbalance
-from .router import DEFAULT_SLOTS_PER_SHARD, KeyRouter, stable_hash
+from .rebalancer import Rebalancer, load_imbalance
+from .router import DEFAULT_SLOTS_PER_SHARD, KeyRouter, MigrationSpec, stable_hash
 from .shard import (
     TRANSPORT_BLOCKS,
     TRANSPORT_SHM,

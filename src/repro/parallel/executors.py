@@ -49,8 +49,6 @@ from ..core.blocks import (
     BlockEncoder,
     CheckpointIntegrityError,
     StateBlock,
-    WindowStateItem,
-    decode_state,
     unframe_checkpoint,
     verify_checkpoint,
 )
@@ -58,7 +56,7 @@ from ..core.pipeline import PipelineConfig, PipelineMetrics, QualityDrivenPipeli
 from ..core.tuples import StreamTuple
 from ..faults import FaultPlan
 from .channel import Channel
-from .rebalancer import MigrationSpec
+from .router import MigrationSpec
 from .shard import (
     MSG_ABORT,
     MSG_BATCH,
@@ -228,13 +226,13 @@ class SerialExecutor(ShardExecutor):
     def migrate(
         self, shard: int, spec: MigrationSpec
     ) -> Tuple[Outputs, List[StateBlock]]:
-        """In-process barrier: drain + extract synchronously, unencoded."""
-        return extract_shard_state(
-            self.pipelines[shard], shard, spec, encode=False
-        )
+        """In-process barrier: drain + extract synchronously.  The
+        blocks are encoded exactly as a worker's are — a state block has
+        one form — so serial rebalancing exercises the codec too."""
+        return extract_shard_state(self.pipelines[shard], shard, spec)
 
     def adopt(self, shard: int, state: StateBlock) -> Outputs:
-        return adopt_shard_state(self.pipelines[shard], state, decode=False)
+        return adopt_shard_state(self.pipelines[shard], state)
 
     def add_shard(self) -> int:
         shard = self.num_shards
@@ -437,9 +435,13 @@ class _Shard:
     def absolute(
         self, stats: Dict[str, int], metrics: PipelineMetrics
     ) -> Tuple[Dict[str, int], PipelineMetrics]:
-        """An incarnation's cumulative snapshot on top of its base."""
+        """An incarnation's cumulative snapshot on top of its base.
+
+        Incarnations of one shard run one after the other, so the base
+        is *continued* — not merged, which is for concurrent shards.
+        """
         if self.metrics_base is not None:
-            metrics = PipelineMetrics.merge([self.metrics_base, metrics])
+            metrics = self.metrics_base.continued_by(metrics)
         return _add_stats(self.stats_base, stats), metrics
 
     def close(self) -> None:
@@ -789,29 +791,22 @@ class ProcessExecutor(ShardExecutor):
         state = self._shards[shard]
         payload: Optional[FailoverState] = None
         if self.supervision.failover:
-            window: List[WindowStateItem] = []
-            pending: List[StreamTuple] = []
+            # What _restore would have sent a respawn, as held: the
+            # checkpoint's block, then the log in seq order — adopted
+            # state that never made it into a checkpoint stays encoded,
+            # batches stay raw.
+            states: List[StateBlock] = []
             replay: List[List[StreamTuple]] = []
             if state.checkpoint is not None:
-                w, p = decode_state(unframe_checkpoint(state.checkpoint.frame))
-                window.extend(w)
-                pending.extend(p)
+                states.append(unframe_checkpoint(state.checkpoint.frame))
             for _seq, kind, entry in state.replay:
-                if kind == KIND_BATCH:
-                    replay.append(list(entry))
-                else:
-                    # Adopted state that never made it into a checkpoint
-                    # folds into the window/pending legs (it is already
-                    # in adoptable form once decoded).
-                    w, p = decode_state(entry)
-                    window.extend(w)
-                    pending.extend(p)
+                (replay if kind == KIND_BATCH else states).append(entry)
             # Tuples buffered parent-side but never dispatched belong to
             # the replay stream too.
             if state.pending:
                 replay.append(state.pending)
                 state.pending = []
-            payload = FailoverState(window=window, pending=pending, replay=replay)
+            payload = FailoverState(states, replay)
         return ShardFailure(
             shard,
             f"respawn budget exhausted after "

@@ -41,7 +41,7 @@ Exact routing goes through a virtual-slot table
 :class:`~repro.parallel.rebalancer.Rebalancer` that repairs shard-load
 skew at runtime by reassigning slots and migrating their window +
 in-flight state between shards over a synchronous drain barrier
-(:class:`~repro.core.blocks.StateBlock` messages under the process
+(encoded :class:`~repro.core.blocks.StateBlock` messages under either
 executor).  Under lossless disorder handling the rebalanced run's
 merged result sequence and summed join statistics are byte-identical to
 static routing — rebalancing is purely a load-balance/performance knob.
@@ -52,7 +52,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from ..core.pipeline import PipelineConfig, PipelineMetrics
+from ..core.pipeline import PipelineConfig, PipelineMetrics, QualityDrivenPipeline
 from ..core.tuples import JoinResult, StreamTuple
 from ..faults import FaultPlan
 from ..join.store import StoreMetrics
@@ -64,12 +64,7 @@ from .executors import (
     ShardExecutor,
     check_process_options,
 )
-from .rebalancer import (
-    DEFAULT_MIN_SAMPLE,
-    DEFAULT_THRESHOLD,
-    MigrationSpec,
-    Rebalancer,
-)
+from .rebalancer import DEFAULT_MIN_SAMPLE, DEFAULT_THRESHOLD, Rebalancer
 from .router import DEFAULT_SLOTS_PER_SHARD, KeyRouter
 from .shard import (
     TRANSPORT_BLOCKS,
@@ -77,11 +72,13 @@ from .shard import (
     Outputs,
     ShardFailure,
     ShardOutcome,
+    adopt_shard_state,
     empty_outputs,
+    extract_shard_state,
     merge_outputs,
 )
 from .shm import DEFAULT_RING_BYTES
-from .supervision import SupervisionConfig, partition_failover_state
+from .supervision import SupervisionConfig
 
 #: Routed tuples between rebalance checks (``rebalance_interval``
 #: default).  Each check is one pass over the slot counters; an actual
@@ -450,14 +447,9 @@ class PartitionedPipeline:
             by_source.setdefault(router.slot_table[slot], {})[slot] = dest
         states = []
         for source in sorted(by_source):
-            spec = MigrationSpec(
-                moves=by_source[source],
-                attr_by_stream=router._attr_by_stream,
-                num_slots=router.num_slots,
-                beacon_ts=router.watermark_ts,
-                drain_floor_ts=min(router.stream_progress_ts),
+            drained, source_states = self.executor.migrate(
+                source, router.migration_spec(by_source[source])
             )
-            drained, source_states = self.executor.migrate(source, spec)
             outputs = merge_outputs(collect, outputs, drained)
             states.extend(source_states)
         for state in states:
@@ -559,18 +551,27 @@ class PartitionedPipeline:
 
         Entered when the armed process executor exhausts a shard's respawn
         budget and hands back a :class:`~repro.parallel.shard.ShardFailure`
-        carrying :class:`~repro.parallel.shard.FailoverState` — the dead
-        shard's last-checkpoint window/pending state plus the replay-log
-        batches accepted after it.  Degraded-mode recovery reuses the
-        rebalance machinery: the dead shard's virtual slots are dealt
-        round-robin to the surviving shards, its state is re-partitioned
-        per destination (:func:`partition_failover_state` — the same
-        slot/value classifiers as a live migration), adopted through the
-        executor's migration protocol, and the replay-log batches are
-        re-routed through the rewritten slot table.  Determinism carries
-        over: adoption inserts by canonical timestamp order and the
-        replayed sub-streams preserve arrival order, so the merged flush
-        sequence and summed join statistics match an undisturbed run.
+        carrying :class:`~repro.parallel.shard.FailoverState` — the
+        blocks a respawn would have restored plus the replay-log batches
+        accepted after them.  Failover *is* a migration: the blocks are
+        adopted into a scratch pipeline here in the parent (standing in
+        for the respawn that never came), the dead shard's virtual slots
+        are dealt round-robin to the surviving shards, and the scratch
+        pipeline is evacuated through
+        :func:`~repro.parallel.shard.extract_shard_state` — the same
+        classification, frozen-segment handling and per-destination
+        grouping as a live barrier; this method has none of its own.
+        The resulting blocks are adopted through the executor's
+        migration protocol and the replay-log batches re-routed through
+        the rewritten slot table.  Determinism carries over: adoption
+        inserts by canonical timestamp order and the replayed
+        sub-streams preserve arrival order, so the merged flush sequence
+        and summed join statistics match an undisturbed run.
+
+        The scratch pipeline must come out of the evacuation empty: the
+        moves cover every slot the dead shard owned, so state left
+        behind means the router and the shard disagreed about ownership
+        — a non-recoverable failure, never a guess at a destination.
 
         Failures that carry no failover state (recovery disabled,
         non-recoverable pipeline errors), broadcast routing (every shard
@@ -585,27 +586,35 @@ class PartitionedPipeline:
         moves = self._evacuation_moves(failure.shard)
         if moves is None:
             raise failure
-        self._dead_shards.add(failure.shard)
-        router = self.router
+        dead = failure.shard
+        self._dead_shards.add(dead)
         collect = self.config.collect_results
+        scratch = QualityDrivenPipeline(self.config)
         outputs = empty_outputs(collect)
-        if moves:
-            # Beacon/floor 0: checkpoint state was extracted without a
-            # drain barrier, so adoption must not advance any monotone
-            # clock either (same invariant as checkpoint extraction).
-            spec = MigrationSpec(
-                moves=moves,
-                attr_by_stream=router._attr_by_stream,
-                num_slots=router.num_slots,
-                beacon_ts=0,
-                drain_floor_ts=0,
+        for state in payload.states:
+            outputs = merge_outputs(
+                collect, outputs, adopt_shard_state(scratch, state)
             )
-            for state in partition_failover_state(
-                payload.window, payload.pending, spec
-            ):
-                adopted = self.executor.adopt(state.dest, state)
-                outputs = merge_outputs(collect, outputs, adopted)
-            router.reassign(moves)
+        # barrier=False: checkpoint-derived state takes the zero barrier.
+        drained, states = extract_shard_state(
+            scratch, dead, self.router.migration_spec(moves, barrier=False)
+        )
+        outputs = merge_outputs(collect, outputs, drained)
+        if (
+            any(len(window) for window in scratch.join.windows)
+            or any(kslack.buffered for kslack in scratch.kslacks)
+            or scratch.synchronizer.buffered
+        ):
+            raise ShardFailure(
+                dead,
+                "failover left state behind that no surviving shard's "
+                "slots cover (router drift)",
+                recoverable=False,
+            ) from failure
+        for state in states:
+            adopted = self.executor.adopt(state.dest, state)
+            outputs = merge_outputs(collect, outputs, adopted)
+        self.router.reassign(moves)
         self._rebalancer = None
         self.failovers += 1
         for batch in payload.replay:

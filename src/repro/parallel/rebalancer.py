@@ -15,7 +15,8 @@ answer for :class:`~repro.parallel.pipeline.PartitionedPipeline`:
   slot→shard assignment by greedy longest-processing-time (LPT)
   scheduling — slots in decreasing load order, each to the least-loaded
   shard, sticking with the current shard on ties to minimize churn;
-* the pipeline executes the resulting :class:`MigrationSpec` through the
+* the pipeline executes the resulting
+  :class:`~repro.parallel.router.MigrationSpec` through the
   executors' drain/handoff protocol (``migrate``/``adopt``) and then
   flips the router's table.
 
@@ -34,8 +35,7 @@ co-location).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from .router import KeyRouter
 
@@ -57,38 +57,6 @@ def load_imbalance(loads: Sequence[int]) -> float:
 #: Default minimum routed-tuple sample between plans; below it the load
 #: signal is noise and the planner declines to move anything.
 DEFAULT_MIN_SAMPLE = 256
-
-
-@dataclass(frozen=True)
-class MigrationSpec:
-    """Everything a source shard needs to carve out migrating state.
-
-    Travels parent → source worker on the rebalancing barrier.  The
-    worker rebuilds the slot classifier locally from ``attr_by_stream``
-    and ``num_slots`` (both mirror the parent's router, so worker-side
-    slot computation agrees with routing exactly) and drains to
-    ``beacon_ts`` — the parent's global arrival clock — before
-    extraction, which is what keeps the handoff order-preserving.
-    """
-
-    #: slot → destination shard, restricted to slots leaving one source.
-    moves: Dict[int, int]
-    #: Per-stream partition-key attribute names (router mirror).
-    attr_by_stream: Tuple[Optional[str], ...]
-    #: Slot-table size (router mirror).
-    num_slots: int
-    #: Global arrival clock at the barrier; the drain watermark base.
-    beacon_ts: int
-    #: Completeness-gate progress bound: the minimum over streams of the
-    #: maximum timestamp routed so far
-    #: (:attr:`~repro.parallel.router.KeyRouter.stream_progress_ts`).
-    #: The barrier's forced synchronizer drain stops at this minus K: a
-    #: stream can trail the others in timestamp (or be entirely silent)
-    #: while internally in order, and only the completeness gate keeps
-    #: such runs exact — under lossless K no future input of stream *s*
-    #: sits below its progress minus K, so the floored drain provably
-    #: never emits past what the gate could still be holding.
-    drain_floor_ts: int = 0
 
 
 class Rebalancer:

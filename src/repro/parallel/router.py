@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import numbers
 import zlib
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.tuples import StreamTuple
@@ -79,6 +80,40 @@ def stable_hash(value: object) -> int:
             combined ^= stable_hash(item)
         return combined ^ len(value)
     return zlib.crc32(repr(value).encode("utf-8", "backslashreplace"))
+
+
+@dataclass(frozen=True)
+class MigrationSpec:
+    """Everything a source shard needs to carve out migrating state.
+
+    Travels parent → source worker on the rebalancing barrier.  The
+    worker rebuilds the slot classifier locally from ``attr_by_stream``
+    and ``num_slots`` (both mirror the parent's router, so worker-side
+    slot computation agrees with routing exactly) and drains to
+    ``beacon_ts`` — the parent's global arrival clock — before
+    extraction, which is what keeps the handoff order-preserving.
+    Built by :meth:`KeyRouter.migration_spec`, the one place that reads
+    the router's side of it.
+    """
+
+    #: slot → destination shard, restricted to slots leaving one source.
+    moves: Dict[int, int]
+    #: Per-stream partition-key attribute names (router mirror).
+    attr_by_stream: Tuple[Optional[str], ...]
+    #: Slot-table size (router mirror).
+    num_slots: int
+    #: Global arrival clock at the barrier; the drain watermark base.
+    beacon_ts: int
+    #: Completeness-gate progress bound: the minimum over streams of the
+    #: maximum timestamp routed so far
+    #: (:attr:`KeyRouter.stream_progress_ts`).
+    #: The barrier's forced synchronizer drain stops at this minus K: a
+    #: stream can trail the others in timestamp (or be entirely silent)
+    #: while internally in order, and only the completeness gate keeps
+    #: such runs exact — under lossless K no future input of stream *s*
+    #: sits below its progress minus K, so the floored drain provably
+    #: never emits past what the gate could still be holding.
+    drain_floor_ts: int = 0
 
 
 class KeyRouter:
@@ -224,6 +259,28 @@ class KeyRouter:
             moves[slot] = dest
             owned[dest] += 1
         return moves
+
+    def migration_spec(
+        self, moves: Dict[int, int], barrier: bool = True
+    ) -> MigrationSpec:
+        """The extraction order for ``moves`` (slots leaving one shard;
+        requires :attr:`exact` — broadcast routing has no slots).
+
+        With ``barrier`` the source drains to the router's arrival clock
+        first, floored at the slowest stream's progress — the live
+        migration barrier.  Without it beacon and floor are 0: state
+        that came out of a checkpoint was extracted without a drain, so
+        re-extracting it must not advance any (monotone) disorder clock
+        either — the zero barrier of
+        :func:`~repro.parallel.shard.checkpoint_shard_state`.
+        """
+        return MigrationSpec(
+            moves,
+            self._attr_by_stream,
+            self.num_slots,
+            self.watermark_ts if barrier else 0,
+            min(self.stream_progress_ts) if barrier else 0,
+        )
 
     def reassign(self, moves: Dict[int, int]) -> None:
         """Apply a rebalancing plan: rewrite ``slot → shard`` entries.

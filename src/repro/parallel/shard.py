@@ -28,8 +28,6 @@ from ..core.blocks import (
     CheckpointFrame,
     ResultBlock,
     StateBlock,
-    WindowPayload,
-    WindowStateItem,
     decode_state,
     encode_state,
     frame_checkpoint,
@@ -45,8 +43,7 @@ from ..core.pipeline import (
 from ..core.tuples import StreamTuple
 from ..faults import FaultInjector, FaultPlan
 from .channel import Channel
-from .rebalancer import MigrationSpec
-from .router import stable_hash
+from .router import MigrationSpec, stable_hash
 from .shm import RingDescriptor, ShmRing
 
 #: Both rings of one shard, as picklable ``(name, capacity)`` handles:
@@ -77,16 +74,18 @@ class FailoverState:
     """A dead shard's recoverable state, handed to the pipeline layer.
 
     Built by the armed process executor when a shard's respawn budget is
-    exhausted: the last good checkpoint's window/pending state in
-    decoded (adoptable) form plus the raw post-checkpoint tuple batches
-    from the replay log.  The pipeline repartitions the state across the
-    surviving shards through the ordinary migration machinery and
-    re-routes the replay batches — graceful degradation instead of an
-    aborted run.
+    exhausted, out of what it already holds, as it holds it: ``states``
+    is what a respawn would have restored — the last good checkpoint's
+    block, then every block the shard adopted after it (replay-log
+    adopt entries), all still encoded; ``replay`` is the raw
+    post-checkpoint tuple batches from the replay log plus the
+    never-dispatched parent-side buffer.  The pipeline layer adopts
+    ``states`` into a scratch pipeline, evacuates that through the
+    ordinary migration path to the surviving shards, and re-routes
+    ``replay`` — graceful degradation instead of an aborted run.
     """
 
-    window: List[WindowStateItem]
-    pending: List[StreamTuple]
+    states: List[StateBlock]
     replay: List[List[StreamTuple]]
 
 
@@ -166,7 +165,7 @@ MSG_BATCH = "batch"
 MSG_FLUSH = "flush"
 MSG_ABORT = "abort"
 #: Rebalancing barrier, source side: payload is a
-#: :class:`~repro.parallel.rebalancer.MigrationSpec`; the worker drains
+#: :class:`~repro.parallel.router.MigrationSpec`; the worker drains
 #: to the beacon, carves out the moved slots' state, and replies
 #: ``("state", [StateBlock, ...])`` — the only mid-stream reply in the
 #: protocol (the parent blocks on it, making the barrier synchronous).
@@ -264,15 +263,16 @@ def extract_shard_state(
     pipeline: QualityDrivenPipeline,
     shard: int,
     spec: MigrationSpec,
-    encode: bool,
 ) -> Tuple[Outputs, List[StateBlock]]:
-    """Source side of the rebalancing barrier, executor-agnostic.
+    """The one way state leaves a pipeline for other shards.
 
-    Runs the pipeline's beacon drain + extraction
+    Source side of the migration barrier, whoever runs it: a worker on
+    ``MSG_MIGRATE_OUT``, the serial executor in-process, and the
+    pipeline layer evacuating a dead shard's scratch pipeline on
+    failover.  Runs the pipeline's beacon drain + extraction
     (:meth:`~repro.core.pipeline.QualityDrivenPipeline.prepare_migration`)
-    and groups the carved-out state into one :class:`StateBlock` per
-    destination shard (columnar-encoded when ``encode``, for the block
-    transport's pipe).  Returns ``(drain outputs, state blocks)``.
+    and groups the carved-out state into one encoded :class:`StateBlock`
+    per destination shard.  Returns ``(drain outputs, state blocks)``.
 
     The extraction is tier-aware: passing the spec's per-stream key
     attributes plus :func:`value_classifier` lets a
@@ -292,31 +292,28 @@ def extract_shard_state(
     slots_by_dest: Dict[int, List[int]] = {}
     for slot, dest in sorted(spec.moves.items()):
         slots_by_dest.setdefault(dest, []).append(slot)
-    states: List[StateBlock] = []
-    for dest, slots in sorted(slots_by_dest.items()):
-        window: WindowPayload = []
-        window.extend(per_dest_windows.get(dest, []))
-        moved = per_dest_pending.get(dest, [])
-        if encode:
-            states.append(
-                encode_state(shard, dest, tuple(slots), window, moved)
-            )
-        else:
-            states.append(
-                StateBlock(shard, dest, tuple(slots), window, moved)
-            )
+    states = [
+        encode_state(
+            shard,
+            dest,
+            tuple(slots),
+            per_dest_windows.get(dest, []),
+            per_dest_pending.get(dest, []),
+        )
+        for dest, slots in sorted(slots_by_dest.items())
+    ]
     return outputs, states
 
 
 def adopt_shard_state(
-    pipeline: QualityDrivenPipeline, state: StateBlock, decode: bool
+    pipeline: QualityDrivenPipeline, state: StateBlock
 ) -> Outputs:
-    """Destination side of the rebalancing barrier, executor-agnostic."""
-    if decode:
-        window_tuples, pending = decode_state(state)
-    else:
-        window_tuples, pending = state.window, state.pending
-    return pipeline.adopt_migration(window_tuples, pending)
+    """The one way a state block enters a pipeline: decode, adopt.
+
+    Destination side of the migration barrier, a respawned worker's
+    restore, and the failover scratch pipeline alike.
+    """
+    return pipeline.adopt_migration(*decode_state(state))
 
 
 #: Dummy partition attribute of the checkpoint extraction.  No tuple
@@ -364,12 +361,11 @@ def checkpoint_shard_state(
         attr_by_stream=[_CHECKPOINT_ATTR] * pipeline.num_streams,
         value_classifier=_checkpoint_value_group,
     )
-    window: WindowPayload = []
-    window.extend(window_groups.get(0, []))
+    window = window_groups.get(0, [])
     pending = pending_groups.get(0, [])
     state = encode_state(shard, shard, (), window, pending)
     frame = frame_checkpoint(shard, request.epoch, request.seq, state)
-    readopted = pipeline.adopt_migration(window_groups.get(0, []), pending)
+    readopted = pipeline.adopt_migration(window, pending)
     collect = pipeline.config.collect_results
     outputs = merge_outputs(collect, outputs, readopted)
     return frame, outputs
@@ -461,16 +457,14 @@ def shard_worker(
             if tag == MSG_FLUSH:
                 break
             if tag == MSG_MIGRATE_OUT:
-                drained, states = extract_shard_state(
-                    pipeline, shard, payload, encode=True
-                )
+                drained, states = extract_shard_state(pipeline, shard, payload)
                 outputs = merge_outputs(collect, outputs, drained)
                 if injector is not None:
                     injector.on_migrate()
                 channel.send(("state", states), bulky=True)
                 continue
             if tag == MSG_MIGRATE_IN:
-                adopted = adopt_shard_state(pipeline, payload, decode=True)
+                adopted = adopt_shard_state(pipeline, payload)
                 outputs = merge_outputs(collect, outputs, adopted)
                 continue
             if tag == MSG_PING:

@@ -4,9 +4,9 @@ Supervision is a policy of :class:`~repro.parallel.executors.ProcessExecutor`,
 not a second executor: every run takes the same dispatch path, and arming
 it (a :class:`SupervisionConfig` or a fault plan) switches on the loop
 that makes a crashed, killed, or hung worker an *event*, not the end of
-the run.  This module holds the policy's configuration, the parent-side
-checkpoint record and the failover repartitioning; the protocol it
-describes is implemented by the executor:
+the run.  This module holds the policy's configuration and the
+parent-side checkpoint record; the protocol it describes is implemented
+by the executor:
 
 * **Liveness** — every dispatch path runs through the polling
   ``receive`` step (channel EOF + ``Process.exitcode`` + timeout) and a
@@ -43,10 +43,13 @@ describes is implemented by the executor:
   triggers recovery from the previous good checkpoint.
 
 * **Graceful degradation** — when a shard exhausts its respawn budget,
-  its :class:`~repro.parallel.shard.FailoverState` (checkpoint state in
-  adoptable form + replay batches) travels up inside the terminal
-  ``ShardFailure``; the partitioned pipeline repartitions it across the
-  surviving shards through the ordinary migration machinery.
+  its :class:`~repro.parallel.shard.FailoverState` (the blocks a respawn
+  would have restored, still encoded, + replay batches) travels up
+  inside the terminal ``ShardFailure``; the partitioned pipeline adopts
+  the blocks into a scratch pipeline and evacuates *that* to the
+  surviving shards through the ordinary migration path
+  (:func:`~repro.parallel.shard.extract_shard_state`) — failover has no
+  repartitioning code of its own.
 
 Design invariants worth knowing when editing:
 
@@ -74,22 +77,10 @@ Design invariants worth knowing when editing:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict
 
-from ..core.blocks import (
-    CheckpointFrame,
-    ColdSegment,
-    StateBlock,
-    WindowPayload,
-    WindowStateItem,
-    encode_state,
-    segment_column,
-    thaw_segment,
-)
+from ..core.blocks import CheckpointFrame
 from ..core.pipeline import PipelineMetrics
-from ..core.tuples import StreamTuple
-from .rebalancer import MigrationSpec
-from .shard import slot_classifier, value_classifier
 
 #: Replay-log entry kinds (the payload is a raw tuple list or a
 #: StateBlock respectively).
@@ -161,69 +152,3 @@ def _add_stats(base: Dict[str, int], delta: Dict[str, int]) -> Dict[str, int]:
     for key, value in delta.items():
         total[key] = total.get(key, 0) + value
     return total
-
-
-def partition_failover_state(
-    window: Sequence[WindowStateItem],
-    pending: Sequence[StreamTuple],
-    spec: MigrationSpec,
-) -> List[StateBlock]:
-    """Split a dead shard's recovered state into per-survivor blocks.
-
-    The same classification the migration barrier uses
-    (:func:`~repro.parallel.shard.slot_classifier` /
-    :func:`~repro.parallel.shard.value_classifier`), applied parent-side
-    to checkpoint state instead of worker-side to live state.  Cold
-    segments whose partition-attribute column classifies uniformly move
-    still-frozen; mixed segments are thawed and classified per tuple.
-    The spec's moves cover every slot the dead shard owned, so every
-    item classifies to some survivor; anything that doesn't (a tuple
-    whose key hashed outside the moved slots would indicate router
-    drift) is routed to the first destination rather than dropped.
-    Blocks come back encoded: only the process executor attaches
-    failover state, and its workers adopt encoded blocks.
-    """
-    classify = slot_classifier(spec)
-    classify_value = value_classifier(spec)
-    destinations = sorted(set(spec.moves.values()))
-    fallback = destinations[0]
-    per_dest_window: Dict[int, List[WindowStateItem]] = {}
-    per_dest_pending: Dict[int, List[StreamTuple]] = {}
-    for item in window:
-        if isinstance(item, ColdSegment):
-            attr = spec.attr_by_stream[item.stream()]
-            groups = set()
-            if attr is not None:
-                for value in segment_column(item, attr):
-                    groups.add(classify_value(value))
-            if len(groups) == 1:
-                only = next(iter(groups))
-                dest = fallback if only is None else only
-                per_dest_window.setdefault(dest, []).append(item)
-            else:
-                for t in thaw_segment(item):
-                    dest = classify(t)
-                    per_dest_window.setdefault(
-                        fallback if dest is None else dest, []
-                    ).append(t)
-        else:
-            dest = classify(item)
-            per_dest_window.setdefault(
-                fallback if dest is None else dest, []
-            ).append(item)
-    for t in pending:
-        dest = classify(t)
-        per_dest_pending.setdefault(
-            fallback if dest is None else dest, []
-        ).append(t)
-    slots_by_dest: Dict[int, List[int]] = {}
-    for slot, dest in sorted(spec.moves.items()):
-        slots_by_dest.setdefault(dest, []).append(slot)
-    states: List[StateBlock] = []
-    for dest in destinations:
-        window_leg: WindowPayload = []
-        window_leg.extend(per_dest_window.get(dest, []))
-        pending_leg = per_dest_pending.get(dest, [])
-        slots = tuple(slots_by_dest.get(dest, []))
-        states.append(encode_state(-1, dest, slots, window_leg, pending_leg))
-    return states

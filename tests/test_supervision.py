@@ -14,6 +14,7 @@ surfacing dead workers as typed errors in ``submit``/``finish``/``close``.
 
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -35,6 +36,8 @@ from repro import (
     from_tuple_specs,
     seconds,
 )
+from repro.core.blocks import ColdSegment, decode_state, unframe_checkpoint
+from repro.core.pipeline import empty_outputs, merge_outputs
 from repro.faults import (
     FAULT_KINDS,
     KIND_CORRUPT_CHECKPOINT,
@@ -46,6 +49,11 @@ from repro.faults import (
     KIND_SIGKILL_BEFORE_BATCH,
     KIND_SLOW_RECV,
     KIND_STALL_RECV,
+)
+from repro.parallel.shard import (
+    CheckpointRequest,
+    FailoverState,
+    checkpoint_shard_state,
 )
 
 # ---------------------------------------------------------------------------
@@ -88,15 +96,20 @@ def _canonical(results):
 
 
 def _drive(dataset, config, shards, **kwargs):
-    """Feed per-tuple, flush; return (canonical seq, stats, pipeline)."""
+    """Feed per-tuple, flush; return (canonical seq, stats, pipeline).
+
+    A count-only config (``collect_results=False``) yields the result
+    *count* in place of the canonical sequence.
+    """
     pipeline = PartitionedPipeline(config, shards, **kwargs)
-    outputs = []
+    collect = config.collect_results
+    outputs = empty_outputs(collect)
     with pipeline:
         for t in dataset.arrivals():
-            outputs.extend(pipeline.process(t))
-        outputs.extend(pipeline.flush())
+            outputs = merge_outputs(collect, outputs, pipeline.process(t))
+        outputs = merge_outputs(collect, outputs, pipeline.flush())
         stats = pipeline.join_statistics()
-    return _canonical(outputs), stats, pipeline
+    return (_canonical(outputs) if collect else outputs), stats, pipeline
 
 
 SUP = SupervisionConfig(
@@ -182,6 +195,72 @@ def test_clean_supervised_run_checkpoints_and_matches(dataset, reference):
     assert executor.checkpoints_taken >= 1
     assert seq == ref_seq
     assert stats == ref_stats
+
+
+def _interval_load(dataset, router, shard, width_ms):
+    """Per stream: the most tuples ``shard`` is routed inside any
+    ``width_ms``-wide timestamp span — what one of its window stores can
+    gain between two state-size samples taken ``width_ms`` apart."""
+    loads = []
+    for stream in range(router.num_streams):
+        stamps = sorted(
+            t.ts for t in dataset.arrivals()
+            if t.stream == stream and router.shard_of(t) == shard
+        )
+        best = low = 0
+        for high, ts in enumerate(stamps):
+            while stamps[low] <= ts - width_ms:
+                low += 1
+            best = max(best, high - low + 1)
+        loads.append(best)
+    return loads
+
+
+@pytest.mark.parametrize("interval_ms", [1_000, 250])
+def test_recovered_run_accounts_like_a_clean_run(dataset, interval_ms):
+    """A respawn continues its shard's metrics; it is not one more shard.
+
+    Incarnations of a shard are sequential: counters add, sampled peaks
+    take the max, the K trajectory continues.  Merging them like
+    concurrent shards would sum the peaks (+45 % resident objects on
+    this run) and average a third K trajectory into "Avg. K".
+
+    The peak bound: state sizes are sampled at adaptation boundaries.  A
+    recovered shard samples on the clean run's grid plus — catching its
+    restarted adaptation clock up — at the restore point, a state the
+    clean run passes through *between* two of its samples; a store can
+    exceed the earlier of them there by at most what it was handed in
+    one interval.  So per stream: recovered <= clean + the respawned
+    shard's one-interval load.  At the 1 s interval that load is about a
+    whole 1 s window, which the summed peaks happen to fit under; at
+    250 ms it is a quarter of one and they exceed it 2x over.
+    """
+    config = replace(_lossless_config(dataset), interval_ms=interval_ms)
+    plan = FaultPlan((
+        FaultSpec(0, KIND_CRASH_BEFORE_BATCH, at=30),
+        FaultSpec(1, KIND_CRASH_BEFORE_BATCH, at=45),  # past its last batch
+    ))
+    options = dict(executor="process", batch_size=16, supervision=SUP)
+    clean_seq, clean_stats, clean = _drive(dataset, config, 2, **options)
+    seq, stats, recovered = _drive(
+        dataset, config, 2, fault_plan=plan, **options
+    )
+    assert clean.executor.respawns == 0
+    assert recovered.executor.respawns == 1
+    assert (seq, stats) == (clean_seq, clean_stats)
+    ours, theirs = recovered.metrics, clean.metrics
+    assert len(ours.shard_k_histories) == len(theirs.shard_k_histories) == 2
+    assert ours.k_history == theirs.k_history
+    assert ours.average_k_ms() == theirs.average_k_ms()
+    for counter in (
+        "tuples_processed", "results_produced",
+        "latency_sum_ms", "latency_count", "latency_max_ms",
+    ):
+        assert getattr(ours, counter) == getattr(theirs, counter), counter
+    step = _interval_load(dataset, recovered.router, 0, interval_ms)
+    for peaks in ("stream_resident_objects", "stream_hot_objects"):
+        for stream, peak in enumerate(getattr(ours, peaks)):
+            assert peak <= getattr(theirs, peaks)[stream] + step[stream], peaks
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +429,7 @@ def test_migration_crash_recovers_and_rebalances(dataset, reference):
 # ---------------------------------------------------------------------------
 
 
-def _wide_k_config(dataset):
+def _wide_k_config(dataset, store=None, collect=True):
     """Lossless config whose K covers the whole run's event span.
 
     Failover refeeds the dead shard's replay log to survivors whose
@@ -361,6 +440,7 @@ def _wide_k_config(dataset):
     ``test_budget_exhaustion_failover_degrades_gracefully``).
     """
     k = 20_000
+    kwargs = {} if store is None else {"store": store}
     return PipelineConfig(
         window_sizes_ms=[seconds(1)] * 3,
         condition=equi_join_chain("a1", 3),
@@ -369,27 +449,52 @@ def _wide_k_config(dataset):
         interval_ms=seconds(1),
         policy=FixedKPolicy(k),
         initial_k_ms=k,
+        collect_results=collect,
+        **kwargs,
     )
 
 
-def test_budget_exhaustion_fails_over_to_survivor(dataset):
-    ref_seq, ref_stats = _drive(dataset, _wide_k_config(dataset), 1)[:2]
+def _failover_matches_single_shard(dataset, store, collect, at):
+    """Crash shard 0 before every incarnation's ``at``-th batch until its
+    budget is spent; the survivor must finish the run exactly (a
+    count-only config compares counts)."""
+    config = _wide_k_config(dataset, store, collect)
+    ref_out, ref_stats = _drive(dataset, config, 1)[:2]
     sup = SupervisionConfig(
         heartbeat_interval=4, heartbeat_timeout_s=5.0,
         checkpoint_interval=8, max_respawns=2, backoff_base_s=0.01,
     )
     plan = FaultPlan(
-        (FaultSpec(0, KIND_CRASH_BEFORE_BATCH, at=4, persistent=True),)
+        (FaultSpec(0, KIND_CRASH_BEFORE_BATCH, at=at, persistent=True),)
     )
-    seq, stats, pipeline = _drive(
-        dataset, _wide_k_config(dataset), 2,
+    out, stats, pipeline = _drive(
+        dataset, config, 2,
         executor="supervised", batch_size=16,
         supervision=sup, fault_plan=plan,
     )
     assert pipeline.executor.respawns == 2  # the full budget was spent
     assert pipeline.failovers == 1
-    assert seq == ref_seq
+    assert out == ref_out
     assert stats == ref_stats
+    return pipeline
+
+
+def test_budget_exhaustion_fails_over_to_survivor(dataset):
+    """Dies before its first checkpoint: failover is all replay log."""
+    _failover_matches_single_shard(dataset, store=None, collect=True, at=4)
+
+
+# The cell above keeps its unparametrized id (this suite renames none);
+# these are the store x collect_results cells, crashing *after* the
+# first checkpoint (interval 8) so the failover carries a state block
+# through the scratch pipeline, not only replay batches.
+@pytest.mark.parametrize("collect", [True, False], ids=["collect", "count"])
+@pytest.mark.parametrize(
+    "store", [None, TieredStoreConfig(hot_budget=8)], ids=["memory", "tiered"]
+)
+def test_budget_exhaustion_fails_over_checkpointed_state(dataset, store, collect):
+    pipeline = _failover_matches_single_shard(dataset, store, collect, at=12)
+    assert pipeline.executor._shards[0].checkpoint is not None
 
 
 def test_budget_exhaustion_failover_degrades_gracefully(dataset, reference):
@@ -416,6 +521,84 @@ def test_budget_exhaustion_failover_degrades_gracefully(dataset, reference):
     reference_set = set(ref_seq)
     assert set(seq) <= reference_set  # subset: nothing fabricated
     assert len(seq) == len(set(seq))  # no duplicates either
+
+
+def _tiered_shard_checkpoint(dataset, shards):
+    """Run half the dataset through serial tiered shards; return the
+    pipeline and shard 0's checkpoint block (frozen segments in it)."""
+    store = TieredStoreConfig(hot_budget=8, bucket_span_ms=250)
+    pipeline = PartitionedPipeline(_lossless_config(dataset, store), shards)
+    for t in list(dataset.arrivals())[:600]:
+        pipeline.process(t)
+    frame, _ = checkpoint_shard_state(
+        pipeline.executor.pipelines[0], 0, CheckpointRequest(0, 0)
+    )
+    block = unframe_checkpoint(frame)
+    assert any(isinstance(item, ColdSegment) for item in block.window)
+    return pipeline, block
+
+
+def _segment_ids(window):
+    return {
+        (item.stream(), item.min_ts, item.max_ts, len(item))
+        for item in window if isinstance(item, ColdSegment)
+    }
+
+
+@pytest.mark.parametrize("shards", [2, 3])
+def test_failover_evacuates_through_the_migration_path(dataset, shards):
+    """What failover ships is what the dead shard held, frozen where uniform.
+
+    Drives ``_fail_over`` directly (serial shards, zero lag) with a
+    checkpoint that holds cold segments — the process-level failover
+    tests need a K wider than the run, under which windows stay empty.
+    With one survivor every segment classifies uniformly and arrives
+    still frozen; with two the mixed ones are thawed and split, and only
+    the tuple count is conserved.
+    """
+    pipeline, block = _tiered_shard_checkpoint(dataset, shards)
+    held_window, held_pending = decode_state(block)
+    shipped = []
+    adopt = pipeline.executor.adopt
+
+    def recording_adopt(shard, state):
+        shipped.append(state)
+        return adopt(shard, state)
+
+    pipeline.executor.adopt = recording_adopt
+    pipeline._fail_over(ShardFailure(
+        0, "respawn budget exhausted", recoverable=False,
+        failover=FailoverState([block], []),
+    ))
+    assert pipeline.failovers == 1
+    assert 0 not in pipeline.router.slot_table
+    assert sorted(state.dest for state in shipped) == list(range(1, shards))
+    windows, pendings = zip(*(decode_state(state) for state in shipped))
+
+    def tuples(window):
+        return sum(
+            len(item) if isinstance(item, ColdSegment) else 1 for item in window
+        )
+
+    assert sum(map(tuples, windows)) == tuples(held_window)
+    assert sum(map(len, pendings)) == len(held_pending)
+    if shards == 2:
+        assert _segment_ids(held_window) <= _segment_ids(windows[0])
+
+
+def test_failover_refuses_state_no_survivor_owns(dataset):
+    """Router drift is a failure, not a guess at a destination: shard
+    1's state presented as dead shard 0's classifies to no survivor."""
+    pipeline, _ = _tiered_shard_checkpoint(dataset, 2)
+    frame, _ = checkpoint_shard_state(
+        pipeline.executor.pipelines[1], 1, CheckpointRequest(0, 0)
+    )
+    drifted = FailoverState([unframe_checkpoint(frame)], [])
+    with pytest.raises(ShardFailure, match="router drift") as raised:
+        pipeline._fail_over(ShardFailure(
+            0, "respawn budget exhausted", recoverable=False, failover=drifted,
+        ))
+    assert not raised.value.recoverable
 
 
 def test_budget_exhaustion_single_shard_is_terminal(dataset):
