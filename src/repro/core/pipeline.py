@@ -10,7 +10,8 @@ the Buffer-Size Manager.
 
 The pipeline is driven in *arrival order*: call :meth:`process` once per
 raw tuple.  Every ``L`` milliseconds of application time (the maximum
-local current time across streams) an adaptation step runs: the profiler
+local current time across streams; boundaries are the multiples of ``L``
+past the first tuple's timestamp) an adaptation step runs: the profiler
 maps are snapshotted, the instant requirement is derived, the policy
 picks the next K, and all K-slack buffers are updated together (the
 Same-K policy).  An optional ``on_adaptation`` callback fires right
@@ -24,9 +25,11 @@ datasets; the paper's streams are endless so Alg. 1/2 never flush).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from copy import deepcopy
+from dataclasses import dataclass, field, fields
 from itertools import zip_longest
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from operator import add
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..join.conditions import JoinCondition
 from ..join.mswj import MSWJOperator
@@ -106,20 +109,103 @@ class PipelineConfig:
             raise ValueError("basic window b and granularity g must be positive")
 
 
+def time_weighted_average(
+    history: Sequence[Tuple[int, float]], end_time: int
+) -> float:
+    """Time-weighted average of a step function given as (time, value) pairs.
+
+    Generic helper (used for K histories and for ablation plots of other
+    stepwise-constant signals); the last step lasts until ``end_time``.
+    """
+    if not history:
+        return 0.0
+    weighted = 0.0
+    span = 0
+    for index, (start, value) in enumerate(history):
+        end = (
+            history[index + 1][0]
+            if index + 1 < len(history)
+            else max(end_time, start)
+        )
+        duration = max(0, end - start)
+        weighted += value * duration
+        span += duration
+    if span == 0:
+        return float(history[-1][1])
+    return weighted / span
+
+
+def _add_each(ours: Sequence[int], theirs: Sequence[int]) -> List[int]:
+    """Per-stream sum, the shorter series padded with zeros."""
+    return [a + b for a, b in zip_longest(ours, theirs, fillvalue=0)]
+
+
+def _max_each(ours: Sequence[int], theirs: Sequence[int]) -> List[int]:
+    """Per-stream maximum, the shorter series padded with zeros."""
+    return [max(pair) for pair in zip_longest(ours, theirs, fillvalue=0)]
+
+
+def _add_keys(ours: Dict[str, int], theirs: Dict[str, int]) -> Dict[str, int]:
+    """Per-key sum over the union of the keys (ours first)."""
+    return {
+        key: ours.get(key, 0) + theirs.get(key, 0) for key in {**ours, **theirs}
+    }
+
+
+def _combines(
+    factory: Callable[[], Any],
+    shards: Callable[[Any, Any], Any] = add,
+    incarnations: Optional[Callable[[Any, Any], Any]] = None,
+    sampled: Optional[str] = None,
+) -> Any:
+    """A :class:`PipelineMetrics` field that declares how it combines.
+
+    ``factory`` makes the field's zero (``int``, ``list``, ``dict``).
+    ``shards`` combines the values of concurrent shards
+    (:meth:`PipelineMetrics.merge`), ``incarnations`` those of the
+    sequential incarnations of one shard
+    (:meth:`PipelineMetrics.continued_by`; the same rule unless given).
+    Both are ``(ours, theirs) -> combined`` and never mutate an
+    argument, so a combined record shares no state with its parts.
+    ``sampled`` names the :class:`~repro.join.store.StoreMetrics`
+    attribute a per-stream sampled peak is taken from.
+    """
+    rules = {
+        "shards": shards,
+        "incarnations": incarnations or shards,
+        "sampled": sampled,
+    }
+    return field(default_factory=factory, metadata=rules)
+
+
 @dataclass
 class PipelineMetrics:
-    """Metrics accumulated over one pipeline run."""
+    """The one accounting record of a pipeline run.
+
+    Everything a run counts lives here — the K trajectory, the Alg. 3
+    step timings, throughput and buffering-latency moments, the
+    window-state sizes and the MSWJ operator's own counters
+    (:attr:`join`) — and it is the only accounting that crosses a shard
+    boundary.  Every field except the two K histories declares *on the
+    field* (:func:`_combines`) how it combines across concurrent shards
+    and across the sequential incarnations of one shard;
+    :meth:`merge`, :meth:`continued_by` and the pipeline's state-size
+    sampling walk those declarations, so a new counter is one line
+    here.  Take a record from a live pipeline with
+    :meth:`QualityDrivenPipeline.account`.
+    """
 
     #: (app_time_ms, k_ms) pairs; a new entry whenever K changes.
     k_history: List[Tuple[int, int]] = field(default_factory=list)
-    #: wall-clock seconds spent inside policy.decide() per adaptation step.
-    adaptation_seconds: List[float] = field(default_factory=list)
-    adaptations: int = 0
-    results_produced: int = 0
-    tuples_processed: int = 0
-    latency_sum_ms: int = 0
-    latency_count: int = 0
-    latency_max_ms: int = 0
+    #: wall-clock seconds spent inside policy.decide() per adaptation
+    #: step; concatenated (each shard runs its own adaptation loop).
+    adaptation_seconds: List[float] = _combines(list)
+    adaptations: int = _combines(int)
+    results_produced: int = _combines(int)
+    tuples_processed: int = _combines(int)
+    latency_sum_ms: int = _combines(int)
+    latency_count: int = _combines(int)
+    latency_max_ms: int = _combines(int, max)
     #: Populated by :meth:`merge` only: each constituent shard's own
     #: ``k_history``, kept so :meth:`average_k_ms` can average the
     #: per-shard K trajectories instead of misreading the interleaved
@@ -130,17 +216,29 @@ class PipelineMetrics:
     #: maxima).  ``stream_resident_objects`` counts tuples held as
     #: Python objects (hot tier + decode cache), ``stream_hot_objects``
     #: the hot tier alone, ``stream_encoded_bytes`` the cold tier's
-    #: encoded footprint; ``stream_evicted`` is the cumulative expired
-    #: count.  :meth:`merge` sums them element-wise across shards
-    #: (shards hold disjoint state concurrently).
-    stream_resident_objects: List[int] = field(default_factory=list)
-    stream_hot_objects: List[int] = field(default_factory=list)
-    stream_encoded_bytes: List[int] = field(default_factory=list)
-    stream_evicted: List[int] = field(default_factory=list)
+    #: encoded footprint.  Shards hold disjoint state concurrently, so
+    #: peaks add across shards; the incarnations of one shard are one
+    #: store over time, so there they take the maximum.
+    stream_resident_objects: List[int] = _combines(
+        list, _add_each, _max_each, sampled="resident_objects"
+    )
+    stream_hot_objects: List[int] = _combines(
+        list, _add_each, _max_each, sampled="hot_objects"
+    )
+    stream_encoded_bytes: List[int] = _combines(
+        list, _add_each, _max_each, sampled="encoded_bytes"
+    )
+    #: Per-stream cumulative expired count — exact as of the record's
+    #: capture, like the decode counters and :attr:`join` below.
+    stream_evicted: List[int] = _combines(list, _add_each)
     #: Cumulative cold-segment decode-cache traffic (tiered stores only;
     #: zero for in-memory stores), summed across streams and shards.
-    decode_hits: int = 0
-    decode_misses: int = 0
+    decode_hits: int = _combines(int)
+    decode_misses: int = _combines(int)
+    #: The MSWJ operator's counters (tuples in / out of order, probes,
+    #: results, ...): exactly
+    #: :meth:`~repro.join.mswj.JoinStatistics.as_dict`, added per key.
+    join: Dict[str, int] = _combines(dict, _add_keys)
 
     def average_latency_ms(self) -> float:
         return self.latency_sum_ms / self.latency_count if self.latency_count else 0.0
@@ -150,13 +248,25 @@ class PipelineMetrics:
             return 0.0
         return sum(self.adaptation_seconds) / len(self.adaptation_seconds)
 
+    def _fold(self, other: "PipelineMetrics", rule: str) -> None:
+        """Combine ``other`` into this record under every field's
+        ``rule`` (``"shards"`` or ``"incarnations"``); the K histories
+        carry no rule and are the caller's."""
+        for spec in fields(self):
+            if spec.metadata:
+                combined = spec.metadata[rule](
+                    getattr(self, spec.name), getattr(other, spec.name)
+                )
+                setattr(self, spec.name, combined)
+
     @classmethod
     def merge(cls, parts: Sequence["PipelineMetrics"]) -> "PipelineMetrics":
         """Aggregate metrics of several (shard) pipelines into one.
 
-        Counters and latency moments add up; ``latency_max_ms`` is the
-        maximum across parts; ``adaptation_seconds`` are concatenated
-        (each shard runs its own adaptation loop); ``k_history`` is the
+        Every field combines by its declared ``shards`` rule (counters,
+        latency moments and :attr:`join` add up, ``latency_max_ms`` is
+        the maximum, ``adaptation_seconds`` are concatenated, the
+        per-stream state sizes add element-wise); ``k_history`` is the
         time-sorted interleaving of all shard histories with the
         duplicated initial epochs collapsed — every shard starts with the
         same ``(0, initial_k)`` entry, and naively interleaving N copies
@@ -169,28 +279,8 @@ class PipelineMetrics:
         """
         merged = cls()
         for part in parts:
+            merged._fold(part, "shards")
             merged.k_history.extend(part.k_history)
-            merged.adaptation_seconds.extend(part.adaptation_seconds)
-            merged.adaptations += part.adaptations
-            merged.results_produced += part.results_produced
-            merged.tuples_processed += part.tuples_processed
-            merged.latency_sum_ms += part.latency_sum_ms
-            merged.latency_count += part.latency_count
-            merged.latency_max_ms = max(merged.latency_max_ms, part.latency_max_ms)
-            merged.decode_hits += part.decode_hits
-            merged.decode_misses += part.decode_misses
-            for name in (
-                "stream_resident_objects",
-                "stream_hot_objects",
-                "stream_encoded_bytes",
-                "stream_evicted",
-            ):
-                ours: List[int] = getattr(merged, name)
-                theirs: List[int] = getattr(part, name)
-                if len(ours) < len(theirs):
-                    ours.extend([0] * (len(theirs) - len(ours)))
-                for i, value in enumerate(theirs):
-                    ours[i] += value
             # Merging merged metrics flattens to the leaf shard
             # trajectories — a part's interleaved union is not a
             # trajectory any shard actually ran.
@@ -221,50 +311,20 @@ class PipelineMetrics:
         """These metrics continued by a later incarnation of the *same*
         pipeline (a respawned shard worker restored from a checkpoint).
 
-        Incarnations are sequential, not concurrent: what :meth:`merge`
-        adds or concatenates (counters, latency moments, adaptation
-        timings, the cumulative ``stream_evicted``) still adds, but the
-        sampled state-size peaks are peaks of one store over time — the
+        Incarnations are sequential, not concurrent, so every field
+        combines by its declared ``incarnations`` rule: what
+        :meth:`merge` adds or concatenates still adds, but the sampled
+        state-size peaks are peaks of one store over time — the
         maximum, not the sum — and there is still one K trajectory: the
         later incarnation's opening ``(0, initial_k)`` entry is an
         artifact of its construction, not a K change, so its history
         continues this one without it, and no per-shard history is
         recorded (a later :meth:`merge` files the result as one shard).
         """
-        total = PipelineMetrics.merge([self, later])
-        total.k_history = self.k_history + later.k_history[1:]
-        total.shard_k_histories = []
-        for name in (
-            "stream_resident_objects",
-            "stream_hot_objects",
-            "stream_encoded_bytes",
-        ):
-            peaks = zip_longest(getattr(self, name), getattr(later, name), fillvalue=0)
-            setattr(total, name, [max(pair) for pair in peaks])
+        total = PipelineMetrics(k_history=self.k_history + later.k_history[1:])
+        total._fold(self, "incarnations")
+        total._fold(later, "incarnations")
         return total
-
-    @staticmethod
-    def _time_weighted_k(
-        history: Sequence[Tuple[int, int]], end_time_ms: Optional[int]
-    ) -> float:
-        if not history:
-            return 0.0
-        if end_time_ms is None:
-            end_time_ms = history[-1][0]
-        weighted = 0.0
-        span = 0
-        for index, (start, k) in enumerate(history):
-            end = (
-                history[index + 1][0]
-                if index + 1 < len(history)
-                else max(end_time_ms, start)
-            )
-            duration = max(0, end - start)
-            weighted += k * duration
-            span += duration
-        if span == 0:
-            return float(history[-1][1])
-        return weighted / span
 
     def average_k_ms(self, end_time_ms: Optional[int] = None) -> float:
         """Time-weighted average K over the run (the paper's "Avg. K").
@@ -276,17 +336,11 @@ class PipelineMetrics:
         all shards (a shard that stopped adapting early still spent the
         rest of the run at its final K).
         """
-        if self.shard_k_histories:
-            if end_time_ms is None:
-                end_time_ms = max(
-                    (h[-1][0] for h in self.shard_k_histories if h), default=None
-                )
-            averages = [
-                self._time_weighted_k(history, end_time_ms)
-                for history in self.shard_k_histories
-            ]
-            return sum(averages) / len(averages)
-        return self._time_weighted_k(self.k_history, end_time_ms)
+        histories = self.shard_k_histories or [self.k_history]
+        if end_time_ms is None:
+            end_time_ms = max((h[-1][0] for h in histories if h), default=0)
+        averages = [time_weighted_average(h, end_time_ms) for h in histories]
+        return sum(averages) / len(averages)
 
 
 #: Invoked right before each adaptation step: (pipeline, app_time_ms).
@@ -361,7 +415,8 @@ class QualityDrivenPipeline:
         self.metrics = PipelineMetrics()
         self.metrics.k_history.append((0, config.initial_k_ms))
         self._current_k = config.initial_k_ms
-        self._next_adaptation_ms = config.interval_ms
+        #: Next adaptation boundary; anchored at the first tuple.
+        self._next_adaptation_ms: Optional[int] = None
         self._on_adaptation = on_adaptation
         self._on_results = on_results
         self._flushed = False
@@ -390,33 +445,36 @@ class QualityDrivenPipeline:
         return [window.store.metrics() for window in self.join.windows]
 
     def _sample_state_metrics(self) -> None:
-        """Fold the current store snapshots into the run metrics
-        (sampled peaks for sizes, latest values for cumulative counters)."""
+        """Fold the current store sizes into the sampled peaks (the
+        fields :class:`PipelineMetrics` declares ``sampled``)."""
         metrics = self.metrics
         snapshots = self.store_metrics()
-        for name in (
-            "stream_resident_objects",
-            "stream_hot_objects",
-            "stream_encoded_bytes",
-            "stream_evicted",
-        ):
-            series: List[int] = getattr(metrics, name)
-            if len(series) < len(snapshots):
-                series.extend([0] * (len(snapshots) - len(series)))
-        hits = 0
-        misses = 0
-        for i, snap in enumerate(snapshots):
-            if snap.resident_objects > metrics.stream_resident_objects[i]:
-                metrics.stream_resident_objects[i] = snap.resident_objects
-            if snap.hot_objects > metrics.stream_hot_objects[i]:
-                metrics.stream_hot_objects[i] = snap.hot_objects
-            if snap.encoded_bytes > metrics.stream_encoded_bytes[i]:
-                metrics.stream_encoded_bytes[i] = snap.encoded_bytes
-            metrics.stream_evicted[i] = snap.evicted  # cumulative
-            hits += snap.decode_hits
-            misses += snap.decode_misses
-        metrics.decode_hits = hits
-        metrics.decode_misses = misses
+        for spec in fields(metrics):
+            source = spec.metadata.get("sampled")
+            if source:
+                now = [getattr(snap, source) for snap in snapshots]
+                peaks = _max_each(getattr(metrics, spec.name), now)
+                setattr(metrics, spec.name, peaks)
+
+    def account(self) -> PipelineMetrics:
+        """Capture this run's accounting: the only way it leaves the
+        pipeline.
+
+        Refreshes the fields that are exact at any instant — the
+        cumulative evictions and decode traffic of the window stores and
+        the join operator's counters — and returns a detached copy of
+        :attr:`metrics`.  The sampled peaks are *not* sampled here: they
+        keep their schedule (adaptation boundary + flush), so a run that
+        is captured more often (checkpoints) reports the same peaks as
+        one that is not.
+        """
+        metrics = self.metrics
+        snapshots = self.store_metrics()
+        metrics.stream_evicted = [snap.evicted for snap in snapshots]
+        metrics.decode_hits = sum(snap.decode_hits for snap in snapshots)
+        metrics.decode_misses = sum(snap.decode_misses for snap in snapshots)
+        metrics.join = self.join.stats.as_dict()
+        return deepcopy(metrics)
 
     # ------------------------------------------------------------------
     # streaming interface
@@ -450,6 +508,12 @@ class QualityDrivenPipeline:
         app_time = self.statistics.app_time
         metrics = self.metrics
         interval_ms = self.config.interval_ms
+        if self._next_adaptation_ms is None and batch:
+            # The adaptation clock starts at the stream's time, not at
+            # application time 0: the first boundary is the first
+            # multiple of L past the first tuple, so a stream opening at
+            # ts T does not run T/L steps on empty statistics first.
+            self._next_adaptation_ms = (batch[0].ts // interval_ms + 1) * interval_ms
         for t in batch:
             stream = t.stream
             if not 0 <= stream < num_streams:
@@ -485,6 +549,7 @@ class QualityDrivenPipeline:
             outputs = self._merge(outputs, self._feed_join(emitted))
         outputs = self._merge(outputs, self._feed_join(self.synchronizer.flush()))
         self._sample_state_metrics()
+        self.account()  # leaves the exact fields of ``self.metrics`` final
         return outputs
 
     # ------------------------------------------------------------------

@@ -49,15 +49,19 @@ class PartialResult:
     ``components`` maps original stream index → base tuple.  ``ts`` is the
     max component timestamp (the MSWJ result-timestamp rule) and ``delay``
     carries the propagated delay annotation of the tuple that triggered
-    the derivation (paper Sec. V instrumentation).
+    the derivation (paper Sec. V instrumentation).  ``stream`` is the
+    input port at the node currently synchronizing the composite — with
+    ``ts`` it is all a :class:`~repro.core.synchronizer.Synchronizer`
+    reads, so composites go through one as themselves.
     """
 
-    __slots__ = ("components", "ts", "delay", "_expiry")
+    __slots__ = ("components", "ts", "delay", "stream", "_expiry")
 
     def __init__(self, components: Dict[int, StreamTuple], delay: int = 0) -> None:
         self.components = components
         self.ts = max(t.ts for t in components.values())
         self.delay = delay
+        self.stream = 0
         self._expiry: Union[int, None] = None
 
     def expiry(self, window_sizes_ms: Sequence[int]) -> int:
@@ -140,9 +144,6 @@ class BinaryJoinNode:
         self._sync = Synchronizer(2)
         self._output = output
         self.on_t = 0
-        #: composites in flight inside the synchronizer, keyed by carrier seq.
-        self._carrier_map: Dict[int, PartialResult] = {}
-        self._carrier_seq = 0
         self._port_closed = [False, False]
         #: predicates fully bound once both sides are present, and not
         #: already closed within either side alone.
@@ -159,22 +160,17 @@ class BinaryJoinNode:
     # ------------------------------------------------------------------
 
     def feed(self, port: int, item: PartialResult) -> None:
-        """Accept a composite on ``port`` (0 = left, 1 = right).
-
-        Composites ride through the per-node Synchronizer inside light
-        carrier tuples; the carrier's ``seq`` keys the composite so it can
-        be recovered on emission.
-        """
+        """Accept a composite on ``port`` (0 = left, 1 = right) and run
+        it through the per-node Synchronizer, tagged with its port."""
         if self._port_closed[port]:
             raise ValueError(f"input port {port} already closed")
-        carrier = StreamTuple(ts=item.ts, stream=port)
-        carrier.delay = item.delay
-        key = self._carrier_seq
-        self._carrier_seq += 1
-        self._carrier_map[key] = item
-        carrier.seq = key
-        for emitted in self._sync.process(carrier):
-            self._process(emitted.stream, self._carrier_map.pop(emitted.seq))
+        item.stream = port
+        self._emit(self._sync.process(item))
+
+    def _emit(self, emitted: list) -> None:
+        """Join what the synchronizer let through (fed composites)."""
+        for item in emitted:
+            self._process(item.stream, item)
 
     @property
     def exhausted(self) -> bool:
@@ -187,25 +183,16 @@ class BinaryJoinNode:
         Closing a port stops it gating the node's synchronizer, so tuples
         buffered on the other port drain immediately instead of waiting on
         a partner that will never arrive.  Once both ports are closed the
-        synchronizer is fully drained and the carrier map must be empty —
-        anything still in it would be a leaked composite, so it is swept
-        through processing as a defensive flush.
+        synchronizer is fully drained — it holds the composites
+        themselves, so nothing else can be left behind.
         """
         if self._port_closed[port]:
             return
         self._port_closed[port] = True
-        for emitted in self._sync.close_stream(port):
-            self._process(emitted.stream, self._carrier_map.pop(emitted.seq))
-        if self.exhausted and self._carrier_map:
-            self.flush()
+        self._emit(self._sync.close_stream(port))
 
     def flush(self) -> None:
-        for emitted in self._sync.flush():
-            self._process(emitted.stream, self._carrier_map.pop(emitted.seq))
-        # A closed synchronizer cannot retain carriers; any map residue
-        # after a full drain would leak composites for the node's
-        # lifetime, so the invariant is restored here unconditionally.
-        self._carrier_map.clear()
+        self._emit(self._sync.flush())
 
     # ------------------------------------------------------------------
     # Alg. 2 semantics on composites

@@ -88,7 +88,6 @@ from .supervision import (
     KIND_ADOPT,
     KIND_BATCH,
     SupervisionConfig,
-    _add_stats,
     _Checkpoint,
 )
 
@@ -243,12 +242,7 @@ class SerialExecutor(ShardExecutor):
 
     def _outcome(self, shard: int) -> ShardOutcome:
         pipeline = self.pipelines[shard]
-        return ShardOutcome(
-            shard,
-            pipeline.flush(),
-            pipeline.metrics,
-            pipeline.join.stats.as_dict(),
-        )
+        return ShardOutcome(shard, pipeline.flush(), pipeline.account())
 
     def retire_shard(self, shard: int) -> None:
         if shard in self._retired:
@@ -260,6 +254,13 @@ class SerialExecutor(ShardExecutor):
             self._retired[shard] if shard in self._retired else self._outcome(shard)
             for shard in range(self.num_shards)
         ]
+
+
+def _start_method() -> str:
+    """How local workers start: ``fork`` wherever the platform has it
+    (see :class:`ProcessExecutor` on what that spares the config)."""
+    methods = multiprocessing.get_all_start_methods()
+    return "fork" if "fork" in methods else methods[0]
 
 
 def check_process_options(
@@ -426,23 +427,21 @@ class _Shard:
     replay: List[Tuple[int, str, Any]] = field(default_factory=list)
     #: The last *accepted* checkpoint.
     checkpoint: Optional[_Checkpoint] = None
-    #: Stats/metrics of the *current incarnation's* spawn point — worker
-    #: counters restart at zero after a respawn, so absolute accounting
-    #: is base + the incarnation's cumulative snapshot.
-    stats_base: Dict[str, int] = field(default_factory=dict)
+    #: The shard's accounting at the *current incarnation's* spawn
+    #: point (``None`` for one that started from nothing) — a worker's
+    #: record restarts at zero after a respawn, so absolute accounting
+    #: is this base continued by the incarnation's cumulative capture.
     metrics_base: Optional[PipelineMetrics] = None
 
-    def absolute(
-        self, stats: Dict[str, int], metrics: PipelineMetrics
-    ) -> Tuple[Dict[str, int], PipelineMetrics]:
-        """An incarnation's cumulative snapshot on top of its base.
+    def absolute(self, metrics: PipelineMetrics) -> PipelineMetrics:
+        """An incarnation's cumulative capture on top of its base.
 
         Incarnations of one shard run one after the other, so the base
         is *continued* — not merged, which is for concurrent shards.
         """
         if self.metrics_base is not None:
             metrics = self.metrics_base.continued_by(metrics)
-        return _add_stats(self.stats_base, stats), metrics
+        return metrics
 
     def close(self) -> None:
         """Close the incarnation's channel (connection + rings), if any."""
@@ -498,7 +497,6 @@ class ProcessExecutor(ShardExecutor):
         config: PipelineConfig,
         num_shards: int,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        start_method: Optional[str] = None,
         transport: str = TRANSPORT_BLOCKS,
         supervision: Optional[SupervisionConfig] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -523,11 +521,8 @@ class ProcessExecutor(ShardExecutor):
         self._reply_timeout: Optional[float] = (
             supervision.heartbeat_timeout_s if self.supervised else None
         )
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else methods[0]
         # Retained for worker (re)spawns long after construction.
-        self._context = multiprocessing.get_context(start_method)
+        self._context = multiprocessing.get_context(_start_method())
         #: NodeServer addresses (socket transport), else ``None``.
         self._nodes: Optional[List[Tuple[str, int]]] = (
             None if nodes is None else [(str(host), int(port)) for host, port in nodes]
@@ -759,8 +754,8 @@ class ProcessExecutor(ShardExecutor):
     def _restore(self, shard: int) -> None:
         """Bring a fresh incarnation up to date: checkpoint + replay log.
 
-        The incarnation's stats/metrics bases move to the checkpoint's
-        absolute values (its counters restart at zero); replayed batches
+        The incarnation's accounting base moves to the checkpoint's
+        absolute record (its counters restart at zero); replayed batches
         are re-encoded by the fresh per-connection encoder; a final ping
         confirms the worker consumed everything — without it a restore
         that crashed mid-replay would be discovered only at the next
@@ -768,15 +763,12 @@ class ProcessExecutor(ShardExecutor):
         """
         state = self._shards[shard]
         ckpt = state.checkpoint
+        state.metrics_base = None
         if ckpt is not None:
             self._send(
                 shard, (MSG_MIGRATE_IN, unframe_checkpoint(ckpt.frame)), bulky=True
             )
-            state.stats_base = dict(ckpt.stats)
             state.metrics_base = ckpt.metrics
-        else:
-            state.stats_base = {}
-            state.metrics_base = None
         for _seq, kind, payload in state.replay:
             if kind == KIND_BATCH:
                 self._send_batch(shard, payload)
@@ -973,8 +965,9 @@ class ProcessExecutor(ShardExecutor):
         state.deltas = merge_outputs(
             self.config.collect_results, state.deltas, self._decoded(record.outputs)
         )
-        stats, metrics = state.absolute(record.join_stats, record.metrics)
-        state.checkpoint = _Checkpoint(epoch, seq, record.frame, stats, metrics)
+        state.checkpoint = _Checkpoint(
+            epoch, seq, record.frame, state.absolute(record.metrics)
+        )
         state.replay = [entry for entry in state.replay if entry[0] > seq]
         self.checkpoints_taken += 1
 
@@ -1112,9 +1105,9 @@ class ProcessExecutor(ShardExecutor):
         """The flush reply, stitched onto what checkpoints admitted.
 
         Outputs are the admitted checkpoint deltas followed by the final
-        outcome's post-checkpoint outputs; stats are incarnation base +
-        the final cumulative snapshot; metrics merge the same way.  With
-        no checkpoint ever admitted that is the worker's outcome as
+        outcome's post-checkpoint outputs; the accounting is the
+        incarnation's base continued by the final cumulative record.
+        With no checkpoint ever admitted that is the worker's outcome as
         shipped.
         """
         tag, payload = self._await_reply(shard)
@@ -1124,8 +1117,7 @@ class ProcessExecutor(ShardExecutor):
         outputs = merge_outputs(
             self.config.collect_results, state.deltas, self._decoded(payload.outputs)
         )
-        stats, metrics = state.absolute(payload.join_stats, payload.metrics)
-        return ShardOutcome(shard, outputs, metrics, stats)
+        return ShardOutcome(shard, outputs, state.absolute(payload.metrics))
 
     # ------------------------------------------------------------------
     # run end
@@ -1138,8 +1130,8 @@ class ProcessExecutor(ShardExecutor):
         and re-flushes — but a shard whose budget dies *here* is
         terminal (failover needs the pipeline's router, which has no
         further feeding step to repartition through).  Failed-over
-        shards contribute synthesized outcomes carrying the
-        deltas/stats admitted before their death; their post-checkpoint
+        shards contribute synthesized outcomes carrying the deltas and
+        accounting admitted before their death; their post-checkpoint
         results were regenerated by the survivors via the failover
         replay stream.  Retired shards were flushed at retirement; their
         stashed outcome folds in at its shard index.
@@ -1193,9 +1185,8 @@ class ProcessExecutor(ShardExecutor):
         """Outcome of a failed-over shard: what its checkpoints admitted."""
         state = self._shards[shard]
         record = state.checkpoint
-        stats = dict(record.stats) if record is not None else {}
         metrics = record.metrics if record is not None else PipelineMetrics()
-        return ShardOutcome(shard, state.deltas, metrics, stats)
+        return ShardOutcome(shard, state.deltas, metrics)
 
     def _release(self, patience_s: float) -> None:
         """Close every channel (unlinking its rings), reap every worker."""

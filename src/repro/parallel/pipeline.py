@@ -302,46 +302,27 @@ class PartitionedPipeline:
 
     @property
     def metrics(self) -> PipelineMetrics:
-        """Merged metrics across shards.
+        """The shards' accounting records merged into one.
 
-        Live for the serial executor; for the process executor the shard
-        metrics only travel back at :meth:`flush`, so this raises before
-        then.
+        Live for the serial executor (each access captures every shard
+        pipeline afresh); for the process executor the records only
+        travel back at :meth:`flush`, so this raises before then.
         """
         if self._outcomes is not None:
-            return PipelineMetrics.merge([o.metrics for o in self._outcomes])
-        if isinstance(self.executor, SerialExecutor):
-            return PipelineMetrics.merge(
-                [p.metrics for p in self.executor.pipelines]
-            )
-        raise RuntimeError(
-            "shard metrics unavailable: under the process executor they "
-            "only travel back on a successful flush()"
-        )
-
-    def join_statistics(self) -> Dict[str, int]:
-        """Summed MSWJ counters across shards (see ``JoinStatistics``).
-
-        Live for the serial executor; for the process executor available
-        only after :meth:`flush` (counters ride back with the
-        :class:`~repro.parallel.shard.ShardOutcome`).
-        """
-        if self._outcomes is not None:
-            stats_dicts = [o.join_stats for o in self._outcomes]
+            parts = [outcome.metrics for outcome in self._outcomes]
         elif isinstance(self.executor, SerialExecutor):
-            stats_dicts = [
-                p.join.stats.as_dict() for p in self.executor.pipelines
-            ]
+            parts = [pipeline.account() for pipeline in self.executor.pipelines]
         else:
             raise RuntimeError(
-                "shard join statistics unavailable: under the process "
-                "executor they only travel back on a successful flush()"
+                "shard metrics unavailable: under the process executor they "
+                "only travel back on a successful flush()"
             )
-        merged: Dict[str, int] = {}
-        for stats in stats_dicts:
-            for name, value in stats.items():
-                merged[name] = merged.get(name, 0) + value
-        return merged
+        return PipelineMetrics.merge(parts)
+
+    def join_statistics(self) -> Dict[str, int]:
+        """Summed MSWJ counters across shards (see ``JoinStatistics``):
+        the ``join`` field of :attr:`metrics`, available when that is."""
+        return self.metrics.join
 
     def store_metrics(self) -> List[List["StoreMetrics"]]:
         """Per-shard, per-stream window-store snapshots (serial executor only).

@@ -6,7 +6,8 @@ tuples the :class:`~repro.parallel.router.KeyRouter` assigns it.  This
 module holds what both executors share:
 
 * :class:`ShardOutcome` — the record a shard hands back when it finishes
-  (its remaining outputs plus its :class:`~repro.core.pipeline.PipelineMetrics`);
+  (its remaining outputs plus its one accounting record, a
+  :class:`~repro.core.pipeline.PipelineMetrics`);
 * :func:`shard_worker` — the child-process loop run by the process
   executor.
 
@@ -17,8 +18,7 @@ and are re-exported here for the rest of the parallel layer.
 
 from __future__ import annotations
 
-from copy import deepcopy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import Connection
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -59,14 +59,16 @@ RING_REPLY_TIMEOUT_S = 120.0
 
 @dataclass
 class ShardOutcome:
-    """Everything one shard returns at the end of its run."""
+    """Everything one shard returns at the end of its run.
+
+    ``metrics`` is the shard's whole accounting
+    (:meth:`~repro.core.pipeline.QualityDrivenPipeline.account`): run
+    metrics and, in its ``join`` field, the MSWJ operator's counters.
+    """
 
     shard: int
     outputs: Outputs
     metrics: PipelineMetrics
-    #: The shard's MSWJ counters (tuples in/out of order, probes, ...);
-    #: see :class:`~repro.join.mswj.JoinStatistics.as_dict`.
-    join_stats: Dict[str, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -146,9 +148,11 @@ class CheckpointRecord:
     see :class:`~repro.core.blocks.CheckpointFrame`); ``outputs`` is the
     **delta** of results produced since the previous checkpoint (the
     worker resets its accumulator after replying, so each result
-    travels to the parent exactly once); ``join_stats`` and ``metrics``
-    are **cumulative** snapshots for this incarnation — the parent adds
-    them onto the base it recorded at the incarnation's spawn.
+    travels to the parent exactly once); ``metrics`` is the
+    incarnation's **cumulative** accounting as of the capture
+    (:meth:`~repro.core.pipeline.QualityDrivenPipeline.account`) — the
+    parent continues the base it recorded at the incarnation's spawn
+    with it.
     """
 
     shard: int
@@ -156,7 +160,6 @@ class CheckpointRecord:
     seq: int
     frame: CheckpointFrame
     outputs: CheckpointOutputs
-    join_stats: Dict[str, int]
     metrics: PipelineMetrics
 
 
@@ -410,10 +413,10 @@ def shard_worker(
     state via :func:`checkpoint_shard_state` and replies
     ``(MSG_CHECKPOINT, CheckpointRecord)`` carrying the frame, the
     *delta* of outputs since the previous checkpoint (the accumulator
-    resets after the reply ships), and cumulative stats/metrics
-    snapshots.  A :class:`~repro.faults.FaultPlan` in ``faults`` arms a
-    deterministic :class:`~repro.faults.FaultInjector` around the batch,
-    migration, and checkpoint paths — the armed executor's chaos
+    resets after the reply ships), and the incarnation's cumulative
+    accounting record.  A :class:`~repro.faults.FaultPlan` in ``faults``
+    arms a deterministic :class:`~repro.faults.FaultInjector` around the
+    batch, migration, and checkpoint paths — the armed executor's chaos
     harness.
 
     The loop talks through one :class:`~repro.parallel.channel.Channel`
@@ -484,8 +487,7 @@ def shard_worker(
                     payload.seq,
                     frame,
                     delta,
-                    pipeline.join.stats.as_dict(),
-                    deepcopy(pipeline.metrics),
+                    pipeline.account(),
                 )
                 channel.send((MSG_CHECKPOINT, record), bulky=True)
                 # The delta shipped exactly once; restart the
@@ -513,9 +515,7 @@ def shard_worker(
         outputs = merge_outputs(collect, outputs, pipeline.flush())
         if collect:
             outputs = BlockEncoder().encode_results(outputs)
-        outcome = ShardOutcome(
-            shard, outputs, pipeline.metrics, pipeline.join.stats.as_dict()
-        )
+        outcome = ShardOutcome(shard, outputs, pipeline.account())
         channel.send(("ok", outcome), bulky=True)
     except Exception as exc:  # surfaced by the parent as a RuntimeError
         try:

@@ -22,8 +22,10 @@ by the executor:
   (tier-aware, observationally a no-op — see
   :func:`~repro.parallel.shard.checkpoint_shard_state`) into a
   CRC-checked :class:`~repro.core.blocks.CheckpointFrame`, and ships
-  the *delta* of results since the previous checkpoint plus cumulative
-  stats/metrics snapshots.  The parent keeps, per shard: the last
+  the *delta* of results since the previous checkpoint plus its
+  cumulative accounting record (one
+  :class:`~repro.core.pipeline.PipelineMetrics`, the MSWJ counters
+  inside it).  The parent keeps, per shard: the last
   *accepted* checkpoint, a bounded replay log of everything dispatched
   after it (tuple batches and adopted state blocks, keyed by ``seq``),
   and the admitted output deltas.  On failure: kill the incarnation,
@@ -77,7 +79,6 @@ Design invariants worth knowing when editing:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from ..core.blocks import CheckpointFrame
 from ..core.pipeline import PipelineMetrics
@@ -140,15 +141,6 @@ class _Checkpoint:
     epoch: int
     seq: int
     frame: CheckpointFrame
-    #: Absolute join stats as of this checkpoint (incarnation base +
-    #: the record's cumulative snapshot).
-    stats: Dict[str, int]
-    #: Absolute metrics as of this checkpoint, same accounting.
+    #: The shard's absolute accounting as of this checkpoint: the
+    #: incarnation's base continued by the record's cumulative capture.
     metrics: PipelineMetrics
-
-
-def _add_stats(base: Dict[str, int], delta: Dict[str, int]) -> Dict[str, int]:
-    total = dict(base)
-    for key, value in delta.items():
-        total[key] = total.get(key, 0) + value
-    return total

@@ -11,10 +11,12 @@ summarize alongside the K history.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
-from ..core.pipeline import PipelineMetrics
+from ..core.pipeline import PipelineMetrics, time_weighted_average
 from ..core.tuples import to_seconds
+
+__all__ = ["LatencySummary", "summarize_latency", "time_weighted_average"]
 
 
 @dataclass
@@ -51,26 +53,3 @@ def summarize_latency(
         max_buffering_latency_s=to_seconds(metrics.latency_max_ms),
         k_changes=max(0, len(history) - 1),
     )
-
-
-def time_weighted_average(
-    history: Sequence[Tuple[int, float]], end_time: int
-) -> float:
-    """Time-weighted average of a step function given as (time, value) pairs.
-
-    Generic helper (used for K histories and for ablation plots of other
-    stepwise-constant signals).
-    """
-    if not history:
-        return 0.0
-    weighted = 0.0
-    span = 0
-    values: List[Tuple[int, float]] = list(history)
-    for index, (start, value) in enumerate(values):
-        end = values[index + 1][0] if index + 1 < len(values) else max(end_time, start)
-        duration = max(0, end - start)
-        weighted += value * duration
-        span += duration
-    if span == 0:
-        return float(values[-1][1])
-    return weighted / span

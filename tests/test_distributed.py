@@ -154,10 +154,10 @@ class TestTreeLifecycle:
         assert result_key_set(produced) == result_key_set(flushed)
         assert len(produced) == len(flushed)
         # The closure cascaded down the left-deep chain: every node is
-        # exhausted and holds no leaked carriers.
+        # exhausted and its synchronizer holds no composite.
         for node in closed_tree.nodes:
             assert node.exhausted
-            assert node._carrier_map == {}
+            assert node._sync.buffered == 0
 
     def test_close_matches_pipeline_close_semantics(self):
         # Differential against MSWJOperator: per-stream closure releases

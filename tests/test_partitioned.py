@@ -6,6 +6,7 @@ workloads, the partitioned engine's result multiset equals the single
 handling is lossless (fixed K covering the max delay, or in-order input).
 """
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -244,6 +245,33 @@ class TestPartitionedLifecycle:
         pipeline.process(StreamTuple(ts=1, values={"a1": 1}, stream=0))
         assert pipeline.metrics.tuples_processed == 1
 
+    def test_join_statistics_are_the_join_field_of_the_one_record(self):
+        # One accounting record per shard: the summed MSWJ counters are
+        # the merged record's ``join`` field — live (every access
+        # captures the serial shards afresh) and after flush.
+        condition = equi_join_chain("a1", 3)
+        dataset = _d3(duration_s=6)
+        pipeline = PartitionedPipeline(
+            _lossless_config(dataset, condition, 3), 2
+        )
+
+        def check():
+            summed = Counter()
+            for shard in pipeline.executor.pipelines:
+                summed.update(shard.join.stats.as_dict())
+            stats = pipeline.join_statistics()
+            assert stats == pipeline.metrics.join == dict(summed)
+            return stats
+
+        arrivals = list(dataset.arrivals())
+        half = len(arrivals) // 2
+        pipeline.process_batch(arrivals[:half])
+        midway = check()
+        assert midway["probes"] > 0
+        pipeline.process_batch(arrivals[half:])
+        pipeline.flush()
+        assert check()["probes"] > midway["probes"]
+
     def test_metrics_deferred_under_process_executor(self):
         condition = equi_join_chain("a1", 2)
         dataset = _d3(duration_s=2)
@@ -420,6 +448,45 @@ class TestMetricsMerge:
         merged = PipelineMetrics.merge([])
         assert merged.tuples_processed == 0
         assert merged.average_k_ms() == 0.0
+
+    def test_every_field_declares_how_it_combines(self):
+        # The rule table: a field added without both combine rules fails
+        # here instead of silently vanishing from merge / continued_by.
+        ruled = []
+        for spec in dataclasses.fields(PipelineMetrics):
+            if spec.name in ("k_history", "shard_k_histories"):
+                continue  # the K trajectories have their own logic
+            assert callable(spec.metadata.get("shards")), spec.name
+            assert callable(spec.metadata.get("incarnations")), spec.name
+            ruled.append(spec.name)
+        # A fully populated record: every ruled field away from its zero.
+        full = PipelineMetrics(
+            k_history=[(0, 100), (1_000, 50)],
+            adaptation_seconds=[0.1, 0.2],
+            adaptations=2,
+            results_produced=7,
+            tuples_processed=11,
+            latency_sum_ms=40,
+            latency_count=5,
+            latency_max_ms=13,
+            stream_resident_objects=[4, 5],
+            stream_hot_objects=[2, 3],
+            stream_encoded_bytes=[64, 0],
+            stream_evicted=[1, 6],
+            decode_hits=3,
+            decode_misses=2,
+            join={"probes": 9, "results_produced": 7},
+        )
+        blank = PipelineMetrics()
+        for name in ruled:
+            assert getattr(full, name) != getattr(blank, name), name
+        # Combining with nothing else is the identity, under both rules.
+        merged = PipelineMetrics.merge([full])
+        continued = blank.continued_by(full)
+        for name in ruled:
+            assert getattr(merged, name) == getattr(full, name), name
+            assert getattr(continued, name) == getattr(full, name), name
+        assert merged.k_history == full.k_history
 
 
 class TestDeterminism:

@@ -158,6 +158,46 @@ class TestAdaptationScheduling:
         _run(pipeline, [(0, ts, {"v": 1}) for ts in range(0, 3_500, 500)])
         assert seen == [1_000, 2_000, 3_000]
 
+    @pytest.mark.parametrize(
+        "policy",
+        [lambda: ModelBasedPolicy(NonEqSel()), lambda: FixedKPolicy(300)],
+        ids=["model-based", "fixed-k"],
+    )
+    def test_adaptation_clock_starts_at_the_first_tuple(self, policy):
+        # A stream opening at ts T must not run T/L steps on empty
+        # statistics first (under the model-based policy each of those
+        # halves K): the clock is anchored at the first tuple, and the
+        # run is the ts-0 run shifted — same steps, same K trajectory.
+        offset = 10**9
+        specs = []
+        for position, ts in enumerate(range(5, 6_005, 100)):
+            late = 400 if position % 4 == 3 else 0
+            specs.append((position % 2, ts - late if ts > late else ts, {"v": 1}))
+
+        def run(shift):
+            boundaries = []
+            pipeline = QualityDrivenPipeline(
+                _equi_config(policy=policy(), initial_k_ms=1_024),
+                on_adaptation=lambda p, boundary: boundaries.append(boundary),
+            )
+            first, *rest = from_tuple_specs(
+                [(s, ts + shift, v) for s, ts, v in specs], num_streams=2
+            ).arrivals()
+            pipeline.process(first)
+            assert pipeline.metrics.adaptations == 0
+            assert pipeline.metrics.k_history == [(0, 1_024)]
+            for t in rest:
+                pipeline.process(t)
+            pipeline.flush()
+            assert boundaries == [shift + b for b in range(1_000, 6_000, 1_000)]
+            return pipeline.metrics
+
+        plain, shifted = run(0), run(offset)
+        assert plain.adaptations == shifted.adaptations == 5
+        assert shifted.k_history[1:] == [
+            (ts + offset, k) for ts, k in plain.k_history[1:]
+        ]
+
     def test_k_history_records_changes(self):
         pipeline = QualityDrivenPipeline(
             _equi_config(policy=FixedKPolicy(300), initial_k_ms=0)

@@ -225,15 +225,26 @@ def test_recovered_run_accounts_like_a_clean_run(dataset, interval_ms):
     concurrent shards would sum the peaks (+45 % resident objects on
     this run) and average a third K trajectory into "Avg. K".
 
+    The record is one: the fields that are exact at any instant
+    (``stream_evicted``, the ``join`` counters) are refreshed by every
+    capture, so the checkpoint the respawn continues from holds them as
+    of the checkpoint — not as of the last adaptation boundary before it
+    — and the recovered totals equal the clean run's.  So does
+    ``adaptations`` on this run: the respawned incarnation anchors its
+    adaptation clock at its first replayed tuple instead of re-running
+    every boundary since application time 0.
+
     The peak bound: state sizes are sampled at adaptation boundaries.  A
-    recovered shard samples on the clean run's grid plus — catching its
-    restarted adaptation clock up — at the restore point, a state the
-    clean run passes through *between* two of its samples; a store can
-    exceed the earlier of them there by at most what it was handed in
-    one interval.  So per stream: recovered <= clean + the respawned
-    shard's one-interval load.  At the 1 s interval that load is about a
-    whole 1 s window, which the summed peaks happen to fit under; at
-    250 ms it is a quarter of one and they exceed it 2x over.
+    recovered shard samples on the clean run's grid, except around the
+    restore point: its clock is re-anchored there, not restored, so a
+    late first replayed tuple can sample the boundary just before the
+    checkpoint once more — at a state the clean run passes through
+    *between* two of its samples; a store can exceed the earlier of
+    them there by at most what it was handed in one interval.  So per
+    stream: recovered <= clean + the respawned shard's one-interval
+    load.  At the 1 s interval that load is about a whole 1 s window,
+    which the summed peaks happen to fit under; at 250 ms it is a
+    quarter of one and they exceed it 2x over.
     """
     config = replace(_lossless_config(dataset), interval_ms=interval_ms)
     plan = FaultPlan((
@@ -255,8 +266,10 @@ def test_recovered_run_accounts_like_a_clean_run(dataset, interval_ms):
     for counter in (
         "tuples_processed", "results_produced",
         "latency_sum_ms", "latency_count", "latency_max_ms",
+        "stream_evicted", "join", "adaptations",
     ):
         assert getattr(ours, counter) == getattr(theirs, counter), counter
+    assert ours.join == stats
     step = _interval_load(dataset, recovered.router, 0, interval_ms)
     for peaks in ("stream_resident_objects", "stream_hot_objects"):
         for stream, peak in enumerate(getattr(ours, peaks)):
