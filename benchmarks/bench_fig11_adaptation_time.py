@@ -60,10 +60,12 @@ def test_fig11_adaptation_time(benchmark):
             )
             times = [o.average_adaptation_ms for o in subset]
             assert times[-1] <= times[0] + 0.5, (label, gamma, times)
-    # Coarse-granularity adaptation stays in the low-millisecond range.
+    # Coarse-granularity adaptation stays in the low-millisecond range
+    # (worst cell measured: 3.4 ms, D2real-sim at g = 10, on a busy
+    # 2-core box; docs/BENCHMARKS.md has the whole table).
     for o in outcomes:
         if o.granularity_ms >= 10:
-            assert o.average_adaptation_ms < 50.0, (
+            assert o.average_adaptation_ms < 10.0, (
                 o.experiment,
                 o.gamma,
                 o.granularity_ms,

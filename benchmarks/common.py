@@ -14,8 +14,7 @@ parameters (hours of wall-clock in pure Python).
 
 Scaled parameter grids: the measurement-period (Fig. 8) and adaptation-
 interval (Fig. 9) sweeps are rescaled so they fit within the shortened
-runs; the mapping is printed in each report header and recorded in
-EXPERIMENTS.md.
+runs; the mapping is printed in each report header.
 """
 
 from __future__ import annotations

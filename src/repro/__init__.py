@@ -23,8 +23,8 @@ Quickstart::
         results = pipeline.process(t)
     pipeline.flush()
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-reproduction results.
+See docs/ARCHITECTURE.md for the system inventory and docs/BENCHMARKS.md
+for the paper reproductions.
 """
 
 from .core.adaptation import (

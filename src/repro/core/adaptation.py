@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from functools import partial
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .model import RecallModel, StreamModelInput
 from .profiler import ProfileSnapshot
@@ -164,7 +165,6 @@ class ModelBasedPolicy(BufferSizePolicy):
         self.last_undamped_k: int = 0
 
     def decide(self, context: AdaptationContext) -> int:
-        g = context.granularity_ms
         max_dh = context.statistics.max_delay_ms()
         profile = context.profile
         n_true_next = profile.true_result_estimate() if profile else 0.0
@@ -173,48 +173,39 @@ class ModelBasedPolicy(BufferSizePolicy):
         )
         self.last_instant_requirement = instant
         model = build_recall_model(context)
-
-        def estimate(k_ms: int) -> float:
-            ratio = self.selectivity.ratio(profile, k_ms // g)
-            return model.gamma(k_ms, sel_ratio=ratio)
-
+        sel_ratio_at = partial(self.selectivity.ratio, profile)
         if self.search == "binary":
-            k_star = self._binary_search(estimate, instant, g, max_dh)
+            k_star, steps = self._binary_search(model, sel_ratio_at, instant, max_dh)
         else:
-            k_star = self._linear_search(estimate, instant, g, max_dh)
+            k_star, steps = model.first_sufficient_k(instant, sel_ratio_at, max_dh)
+        self.last_search_steps = steps
         self.last_undamped_k = k_star
         floor = int(context.current_k_ms * self.shrink_damping)
         return max(k_star, floor)
 
-    def _linear_search(self, estimate, instant: float, g: int, max_dh: int) -> int:
-        """Alg. 3: scan k* = 0, g, 2g, ... until the estimate clears Γ'."""
-        k_star = 0
-        steps = 0
-        while k_star <= max_dh:
-            steps += 1
-            if estimate(k_star) >= instant:
-                break
-            k_star += g
-        self.last_search_steps = steps
-        return k_star
-
-    def _binary_search(self, estimate, instant: float, g: int, max_dh: int) -> int:
-        """Bisect for the smallest grid point whose estimate clears Γ'."""
+    @staticmethod
+    def _binary_search(
+        model: RecallModel,
+        sel_ratio_at: Callable[[int], float],
+        instant: float,
+        max_dh: int,
+    ) -> Tuple[int, int]:
+        """Bisect for the smallest grid point whose estimate clears Γ';
+        returns it with the number of candidates probed."""
+        g = model.g
         steps = 1
-        if estimate(0) >= instant:
-            self.last_search_steps = steps
-            return 0
+        if model.gamma(0, sel_ratio_at(0)) >= instant:
+            return 0, steps
         low = 0  # known insufficient
         high = (max_dh // g + 1) * g  # Alg. 3's "give up" point
         while high - low > g:
             mid = ((low + high) // (2 * g)) * g
             steps += 1
-            if estimate(mid) >= instant:
+            if model.gamma(mid, sel_ratio_at(mid // g)) >= instant:
                 high = mid
             else:
                 low = mid
-        self.last_search_steps = steps
-        return high
+        return high, steps
 
 
 def build_recall_model(context: AdaptationContext) -> RecallModel:

@@ -16,19 +16,35 @@ join results that would be produced during the next adaptation interval:
   estimated recall γ(L, K) (Eq. 5).  The interval length ``L`` and the
   rate products cancel in the ratio.
 
-Performance: Alg. 3 evaluates γ for K = 0, g, 2g, … up to MaxDH — easily
-thousands of candidates per adaptation step.  A naive evaluation is
-O(Σ_i W_i / b) *per candidate*; this module precomputes cumulative and
-stride-prefix sums of each pdf once per adaptation step so each candidate
-costs O(m).  (This is an implementation optimization only; the computed
-values equal the direct evaluation of Eqs. 2–5, which the test suite
-checks against a brute-force reference.)
+Cost: Alg. 3 evaluates γ for K = 0, g, 2g, … up to MaxDH — easily
+thousands of candidates per adaptation step — so the work is split by
+what depends on K.
+
+* Once per step (``RecallModel.__init__``), O(Σ_i MaxDH_i / g) at C speed
+  (``itertools.accumulate``): each stream's cdf and, when g divides b, its
+  stride-prefix rows; the Eq. 1 true rate; and every per-stream constant
+  of Eq. 3 (K_i^sync in ms, the number of full basic windows, the span of
+  the last one).
+* Once per candidate (:meth:`RecallModel.produced_result_rate`), O(m)
+  evaluations: each stream's in-order probability (one cdf lookup) and
+  Eq. 3 cardinality (one prefix difference when g | b, a closed form when
+  b | g), each computed once and then combined by Eq. 4's m·(m−1)
+  multiplications.  Only when neither of b and g divides the other does a
+  candidate cost O(Σ_i W_i / b).
+
+:meth:`RecallModel.gamma` is that one candidate; Alg. 3's scan
+(:meth:`RecallModel.first_sufficient_k`) and the bisecting variant in
+``adaptation.py`` both go through it.  The split is an implementation
+matter only: the values equal the direct evaluation of Eqs. 2–5, which
+the test suite checks against a brute-force reference.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from itertools import accumulate
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
 class CumulativePdf:
@@ -37,16 +53,16 @@ class CumulativePdf:
     ``cdf(x)`` returns ``Pr[D <= x]`` (1.0 beyond the support), and
     :meth:`strided_sum` returns ``sum_{l=0}^{terms-1} cdf(start + l*step)``
     in O(1) using per-residue prefix tables built lazily per step.
+    ``pdf`` holds probabilities (non-negative), so the cdf never falls.
     """
 
     def __init__(self, pdf: Sequence[float]) -> None:
         if not pdf:
             raise ValueError("pdf must be non-empty")
-        self._cdf: List[float] = []
-        acc = 0.0
-        for p in pdf:
-            acc += p
-            self._cdf.append(min(acc, 1.0))
+        self._cdf = cdf = list(accumulate(pdf, initial=0.0))[1:]
+        # Clamp at 1: the sums never fall, so only a tail can round past it.
+        cut = bisect_right(cdf, 1.0)
+        cdf[cut:] = [1.0] * (len(cdf) - cut)
         self._max_index = len(self._cdf) - 1
         self._stride_tables: Dict[int, List[List[float]]] = {}
 
@@ -62,18 +78,14 @@ class CumulativePdf:
         return self._max_index
 
     def _table_for(self, step: int) -> List[List[float]]:
+        """Per residue ``r``: ``[0, cdf[r], cdf[r] + cdf[r+step], …]``, so
+        ``row[o + n] - row[o]`` sums ``n`` strided terms from offset ``o``."""
         table = self._stride_tables.get(step)
         if table is None:
-            table = []
-            for residue in range(step):
-                prefixes: List[float] = []
-                acc = 0.0
-                index = residue
-                while index <= self._max_index:
-                    acc += self._cdf[index]
-                    prefixes.append(acc)
-                    index += step
-                table.append(prefixes)
+            table = [
+                list(accumulate(self._cdf[residue::step], initial=0.0))
+                for residue in range(step)
+            ]
             self._stride_tables[step] = table
         return table
 
@@ -96,13 +108,10 @@ class CumulativePdf:
         # Split: indices inside the table vs. saturated tail (cdf == cdf[max]).
         inside_terms = min(terms, (self._max_index - start) // step + 1)
         saturated_terms = terms - inside_terms
-        residue = start % step
+        prefixes = self._table_for(step)[start % step]
         offset = start // step
-        prefixes = self._table_for(step)[residue]
-        total = prefixes[offset + inside_terms - 1]
-        if offset > 0:
-            total -= prefixes[offset - 1]
-        return total + saturated_terms * tail_value
+        inside = prefixes[offset + inside_terms] - prefixes[offset]
+        return inside + saturated_terms * tail_value
 
 
 @dataclass
@@ -115,11 +124,23 @@ class StreamModelInput:
     window_ms: int             # window size W_i
 
 
+#: What Eqs. 2–3 read of one stream that no candidate K changes: the rate
+#: r_i; K_i^sync floored to whole ms; the stream's cdf, then its table, last
+#: index and last (saturated) value unwrapped; the ceil(W_i / b) - 1 full
+#: basic windows and what W_i leaves of the last one; the cdf's stride-b/g
+#: prefix rows if g | b.
+_StreamTerms = Tuple[
+    float, int, CumulativePdf, List[float], int, float, int, int,
+    Optional[List[List[float]]],
+]
+
+
 class RecallModel:
     """Evaluates Eqs. 1–5 for a fixed adaptation step.
 
     Build one instance per adaptation step (the pdfs, rates and slacks are
-    that step's snapshot), then call :meth:`gamma` for each candidate K.
+    that step's snapshot, read once here), then call :meth:`gamma` for one
+    candidate K or :meth:`first_sufficient_k` for Alg. 3's scan.
 
     Parameters
     ----------
@@ -142,65 +163,87 @@ class RecallModel:
         if basic_window_ms <= 0 or granularity_ms <= 0:
             raise ValueError("basic window and granularity must be positive")
         self.inputs = list(inputs)
-        self.b = int(basic_window_ms)
-        self.g = int(granularity_ms)
-        self._cpdfs = [CumulativePdf(s.pdf) for s in self.inputs]
-        #: ceil(W_i / b): number of basic windows per stream.
-        self._segments = [
-            (s.window_ms + self.b - 1) // self.b for s in self.inputs
-        ]
-        #: per-stream synchronizer slack in ms (floored to int).
-        self._ksync_ms = [int(s.ksync_ms) for s in self.inputs]
-        #: fast path 1: when g divides b, segment completeness indices
-        #: advance by a constant integer stride (O(1) strided sums).
-        self._uniform_stride = self.b % self.g == 0
-        #: fast path 2: when b divides g, the index sequence is a staircase
-        #: (g/b consecutive segments share a bucket) — also O(1).
-        self._staircase = not self._uniform_stride and self.g % self.b == 0
+        self.b = b = int(basic_window_ms)
+        self.g = g = int(granularity_ms)
+        #: index path 1: when g divides b, segment completeness indices
+        #: advance by the constant integer stride b/g (O(1) strided sums).
+        self._stride = stride = b // g if b % g == 0 else 0
+        self._streams: List[_StreamTerms] = []
+        for s in self.inputs:
+            if s.window_ms <= 0 or s.ksync_ms < 0:
+                raise ValueError("windows must be positive and K_sync non-negative")
+            cpdf = CumulativePdf(s.pdf)
+            full_segments = (s.window_ms + b - 1) // b - 1
+            self._streams.append((
+                s.rate_per_ms,
+                int(s.ksync_ms),
+                cpdf,
+                cpdf._cdf,
+                cpdf.support_max,
+                cpdf.cdf(cpdf.support_max),
+                full_segments,
+                s.window_ms - full_segments * b,
+                cpdf._table_for(stride) if stride else None,
+            ))
+        self._rates = [s.rate_per_ms for s in self.inputs]
+        #: Eq. 4 multiplies stream i's term by the other streams' windows.
+        m = len(self.inputs)
+        self._others = [[j for j in range(m) if j != i] for i in range(m)]
+        self._true_rate = self.true_result_rate()
 
     # ------------------------------------------------------------------
-    # Eq. 2: delay pdf as seen by the join operator
+    # Eqs. 2, 3: per-stream terms of one candidate
     # ------------------------------------------------------------------
 
-    def slack_ms(self, stream: int, k_ms: int) -> int:
-        """Total sorting slack of ``stream`` under K = ``k_ms``: K + K_i^sync."""
-        return k_ms + self._ksync_ms[stream]
+    def _per_stream(self, k_ms: int) -> Tuple[List[float], List[float]]:
+        """Every stream's ``f_{D_i^K}(0)`` and ``sum_l |w_i^l|`` under K.
 
-    def in_order_probability(self, stream: int, k_ms: int) -> float:
-        """``f_{D_i^K}(0)``: probability a tuple reaches the join in order.
-
-        A tuple with coarse delay ``d`` is fully re-ordered iff its delay
-        does not exceed the total slack, i.e. ``d <= slack // g``.
+        Eq. 2: a tuple with coarse delay ``d`` is fully re-ordered iff its
+        delay does not exceed the total slack ``K + K_i^sync``, i.e. ``d <=
+        slack // g``.  Eq. 3: segment ``l`` (1-based; segment 1 is the most
+        recent) has completeness ``Pr[D_i^K <= (l-1)·b]``, i.e. the cdf at
+        coarse index ``(slack + (l-1)·b) // g``; the last segment spans
+        only what ``W_i`` leaves of it.
         """
-        return self._cpdfs[stream].cdf(self.slack_ms(stream, k_ms) // self.g)
+        if k_ms < 0:
+            raise ValueError(f"K must be non-negative, got {k_ms}")
+        b, g, stride = self.b, self.g, self._stride
+        in_order: List[float] = []
+        cardinalities: List[float] = []
+        for (
+            rate, ksync, cpdf, cdf, top, saturated, full_segments, tail_span, rows
+        ) in self._streams:
+            slack = k_ms + ksync
+            first = slack // g
+            in_order.append(cdf[first] if first < top else saturated)
+            if rows is None:
+                # index path 2, b | g: a staircase (g/b consecutive segments
+                # share a bucket), still O(1); path 3, any other b and g:
+                # the O(W/b) segments one by one.
+                body_sum = self._staircase_sum if g % b == 0 else self._indexed_sum
+                body = body_sum(cpdf, slack, full_segments)
+            elif first > top:
+                body = full_segments * saturated
+            else:
+                # CumulativePdf.strided_sum(first, stride, full_segments),
+                # inlined: (slack + l·b) // g == first + l·stride when g | b.
+                inside = (top - first) // stride + 1
+                if inside > full_segments:
+                    inside = full_segments
+                prefixes = rows[first % stride]
+                offset = first // stride
+                body = (
+                    prefixes[offset + inside] - prefixes[offset]
+                    + (full_segments - inside) * saturated
+                )
+            last = (slack + full_segments * b) // g
+            tail = tail_span * (cdf[last] if last < top else saturated)
+            cardinalities.append(rate * (b * body + tail))
+        return in_order, cardinalities
 
-    # ------------------------------------------------------------------
-    # Eq. 3: expected window cardinality
-    # ------------------------------------------------------------------
-
-    def expected_window_cardinality(self, stream: int, k_ms: int) -> float:
-        """``sum_l |w_stream^l|``: expected live tuples in the window.
-
-        Segment ``l`` (1-based; segment 1 is the most recent) has
-        completeness ``Pr[D_i^K <= (l-1)·b]``, i.e. the cdf at coarse index
-        ``(slack + (l-1)·b) // g``.
-        """
-        s = self.inputs[stream]
-        cpdf = self._cpdfs[stream]
-        slack = self.slack_ms(stream, k_ms)
-        n = self._segments[stream]
-        if self._uniform_stride:
-            # (slack + l·b) // g == slack//g + l·(b//g) exactly when g | b.
-            body = self.b * cpdf.strided_sum(slack // self.g, self.b // self.g, n - 1)
-        elif self._staircase:
-            body = self.b * self._staircase_sum(cpdf, slack, n - 1)
-        else:
-            body = self.b * sum(
-                cpdf.cdf((slack + l * self.b) // self.g) for l in range(n - 1)
-            )
-        tail_span = s.window_ms - (n - 1) * self.b
-        tail = tail_span * cpdf.cdf((slack + (n - 1) * self.b) // self.g)
-        return s.rate_per_ms * (body + tail)
+    def _indexed_sum(self, cpdf: CumulativePdf, slack: int, terms: int) -> float:
+        """``sum_{l=0}^{terms-1} cdf((slack + l·b) // g)``, term by term."""
+        return sum(cpdf.cdf((slack + l * self.b) // self.g) for l in range(terms))
 
     def _staircase_sum(self, cpdf: CumulativePdf, slack: int, terms: int) -> float:
         """``sum_{l=0}^{terms-1} cdf((slack + l·b) // g)`` for b | g, in O(1).
@@ -227,12 +270,21 @@ class RecallModel:
             total += leftover * cpdf.cdf(j0 + 1 + full_groups)
         return total
 
+    def in_order_probability(self, stream: int, k_ms: int) -> float:
+        """``f_{D_i^K}(0)``: probability a tuple reaches the join in order."""
+        return self._per_stream(k_ms)[0][stream]
+
+    def expected_window_cardinality(self, stream: int, k_ms: int) -> float:
+        """``sum_l |w_stream^l|``: expected live tuples in the window."""
+        return self._per_stream(k_ms)[1][stream]
+
     # ------------------------------------------------------------------
     # Eqs. 1, 4, 5
     # ------------------------------------------------------------------
 
     def true_result_rate(self) -> float:
-        """Cross-join true-result rate per ms (Eq. 1 without sel and L)."""
+        """Cross-join true-result rate per ms (Eq. 1 without sel and L);
+        no K enters it, so the model evaluates it once (``__init__``)."""
         total = 0.0
         for i, s in enumerate(self.inputs):
             product = s.rate_per_ms
@@ -244,12 +296,12 @@ class RecallModel:
 
     def produced_result_rate(self, k_ms: int) -> float:
         """Cross-join produced-result rate per ms under K (Eq. 4 w/o sel, L)."""
+        in_order, cardinalities = self._per_stream(k_ms)
         total = 0.0
-        for i, s in enumerate(self.inputs):
-            product = s.rate_per_ms * self.in_order_probability(i, k_ms)
-            for j in range(len(self.inputs)):
-                if j != i:
-                    product *= self.expected_window_cardinality(j, k_ms)
+        for rate, probability, others in zip(self._rates, in_order, self._others):
+            product = rate * probability
+            for j in others:
+                product *= cardinalities[j]
             total += product
         return total
 
@@ -261,13 +313,35 @@ class RecallModel:
         independence assumptions can otherwise push the estimate slightly
         above 1 when windows are effectively complete.
         """
-        true_rate = self.true_result_rate()
-        if true_rate <= 0.0:
+        if self._true_rate <= 0.0:
             return 1.0
-        ratio = sel_ratio * self.produced_result_rate(k_ms) / true_rate
+        ratio = sel_ratio * self.produced_result_rate(k_ms) / self._true_rate
         return max(0.0, min(1.0, ratio))
+
+    def first_sufficient_k(
+        self,
+        requirement: float,
+        sel_ratio_at: Callable[[int], float],
+        max_k_ms: int,
+    ) -> Tuple[int, int]:
+        """Alg. 3's scan: the first ``k* = 0, g, 2g, …`` whose estimate
+        ``γ(L, k*)`` clears ``requirement``, or the first grid point past
+        ``max_k_ms`` (MaxDH) when none does.
+
+        ``sel_ratio_at(k* // g)`` supplies ``sel(K)/sel`` per candidate.
+        Returns ``(k*, candidates evaluated)``.
+        """
+        g, gamma = self.g, self.gamma
+        k_star = 0
+        steps = 0
+        while k_star <= max_k_ms:
+            steps += 1
+            if gamma(k_star, sel_ratio_at(k_star // g)) >= requirement:
+                break
+            k_star += g
+        return k_star, steps
 
     def estimated_true_results(self, interval_ms: int, selectivity: float = 1.0) -> float:
         """``N_true^on(L)`` via Eq. 1 (used as a cross-check; the pipeline
         prefers the profiler-based estimate, paper Sec. IV-C)."""
-        return selectivity * self.true_result_rate() * interval_ms
+        return selectivity * self._true_rate * interval_ms

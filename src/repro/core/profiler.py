@@ -26,7 +26,8 @@ interval).  The snapshot answers the two questions of Sec. IV-B/IV-C:
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from itertools import accumulate
+from typing import Dict, List, Optional
 
 from .statistics import coarse_delay
 from .tuples import StreamTuple
@@ -39,7 +40,9 @@ class ProfileSnapshot:
     (possibly smoothed over several intervals, see
     :class:`TupleProductivityProfiler`); ``interval_on`` is the
     just-ended interval's raw ``Σ M^on`` used as the true-result-size
-    estimate of Sec. IV-C (defaults to the maps' total).
+    estimate of Sec. IV-C (defaults to the maps' total).  The snapshot
+    keeps the two maps and reads them on first use: hand it maps nobody
+    will write to afterwards.
     """
 
     def __init__(
@@ -49,31 +52,45 @@ class ProfileSnapshot:
         interval_on: Optional[float] = None,
     ) -> None:
         self.max_coarse_delay = max(m_cross) if m_cross else 0
-        size = self.max_coarse_delay + 1
-        self._cum_cross = [0.0] * size
-        self._cum_on = [0.0] * size
-        acc_cross = 0.0
-        acc_on = 0.0
-        for d in range(size):
-            acc_cross += m_cross.get(d, 0.0)
-            acc_on += m_on.get(d, 0.0)
-            self._cum_cross[d] = acc_cross
-            self._cum_on[d] = acc_on
-        self.total_cross = acc_cross
-        self.total_on = acc_on
-        self.interval_on = self.total_on if interval_on is None else interval_on
+        self._m_cross = m_cross
+        self._m_on = m_on
+        self._interval_on = interval_on
+        #: Dense ``Σ_{d<=K}`` tables with a leading 0 (index ``K + 1``),
+        #: built on first use: only Eq. 6 and the totals read them, so a
+        #: step under EqSel or a fixed-K policy never pays for them.
+        self._cumulative: Optional[List[List[float]]] = None
+
+    def _tables(self) -> List[List[float]]:
+        """``[Σ M×, Σ M^on]``, summed left to right over d = 0 … MaxDM."""
+        if self._cumulative is None:
+            size = self.max_coarse_delay + 1
+            dense = [[0.0] * size, [0.0] * size]
+            for table, sparse in zip(dense, (self._m_cross, self._m_on)):
+                for d, value in sparse.items():
+                    if 0 <= d < size:
+                        table[d] = value
+            self._cumulative = [list(accumulate(t, initial=0.0)) for t in dense]
+        return self._cumulative
+
+    @property
+    def total_cross(self) -> float:
+        return self._tables()[0][-1]
+
+    @property
+    def total_on(self) -> float:
+        return self._tables()[1][-1]
 
     def cumulative_cross(self, coarse_k: int) -> float:
         """``Σ_{d=0}^{K} M×[d]`` (saturating beyond MaxDM)."""
         if coarse_k < 0:
             return 0.0
-        return self._cum_cross[min(coarse_k, self.max_coarse_delay)]
+        return self._tables()[0][min(coarse_k, self.max_coarse_delay) + 1]
 
     def cumulative_on(self, coarse_k: int) -> float:
         """``Σ_{d=0}^{K} M^on[d]`` (saturating beyond MaxDM)."""
         if coarse_k < 0:
             return 0.0
-        return self._cum_on[min(coarse_k, self.max_coarse_delay)]
+        return self._tables()[1][min(coarse_k, self.max_coarse_delay) + 1]
 
     def sel_ratio(self, coarse_k: int) -> float:
         """Eq. 6: ``sel^on(K)/sel^on`` at coarse buffer size ``coarse_k``.
@@ -81,18 +98,19 @@ class ProfileSnapshot:
         Degenerate cases (no output observed yet, empty numerators) return
         1.0, falling back to the EqSel assumption.
         """
-        cross_k = self.cumulative_cross(coarse_k)
-        on_all = self.cumulative_on(self.max_coarse_delay)
+        cum_cross, cum_on = self._cumulative or self._tables()
+        # Index 0 is the empty sum: a negative K has seen nothing.
+        index = min(coarse_k, self.max_coarse_delay) + 1 if coarse_k >= 0 else 0
+        cross_k = cum_cross[index]
+        on_all = cum_on[-1]
         if cross_k <= 0.0 or on_all <= 0.0:
             return 1.0
-        on_k = self.cumulative_on(coarse_k)
-        cross_all = self.cumulative_cross(self.max_coarse_delay)
-        return (on_k / cross_k) * (cross_all / on_all)
+        return (cum_on[index] / cross_k) * (cum_cross[-1] / on_all)
 
     def true_result_estimate(self) -> float:
         """``N_true^on(L)``: total join results the interval's tuples would
         have derived under complete disorder handling (paper Sec. IV-C)."""
-        return self.interval_on
+        return self.total_on if self._interval_on is None else self._interval_on
 
 
 class TupleProductivityProfiler:

@@ -14,9 +14,9 @@ over the whole period ``P`` still meets the user requirement ``Γ``:
 
 The derived ``Γ'`` is clamped to ``[0, 1]``.  (The paper's text says the
 applied value is ``max{Γ', 1}``, which would always force full recall and
-void the calibration — we read it as a typo for ``min{Γ', 1}``; see
-DESIGN.md §4.)  A ``Γ'`` below Γ means earlier intervals overshot and the
-next interval may relax; above Γ means it must compensate.
+void the calibration — we read it as a typo for ``min{Γ', 1}``.)  A ``Γ'``
+below Γ means earlier intervals overshot and the next interval may relax;
+above Γ means it must compensate.
 """
 
 from __future__ import annotations

@@ -152,6 +152,8 @@ class StatisticsManager:
         ]
         self._local_times = [0] * num_streams
         self._seen = [False] * num_streams
+        #: Streams with no tuple yet; K_sync is sampled once this is 0.
+        self._unseen = num_streams
 
     # ------------------------------------------------------------------
     # updates
@@ -164,9 +166,11 @@ class StatisticsManager:
             raise ValueError(f"stream index {i} outside [0, {self.num_streams})")
         if not self._seen[i] or t.ts > self._local_times[i]:
             self._local_times[i] = t.ts
-            self._seen[i] = True
+            if not self._seen[i]:
+                self._seen[i] = True
+                self._unseen -= 1
         ksync = None
-        if all(self._seen):
+        if not self._unseen:
             ksync = self._local_times[i] - min(self._local_times)
         self.streams[i].observe(t.delay, t.arrival, ksync)
 

@@ -14,7 +14,7 @@ Python simulator, so each factory takes a ``scale`` knob: ``scale=1.0``
 uses laptop defaults (tens of seconds of stream time, 10–25 tuples/s)
 that preserve the workloads' structure — window sizes, delay
 distributions, value domains and skews keep the paper's values.
-EXPERIMENTS.md records the scales used for the reported numbers; passing
+docs/BENCHMARKS.md records the scales used for the reported numbers; passing
 ``paper_scale=True`` reproduces the paper's full parameters.
 """
 

@@ -3,7 +3,8 @@
 Every benchmark regenerates one paper table or figure as text: a header
 naming the experiment, fixed-width columns, and (for figures) one row per
 x-axis point and series.  Reports are printed and also written under
-``results/`` so EXPERIMENTS.md can reference them.
+``results/`` (docs/BENCHMARKS.md, "Reading the reports", explains the
+columns).
 """
 
 from __future__ import annotations

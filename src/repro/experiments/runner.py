@@ -92,7 +92,7 @@ def run_experiment(
 
     def on_adaptation(pipeline: QualityDrivenPipeline, boundary_ms: int) -> None:
         # Anchor the measurement at the join's output progress: the result
-        # stream is ordered, so counts below onT are final (DESIGN.md §4).
+        # stream is ordered, so counts below onT are final.
         meter.measure(pipeline.join.on_t)
 
     pipeline = QualityDrivenPipeline(

@@ -4,7 +4,7 @@ The paper's real-world dataset is the DEBS 2013 Grand Challenge soccer
 trace: two streams of player positions (one per team) collected by on-body
 sensors during a 23-minute training game, ~450k tuples per stream, maximum
 tuple delays of 22s and 26s.  That trace is not available offline, so this
-module generates the closest synthetic equivalent (see DESIGN.md §5):
+module generates the closest synthetic equivalent:
 
 * Two streams, one per team, each multiplexing the position samples of
   that team's players.  Schema ``(ts, sID, x, y)`` matching the paper's

@@ -10,9 +10,14 @@ from repro import (
     ModelBasedPolicy,
     NoKSlackPolicy,
     NonEqSel,
+    PipelineConfig,
+    QualityDrivenPipeline,
     ResultSizeMonitor,
     StatisticsManager,
     StreamTuple,
+    equi_join_chain,
+    make_d3_syn,
+    seconds,
 )
 from repro.core.adaptation import build_recall_model
 from repro.core.profiler import ProfileSnapshot
@@ -256,3 +261,160 @@ class TestBuildRecallModel:
         assert model.in_order_probability(0, 0) == pytest.approx(1.0)
         # Rate: 2 streams at one tuple per 100 ms → 0.01/ms.
         assert model.inputs[0].rate_per_ms == pytest.approx(0.01, rel=0.05)
+
+
+class _SearchStepLog(ModelBasedPolicy):
+    """Alg. 3 with ``last_search_steps`` kept for every step."""
+
+    def __init__(self, selectivity):
+        super().__init__(selectivity)
+        self.search_steps = []
+
+    def decide(self, context):
+        k = super().decide(context)
+        self.search_steps.append(self.last_search_steps)
+        return k
+
+
+#: (selectivity, b, g) -> (k_history, results_produced, search steps per
+#: adaptation step) of the run in ``TestKTrajectoryPinned``, recorded on the
+#: commit before Alg. 3's scan moved into ``RecallModel`` (PR 20).  The four
+#: (b, g) are the model's index paths: stride 10, stride 1, the staircase,
+#: and neither of b and g dividing the other.
+_PINNED_TRAJECTORIES = {
+    (NonEqSel, 10, 1): (
+        [(0, 0), (1000, 400), (2000, 200), (3000, 100), (4000, 50), (5000, 984),
+         (6000, 492), (7000, 250), (8000, 125), (9000, 80), (10000, 40), (11000, 1601),
+         (12000, 1101), (14000, 1551), (18000, 775), (19000, 387), (20000, 193),
+         (21000, 1551), (22000, 775), (23000, 1551), (24000, 1901), (25000, 1900),
+         (26000, 1901), (29000, 1900), (30000, 1901), (31000, 1951), (35000, 1930),
+         (37000, 1951)],
+        42_400,
+        [401, 90, 35, 29, 985, 1, 251, 84, 81, 1, 1601, 1101, 1101, 1551, 1551, 1551,
+         1551, 31, 1, 1, 1551, 331, 1551, 1901, 1901, 1901, 1901, 1901, 1901, 1901,
+         1951, 1951, 1951, 1951, 1931, 1931, 1951, 1951, 1951, 1951],
+    ),
+    (NonEqSel, 10, 10): (
+        [(0, 0), (1000, 400), (2000, 200), (3000, 100), (4000, 50), (5000, 990),
+         (6000, 495), (7000, 250), (8000, 125), (9000, 80), (10000, 40), (11000, 1610),
+         (12000, 1110), (14000, 1560), (18000, 780), (19000, 390), (20000, 195),
+         (21000, 1560), (22000, 780), (23000, 1560), (24000, 1910), (25000, 1900),
+         (26000, 1910), (29000, 1900), (30000, 1910), (31000, 1960), (35000, 1930),
+         (37000, 1960)],
+        42_400,
+        [41, 10, 5, 4, 100, 1, 26, 10, 9, 1, 161, 111, 111, 156, 156, 156, 156, 4, 1, 1,
+         156, 34, 156, 191, 191, 191, 191, 191, 191, 191, 196, 196, 196, 196, 194, 194,
+         196, 196, 196, 196],
+    ),
+    (NonEqSel, 10, 100): (
+        [(0, 0), (1000, 400), (2000, 200), (3000, 100), (5000, 1000), (6000, 500),
+         (7000, 300), (8000, 150), (9000, 100), (11000, 1700), (12000, 1200),
+         (14000, 1700), (15000, 1600), (16000, 1700), (18000, 850), (19000, 425),
+         (20000, 212), (21000, 1700), (22000, 850), (23000, 1700), (24000, 2000),
+         (25000, 1900), (27000, 2000), (31000, 2100), (35000, 2000), (37000, 2100),
+         (38000, 2000), (39000, 2100), (40000, 2000)],
+        42_481,
+        [5, 2, 2, 2, 11, 1, 4, 2, 2, 2, 17, 12, 12, 17, 17, 17, 17, 2, 2, 1, 17, 5, 17,
+         20, 20, 20, 20, 20, 20, 20, 21, 21, 21, 21, 21, 21, 21, 21, 21, 21],
+    ),
+    (NonEqSel, 15, 10): (
+        [(0, 0), (1000, 400), (2000, 200), (3000, 100), (4000, 50), (5000, 990),
+         (6000, 495), (7000, 250), (8000, 125), (9000, 80), (10000, 40), (11000, 1610),
+         (12000, 1110), (14000, 1560), (18000, 780), (19000, 390), (20000, 195),
+         (21000, 1560), (22000, 780), (23000, 1560), (24000, 1910), (25000, 1900),
+         (26000, 1910), (29000, 1900), (30000, 1910), (31000, 1960), (35000, 1930),
+         (37000, 1960)],
+        42_400,
+        [41, 10, 5, 4, 100, 1, 26, 10, 9, 1, 161, 111, 111, 156, 156, 156, 156, 4, 1, 1,
+         156, 34, 156, 191, 191, 191, 191, 191, 191, 191, 196, 196, 196, 196, 194, 194,
+         196, 196, 196, 196],
+    ),
+    (EqSel, 10, 1): (
+        [(0, 0), (1000, 393), (2000, 196), (3000, 98), (4000, 49), (5000, 250),
+         (6000, 125), (7000, 62), (8000, 31), (9000, 15), (10000, 7), (11000, 1601),
+         (12000, 1077), (13000, 1101), (14000, 1551), (15000, 1534), (17000, 767),
+         (18000, 383), (19000, 191), (20000, 95), (21000, 1551), (22000, 775),
+         (23000, 1551), (24000, 1901), (25000, 1879), (26000, 1901), (28000, 950),
+         (29000, 475), (30000, 400), (31000, 1951), (32000, 975), (33000, 1951),
+         (34000, 975), (35000, 1930), (37000, 1951)],
+        42_012,
+        [394, 40, 35, 29, 251, 35, 1, 1, 1, 1, 1601, 1078, 1101, 1551, 1535, 1535, 101,
+         27, 1, 1, 1551, 131, 1551, 1901, 1880, 1901, 1901, 72, 82, 401, 1951, 132,
+         1951, 132, 1931, 1931, 1951, 1951, 1951, 1951],
+    ),
+    (EqSel, 10, 10): (
+        [(0, 0), (1000, 400), (2000, 200), (3000, 100), (4000, 50), (5000, 250),
+         (6000, 125), (7000, 62), (8000, 31), (9000, 15), (10000, 7), (11000, 1610),
+         (12000, 1080), (13000, 1110), (14000, 1560), (15000, 1540), (17000, 770),
+         (18000, 385), (19000, 192), (20000, 96), (21000, 1560), (22000, 780),
+         (23000, 1560), (24000, 1910), (25000, 1880), (26000, 1910), (28000, 955),
+         (29000, 477), (30000, 400), (31000, 1960), (32000, 980), (33000, 1960),
+         (34000, 980), (35000, 1930), (37000, 1960)],
+        42_012,
+        [41, 5, 5, 4, 26, 5, 1, 1, 1, 1, 161, 109, 111, 156, 155, 155, 11, 4, 1, 1, 156,
+         14, 156, 191, 189, 191, 191, 9, 10, 41, 196, 15, 196, 15, 194, 194, 196, 196,
+         196, 196],
+    ),
+    (EqSel, 10, 100): (
+        [(0, 0), (1000, 400), (2000, 200), (3000, 100), (5000, 400), (6000, 200),
+         (7000, 100), (8000, 50), (9000, 25), (10000, 12), (11000, 1700), (12000, 1100),
+         (14000, 1700), (15000, 1600), (17000, 800), (18000, 400), (19000, 200),
+         (20000, 100), (21000, 1700), (22000, 850), (23000, 1700), (24000, 2000),
+         (25000, 1900), (27000, 2000), (28000, 1000), (29000, 500), (30000, 600),
+         (31000, 2100), (32000, 1050), (33000, 2100), (34000, 1050), (35000, 2000),
+         (36000, 1000), (37000, 2100), (38000, 1050), (39000, 2100), (40000, 1050)],
+        42_043,
+        [5, 2, 2, 2, 5, 2, 1, 1, 1, 1, 17, 12, 12, 17, 17, 17, 3, 2, 1, 1, 17, 3, 17,
+         20, 20, 20, 20, 2, 2, 7, 21, 3, 21, 3, 21, 3, 21, 3, 21, 3],
+    ),
+    (EqSel, 15, 10): (
+        [(0, 0), (1000, 400), (2000, 200), (3000, 100), (4000, 50), (5000, 250),
+         (6000, 125), (7000, 62), (8000, 31), (9000, 15), (10000, 7), (11000, 1610),
+         (12000, 1080), (13000, 1110), (14000, 1560), (15000, 1540), (17000, 770),
+         (18000, 385), (19000, 192), (20000, 96), (21000, 1560), (22000, 780),
+         (23000, 1560), (24000, 1910), (25000, 1880), (26000, 1910), (28000, 955),
+         (29000, 477), (30000, 400), (31000, 1960), (32000, 980), (33000, 1960),
+         (34000, 980), (35000, 1930), (37000, 1960)],
+        42_012,
+        [41, 5, 5, 4, 26, 5, 1, 1, 1, 1, 161, 109, 111, 156, 155, 155, 11, 4, 1, 1, 156,
+         14, 156, 191, 189, 191, 191, 9, 10, 41, 196, 15, 196, 15, 194, 194, 196, 196,
+         196, 196],
+    ),
+}
+
+
+class TestKTrajectoryPinned:
+    """Every float of Eqs. 1–6 feeds the K decision: a change of
+    operation order anywhere in the model shows up here as a different K."""
+
+    @pytest.mark.parametrize(
+        "selectivity,b,g",
+        list(_PINNED_TRAJECTORIES),
+        ids=lambda value: getattr(value, "__name__", str(value)),
+    )
+    def test_trajectory_is_bit_stable(self, selectivity, b, g):
+        dataset = make_d3_syn(
+            duration_ms=seconds(40), seed=7, inter_arrival_ms=50, max_delay_ms=2_000
+        )
+        policy = _SearchStepLog(selectivity())
+        pipeline = QualityDrivenPipeline(
+            PipelineConfig(
+                # Not a multiple of either b: the last basic window is partial.
+                window_sizes_ms=[2_050] * 3,
+                condition=equi_join_chain("a1", 3),
+                gamma=0.95,
+                period_ms=seconds(10),
+                interval_ms=seconds(1),
+                basic_window_ms=b,
+                granularity_ms=g,
+                policy=policy,
+                collect_results=False,
+            )
+        )
+        for t in dataset.arrivals():
+            pipeline.process(t)
+        pipeline.flush()
+        k_history, results_produced, search_steps = _PINNED_TRAJECTORIES[selectivity, b, g]
+        assert pipeline.metrics.k_history == k_history
+        assert pipeline.metrics.results_produced == results_produced
+        assert policy.search_steps == search_steps

@@ -1,8 +1,9 @@
 """Tier-1 wiring of the docs gate (``tools/check_docs.py``).
 
 CI runs the gate as its own job; running it here too means a stale
-fenced example or broken relative link in ``README.md`` / ``docs/*.md``
-fails the ordinary test suite on a developer machine, before any push.
+fenced example or broken relative link in ``README.md`` / ``docs/*.md``,
+or a source docstring citing a document that no longer exists, fails the
+ordinary test suite on a developer machine, before any push.
 Also pins the checker's own parsing primitives (fence extraction,
 GitHub anchor slugs) so the gate itself cannot silently stop checking.
 """
@@ -53,6 +54,17 @@ def test_checker_reports_broken_examples_and_links(tmp_path):
     )
     errors = check_docs.check_document(bad)
     assert len(errors) == 4
+
+
+def test_checker_reports_a_cited_document_that_does_not_exist(tmp_path):
+    source = tmp_path / "module.py"
+    source.write_text(
+        '"""See docs/ARCHITECTURE.md and NOPE.md."""\n'
+        "x = 1  # ROADMAP.md item 2, not Readme.md or notes.md\n",
+        encoding="utf-8",
+    )
+    errors = check_docs.check_cited_documents(source)
+    assert len(errors) == 1 and "module.py:1: NOPE.md" in errors[0]
 
 
 def test_repository_documents_pass_the_gate(capsys):

@@ -13,6 +13,7 @@ Covered invariants:
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,6 +26,7 @@ from repro import (
     MSWJOperator,
     NexmarkConfig,
     PipelineConfig,
+    ProfileSnapshot,
     QualityDrivenPipeline,
     RecallModel,
     StreamModelInput,
@@ -38,6 +40,7 @@ from repro import (
 from repro.streams.source import Dataset
 
 from .reference import reference_join, result_key_set
+from .test_model import brute_gamma
 
 # ----------------------------------------------------------------------
 # strategies
@@ -191,7 +194,7 @@ class TestSynchronizerProperties:
 # lead over the slowest stream, so no tuple takes Alg. 1's immediate-
 # forwarding straggler path; we generate in that regime (leads >= 70 ms,
 # jitter <= 20 ms, K <= 30 ms) and require *exact* join-output equality.
-# (Outside the regime the equivalence is approximate; see DESIGN.md §4.)
+# (Outside the regime the equivalence is approximate.)
 
 def _skewed_streams(num_streams, offsets, jitter_pattern, steps, step_ms=10):
     """Lock-step streams with constant offsets and periodic disorder."""
@@ -528,3 +531,105 @@ class TestModelProperties:
         gammas = [model.gamma(k) for k in range(0, 400, 10)]
         assert all(a <= b + 1e-9 for a, b in zip(gammas, gammas[1:]))
         assert all(0.0 <= g <= 1.0 for g in gammas)
+
+
+@st.composite
+def scan_cases(draw):
+    """A model on any of the three index paths, with K_sync slack and
+    windows whose last basic window is partial, plus a search to run."""
+    b, g = draw(st.sampled_from(
+        [(10, 1), (10, 10), (30, 10), (10, 100), (10, 50), (15, 10), (30, 7)]
+    ))
+    inputs = []
+    for _ in range(draw(st.integers(2, 4))):
+        weights = draw(pdf_strategy)
+        total = sum(weights)
+        inputs.append(StreamModelInput(
+            pdf=[w / total for w in weights],
+            ksync_ms=draw(st.sampled_from([0.0, 7.0, 12.5, 57.0, 230.0])),
+            rate_per_ms=draw(st.floats(0.005, 0.05)),
+            window_ms=draw(st.integers(1, 1_500).filter(lambda w: w % b)),
+        ))
+    ratios = draw(st.lists(st.floats(0.0, 1.5), min_size=1, max_size=20))
+    requirement = draw(st.floats(0.0, 1.1))
+    max_k_ms = draw(st.integers(0, 35 * g))
+    return inputs, b, g, ratios, requirement, max_k_ms
+
+
+class TestScanProperties:
+    @given(scan_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_scan_is_the_first_sufficient_single_candidate(self, case):
+        inputs, b, g, ratios, requirement, max_k_ms = case
+        model = RecallModel(inputs, basic_window_ms=b, granularity_ms=g)
+        # No K enters Eq. 1: it belongs to the step, not to a candidate.
+        model.true_result_rate = None
+
+        def sel_ratio_at(coarse_k):
+            return ratios[min(coarse_k, len(ratios) - 1)]
+
+        k_ms, steps = 0, 0
+        while k_ms <= max_k_ms:
+            steps += 1
+            gamma = model.gamma(k_ms, sel_ratio_at(k_ms // g))
+            assert gamma == pytest.approx(
+                brute_gamma(inputs, k_ms, b, g, sel_ratio_at(k_ms // g)), rel=1e-9
+            )
+            if gamma >= requirement:
+                break
+            k_ms += g
+        assert model.first_sufficient_k(requirement, sel_ratio_at, max_k_ms) == (
+            k_ms, steps,
+        )
+
+
+sparse_map = st.dictionaries(
+    st.integers(0, 60), st.integers(0, 10**9).map(lambda n: n / 1024), max_size=25
+)
+
+
+class TestLazySnapshotProperties:
+    @given(sparse_map, sparse_map, st.booleans())
+    @settings(max_examples=150)
+    def test_lazy_tables_equal_the_eager_loop(self, m_cross, m_on, totals_first):
+        snapshot = ProfileSnapshot(m_cross, m_on)
+        top = max(m_cross) if m_cross else 0
+        cum_cross, cum_on = [], []
+        acc_cross = acc_on = 0.0
+        for d in range(top + 1):
+            acc_cross += m_cross.get(d, 0.0)
+            acc_on += m_on.get(d, 0.0)
+            cum_cross.append(acc_cross)
+            cum_on.append(acc_on)
+        if totals_first:  # whichever accessor comes first builds the tables
+            assert (snapshot.total_cross, snapshot.total_on) == (acc_cross, acc_on)
+        assert snapshot.max_coarse_delay == top
+        for k in range(-2, top + 3):
+            at = min(k, top)
+            cross_k = cum_cross[at] if k >= 0 else 0.0
+            on_k = cum_on[at] if k >= 0 else 0.0
+            assert snapshot.cumulative_cross(k) == cross_k
+            assert snapshot.cumulative_on(k) == on_k
+            if cross_k <= 0.0 or acc_on <= 0.0:
+                assert snapshot.sel_ratio(k) == 1.0
+            else:
+                assert snapshot.sel_ratio(k) == (on_k / cross_k) * (acc_cross / acc_on)
+        assert (snapshot.total_cross, snapshot.total_on) == (acc_cross, acc_on)
+        assert snapshot.true_result_estimate() == acc_on
+
+    def test_maps_are_not_read_until_eq6_or_a_total_needs_them(self):
+        reads = []
+
+        class Watched(dict):
+            def items(self):
+                reads.append("items")
+                return super().items()
+
+        snapshot = ProfileSnapshot(Watched({0: 4.0, 9: 1.0}), Watched({0: 2.0}), 7.5)
+        assert snapshot.true_result_estimate() == 7.5
+        assert snapshot.max_coarse_delay == 9
+        assert reads == []
+        assert snapshot.sel_ratio(0) == pytest.approx((2.0 / 4.0) * (5.0 / 2.0))
+        assert reads == ["items", "items"]
+        snapshot.cumulative_on(3)
+        assert reads == ["items", "items"]

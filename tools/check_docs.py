@@ -14,6 +14,14 @@ Checks, for ``README.md`` and every ``docs/*.md``:
    using GitHub's slug rules (lowercase, punctuation stripped, spaces to
    hyphens, ``-N`` suffixes for duplicates).
 
+and, for the Python sources under ``src/``, ``tools/`` and
+``benchmarks/*.py``:
+
+3. **Cited documents.**  Every upper-case markdown name a docstring or
+   comment cites (``ROADMAP.md``, ``docs/BENCHMARKS.md``) must be a file
+   at the repository root or in ``docs/``, so a source file cannot keep
+   pointing at a document that was merged away.
+
 Run from the repository root (CI does)::
 
     PYTHONPATH=src python tools/check_docs.py
@@ -39,6 +47,8 @@ FENCE = re.compile(r"^```([A-Za-z0-9_+-]*)\s*$")
 LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 HEADING = re.compile(r"^(#{1,6})\s+(.*?)\s*#*\s*$")
 EXTERNAL = ("http://", "https://", "mailto:")
+#: A document as source prose cites one.
+CITED = re.compile(r"\b[A-Z_]+\.md\b")
 
 
 def _display(path: Path) -> str:
@@ -196,6 +206,27 @@ def check_links(path: Path, text: str, errors: List[str]) -> int:
     return checked
 
 
+def source_files() -> List[Path]:
+    files = sorted((REPO_ROOT / "src").rglob("*.py"))
+    files.extend(sorted((REPO_ROOT / "tools").glob("*.py")))
+    files.extend(sorted((REPO_ROOT / "benchmarks").glob("*.py")))
+    return files
+
+
+def check_cited_documents(path: Path) -> List[str]:
+    """Every document one source file cites must exist (root or docs/)."""
+    errors: List[str] = []
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for line_number, line in enumerate(lines, start=1):
+        for name in CITED.findall(line):
+            if not any((REPO_ROOT / where / name).exists() for where in ("", "docs")):
+                errors.append(
+                    f"{_display(path)}:{line_number}: {name} is neither at the "
+                    "repository root nor in docs/"
+                )
+    return errors
+
+
 def check_document(path: Path) -> List[str]:
     text = path.read_text(encoding="utf-8")
     errors: List[str] = []
@@ -216,6 +247,13 @@ def main() -> int:
         for error in errors:
             print(f"  {error}", file=sys.stderr)
         failing += bool(errors)
+    sources = source_files()
+    dangling = [error for path in sources for error in check_cited_documents(path)]
+    status = "FAIL" if dangling else "ok"
+    print(f"[{status}] cited documents: {len(sources)} source file(s)")
+    for error in dangling:
+        print(f"  {error}", file=sys.stderr)
+    failing += bool(dangling)
     if failing:
         print(f"{failing} document(s) failed the docs gate", file=sys.stderr)
     return failing
