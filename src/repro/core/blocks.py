@@ -51,10 +51,12 @@ from __future__ import annotations
 
 import pickle
 import zlib
+from itertools import repeat
 from typing import (
     Any,
     Dict,
     FrozenSet,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -580,29 +582,61 @@ class BlockEncoder:
         )
 
     def encode_results(self, results: Sequence[JoinResult]) -> ResultBlock:
-        """Pack join results, interning each distinct component tuple once.
+        """Pack join results, interning each distinct component tuple
+        once: a :class:`ResultAccumulator` fed a single batch."""
+        accumulator = ResultAccumulator()
+        accumulator.extend(results)
+        return accumulator.block(self)
 
-        Components are deduplicated by object identity — exactly the
-        sharing the operator created (one window tuple appears in many
-        results), which is also what pickle's memo would discover, minus
-        the per-object graph walk.
-        """
-        ts_col: List[int] = []
-        flat: List[int] = []
-        distinct: List[StreamTuple] = []
-        index_of: Dict[int, int] = {}
-        arity = len(results[0].components) if results else 0
+
+class ResultAccumulator:
+    """A :class:`ResultBlock` under construction, fed batch by batch.
+
+    What a shard worker keeps instead of its results: each batch's
+    :class:`~repro.core.tuples.JoinResult` objects are taken apart into
+    the block's columns at once and die with the batch that made them.
+    Components are deduplicated by object identity — exactly the sharing
+    the operator created (one window tuple appears in many results),
+    which is also what pickle's memo would discover, minus the
+    per-object graph walk — and numbered by first appearance, so the
+    block does not depend on how the results were cut into batches.
+    """
+
+    __slots__ = ("_arity", "_ts", "_flat", "_distinct", "_index_of")
+
+    def __init__(self) -> None:
+        self._arity = 0
+        self._ts: List[int] = []
+        self._flat: List[int] = []
+        # Holding the interned components keeps every ``id()`` in
+        # ``_index_of`` valid for the accumulator's lifetime.
+        self._distinct: List[StreamTuple] = []
+        self._index_of: Dict[int, int] = {}
+
+    def extend(self, results: Sequence[JoinResult]) -> None:
+        if not results:
+            return
+        self._arity = len(results[0].components)
+        ts_append = self._ts.append
+        flat_append = self._flat.append
+        distinct = self._distinct
+        index_of = self._index_of
         for result in results:
-            ts_col.append(result.ts)
+            ts_append(result.ts)
             for component in result.components:
                 key = id(component)
                 idx = index_of.get(key)
                 if idx is None:
-                    idx = len(distinct)
-                    index_of[key] = idx
+                    idx = index_of[key] = len(distinct)
                     distinct.append(component)
-                flat.append(idx)
-        return ResultBlock(arity, ts_col, flat, self.encode(distinct))
+                flat_append(idx)
+
+    def block(self, encoder: BlockEncoder) -> ResultBlock:
+        """Everything fed so far as one block (which takes the columns:
+        feed a fresh accumulator afterwards, not this one)."""
+        return ResultBlock(
+            self._arity, self._ts, self._flat, encoder.encode(self._distinct)
+        )
 
 
 class BlockDecoder:
@@ -665,18 +699,34 @@ class BlockDecoder:
         ]
 
     def decode_results(self, block: ResultBlock) -> List[JoinResult]:
-        """Unpack a result block, re-sharing decoded component tuples."""
+        """Unpack a result block, re-sharing decoded component tuples.
+
+        Results are rebuilt column by column in C, so the block's shape
+        is checked up front — a ``zip`` would silently truncate what a
+        short index array leaves incomplete: ``ValueError`` unless
+        ``component_indexes`` holds exactly ``arity`` entries per
+        timestamp, each inside the component block.
+        """
         components = self.decode(block.components)
         arity = block.arity
         flat = block.component_indexes
-        results: List[JoinResult] = []
-        append = results.append
-        pos = 0
-        for ts in block.ts:
-            end = pos + arity
-            append(JoinResult(ts, tuple(components[i] for i in flat[pos:end])))
-            pos = end
-        return results
+        if len(flat) != arity * len(block.ts):
+            raise ValueError(
+                f"result block of {len(block.ts)} results x arity {arity} "
+                f"carries {len(flat)} component indexes"
+            )
+        if flat and (min(flat) < 0 or max(flat) >= len(components)):
+            raise ValueError(
+                f"result block indexes [{min(flat)}, {max(flat)}] reach outside "
+                f"its {len(components)} components"
+            )
+        pick = components.__getitem__
+        rows: Iterable[Tuple[StreamTuple, ...]] = (
+            zip(*(map(pick, flat[j::arity]) for j in range(arity)))
+            if arity
+            else repeat(())
+        )
+        return list(map(JoinResult, block.ts, rows))
 
 
 _CheckpointFrameState = Tuple[int, int, int, bytes, int]

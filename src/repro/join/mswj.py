@@ -26,14 +26,18 @@ equality-hash-index lookups where the condition allows and evaluating each
 predicate as soon as all streams it references are bound.  How a trigger
 is answered is decided when its :class:`ProbePlan` is compiled, not in the
 probe loop: predicates an index lookup already enforces are dropped from
-the per-depth checks, and in count-only mode every depth whose binding
-nothing later reads is answered by a bucket *size* instead of an
-enumeration — an equi chain is then a product of ``m - 1`` dict lookups.
+the per-depth checks, and every depth whose binding nothing later reads
+is a *factor* — in count-only mode answered by a bucket size instead of
+an enumeration (an equi chain is then a product of ``m - 1`` dict
+lookups), in collecting mode expanded, once all remaining depths are
+factors, as one product over candidate lists each fetched once.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from itertools import product, repeat
+from operator import itemgetter
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.tuples import JoinResult, StreamTuple
 from .conditions import EquiPredicate, JoinCondition, Predicate
@@ -94,7 +98,12 @@ class ProbePlan:
     order (cardinality drift).
 
     ``steps`` follow the order (the collecting probe emits in that
-    sequence).  ``count_steps`` are the same steps with the factors that
+    sequence).  ``prefix`` is how many of them the collecting probe has
+    to walk depth-first: the trailing run of factors after it reads only
+    the trigger and those ``prefix`` bindings, so its matches are the
+    plain product of its candidate lists, and ``pick`` reorders one
+    ``(trigger, *bindings in step order)`` row into stream position.
+    ``count_steps`` are the same steps with the factors that
     depend on the trigger alone — a trigger-keyed lookup or an
     unconstrained scan — moved to the front: no other depth reads or
     feeds them, so a count-only probe takes each once per trigger
@@ -104,13 +113,19 @@ class ProbePlan:
     trigger alone, the same whatever the order.
     """
 
-    __slots__ = ("order", "steps", "count_steps", "is_product")
+    __slots__ = ("order", "steps", "prefix", "pick", "count_steps", "is_product")
 
     def __init__(
         self, trigger_stream: int, order: Tuple[int, ...], steps: List[ProbeStep]
     ) -> None:
         self.order = order
         self.steps = steps
+        prefix = len(steps)
+        while prefix and steps[prefix - 1].factor:
+            prefix -= 1
+        self.prefix = prefix
+        layout = (trigger_stream,) + order
+        self.pick = itemgetter(*map(layout.index, range(len(layout))))
         self.count_steps = sorted(  # stable: a partition, not a reorder
             steps,
             key=lambda s: not (
@@ -385,7 +400,7 @@ class MSWJOperator:
         bound = {trigger.stream: trigger}
         if self._collect_results:
             collected: List[JoinResult] = []
-            self._collect_from(0, plan.steps, bound, trigger.ts, collected)
+            self._collect_from(0, plan, bound, trigger.ts, collected)
             return collected
         return self._count_from(0, plan.count_steps, bound)
 
@@ -436,37 +451,54 @@ class MSWJOperator:
         bound.pop(j, None)
         return product * count
 
+    def _candidates(
+        self, step: ProbeStep, bound: Dict[int, StreamTuple]
+    ) -> Iterable[StreamTuple]:
+        """What ``step`` binds under ``bound``, in slot order."""
+        window = self.windows[step.stream]
+        if step.lookup is None:
+            return window.tuples()
+        attr, source, source_attr = step.lookup
+        value = bound[source].get(source_attr)
+        if value != value:
+            return ()  # NaN: the implied ``==`` rejects every candidate
+        return window.lookup(attr, value)
+
     def _collect_from(
         self,
         depth: int,
-        steps: Sequence[ProbeStep],
+        plan: ProbePlan,
         bound: Dict[int, StreamTuple],
         result_ts: int,
         collected: List[JoinResult],
     ) -> None:
-        """Bind ``steps[depth:]`` depth-first, appending every match."""
-        if depth == len(steps):
-            components = tuple(bound[s] for s in range(self.num_streams))
-            collected.append(JoinResult(result_ts, components))
+        """Bind ``plan.steps[depth:]``, appending every match in DFS order.
+
+        Only the enumerating prefix is walked depth-first.  Below it
+        every step is a factor — no residual, read by nothing later —
+        so the matches under one prefix binding are the product of the
+        remaining candidate lists, each fetched once, last step
+        varying fastest: exactly what the recursion would emit.  A plan
+        without factors ends in the empty product, one result.
+        """
+        if depth == plan.prefix:
+            # ``bound`` holds the trigger, then the prefix bindings in
+            # step order (each level pops its own): the row layout
+            # ``plan.pick`` expects, as one-candidate pools.
+            suffix = (self._candidates(step, bound) for step in plan.steps[depth:])
+            rows = product(*zip(bound.values()), *suffix)
+            collected.extend(map(JoinResult, repeat(result_ts), map(plan.pick, rows)))
             return
-        step = steps[depth]
+        step = plan.steps[depth]
         j = step.stream
-        if step.lookup is not None:
-            attr, source, source_attr = step.lookup
-            value = bound[source].get(source_attr)
-            if value != value:
-                return  # NaN: the implied ``==`` rejects every candidate
-            candidates = self.windows[j].lookup(attr, value)
-        else:
-            candidates = self.windows[j].tuples()
         residual = step.residual
-        for candidate in candidates:
+        for candidate in self._candidates(step, bound):
             bound[j] = candidate
             for predicate in residual:
                 if not predicate.evaluate(bound):
                     break
             else:
-                self._collect_from(depth + 1, steps, bound, result_ts, collected)
+                self._collect_from(depth + 1, plan, bound, result_ts, collected)
         bound.pop(j, None)
 
     # ------------------------------------------------------------------

@@ -52,7 +52,12 @@ from ..core.blocks import (
     unframe_checkpoint,
     verify_checkpoint,
 )
-from ..core.pipeline import PipelineConfig, PipelineMetrics, QualityDrivenPipeline
+from ..core.pipeline import (
+    PipelineConfig,
+    PipelineMetrics,
+    QualityDrivenPipeline,
+    empty_outputs,
+)
 from ..core.tuples import StreamTuple
 from ..faults import FaultPlan
 from .channel import Channel
@@ -78,7 +83,6 @@ from .shard import (
     ShardFailure,
     ShardOutcome,
     adopt_shard_state,
-    empty_outputs,
     extract_shard_state,
     merge_outputs,
     shard_worker,

@@ -52,9 +52,10 @@ import queue
 import threading
 from typing import List, Optional, Sequence
 
+from ..core.pipeline import empty_outputs
 from ..core.tuples import StreamTuple
 from .pipeline import PartitionedPipeline
-from .shard import Outputs, empty_outputs, merge_outputs
+from .shard import Outputs, merge_outputs
 
 #: Default bound of the feeder hand-off queue, in batches.  Deep enough
 #: to absorb routing/encoding jitter, shallow enough that a stalled

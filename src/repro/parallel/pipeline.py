@@ -49,10 +49,17 @@ static routing — rebalancing is purely a load-balance/performance knob.
 
 from __future__ import annotations
 
-from operator import attrgetter
+import gc
+from itertools import chain, count
+from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from ..core.pipeline import PipelineConfig, PipelineMetrics, QualityDrivenPipeline
+from ..core.pipeline import (
+    PipelineConfig,
+    PipelineMetrics,
+    QualityDrivenPipeline,
+    empty_outputs,
+)
 from ..core.tuples import JoinResult, StreamTuple
 from ..faults import FaultPlan
 from ..join.store import StoreMetrics
@@ -73,7 +80,6 @@ from .shard import (
     ShardFailure,
     ShardOutcome,
     adopt_shard_state,
-    empty_outputs,
     extract_shard_state,
     merge_outputs,
 )
@@ -630,30 +636,41 @@ class PartitionedPipeline:
         identity (:meth:`~repro.core.tuples.JoinResult.key`), not on
         shard order: which shard produced a result is a routing detail
         (and under rebalancing changes mid-run), so the merged sequence
-        is identical for any shard count and any slot-table history.
+        is identical for any shard count and any slot-table history —
+        provided ``seq`` is unique per stream, as every generator and
+        source numbers it.  Results whose keys tie all the same
+        (hand-built tuples left at ``seq=-1``) stay in shard order,
+        then emission order (see :func:`canonical_order`).
+
+        A collecting flush allocates an object or two per result and
+        frees none, and none of it is cyclic; the cyclic collector
+        would walk that growing heap again every few hundred
+        allocations and find nothing.  It is therefore paused from
+        ``executor.finish()`` to the end of the merge and put back as
+        found whatever happens; one young-generation pass then settles
+        what was allocated meanwhile here, inside the flush that caused
+        it, instead of in whatever the caller allocates next.
         """
         collect = self.config.collect_results
         if self._flushed:
             return empty_outputs(collect)
         self._flushed = True
-        self._outcomes = self.executor.finish()
-        emitted = [
-            outcome
-            for outcome in self._outcomes
-            if outcome.shard in self._emit_shards
-        ]
-        if collect:
-            results: List[JoinResult] = []
-            for outcome in emitted:
-                results.extend(outcome.outputs)  # type: ignore[arg-type]
-            # Components are stream-position-indexed and seq is unique
-            # per stream, so the per-component seq tuple is the same
-            # total order as the full JoinResult.key() identity — at a
-            # fraction of the key-building cost on large result sets.
-            seq_of = attrgetter("seq")
-            results.sort(key=lambda r: (r.ts, *map(seq_of, r.components)))
-            return results
-        return sum(outcome.outputs for outcome in emitted)  # type: ignore[misc]
+        collector_was_on = gc.isenabled()
+        gc.disable()
+        try:
+            self._outcomes = self.executor.finish()
+            emitted = [
+                outcome.outputs
+                for outcome in self._outcomes
+                if outcome.shard in self._emit_shards
+            ]
+            if collect:
+                return canonical_order(list(chain.from_iterable(emitted)))  # type: ignore[arg-type]
+            return sum(emitted)  # type: ignore[arg-type]
+        finally:
+            if collector_was_on:
+                gc.enable()
+                gc.collect(1)
 
     def close(self) -> None:
         """Release shard resources without draining (abandoning the run).
@@ -677,6 +694,27 @@ class PartitionedPipeline:
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
+
+
+def canonical_order(results: List[JoinResult]) -> List[JoinResult]:
+    """``results`` sorted by ``(ts, seq of each component)``, stably.
+
+    Components are stream-position-indexed and seq is unique per
+    stream, so the per-component seq tuple is the same total order as
+    the full ``JoinResult.key()`` identity.  The keys are built column
+    by column and closed by a running index: tuples compare in C, a tie
+    on everything before the index resolves to input order — the stable
+    order of ``list.sort`` — and the index says where each result goes.
+    """
+    if not results:
+        return results
+    components = list(map(attrgetter("components"), results))
+    seqs = (
+        map(attrgetter("seq"), map(itemgetter(position), components))
+        for position in range(len(components[0]))
+    )
+    keys = sorted(zip(map(attrgetter("ts"), results), *seqs, count()))
+    return list(map(results.__getitem__, map(itemgetter(-1), keys)))
 
 
 def run_partitioned(

@@ -11,9 +11,11 @@ module holds what both executors share:
 * :func:`shard_worker` — the child-process loop run by the process
   executor.
 
-The ``Outputs`` accumulation helpers (result lists vs. plain counts, per
-``PipelineConfig.collect_results``) live in :mod:`repro.core.pipeline`
-and are re-exported here for the rest of the parallel layer.
+The ``Outputs`` type and its merge helper (result lists vs. plain
+counts, per ``PipelineConfig.collect_results``) live in
+:mod:`repro.core.pipeline` and are re-exported here for the rest of the
+parallel layer; a worker's own running outputs are
+:data:`WorkerOutputs`.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from ..core.blocks import (
     BlockDecoder,
     BlockEncoder,
     CheckpointFrame,
+    ResultAccumulator,
     ResultBlock,
     StateBlock,
     decode_state,
@@ -37,7 +40,6 @@ from ..core.pipeline import (
     PipelineConfig,
     PipelineMetrics,
     QualityDrivenPipeline,
-    empty_outputs,
     merge_outputs,
 )
 from ..core.tuples import StreamTuple
@@ -64,10 +66,13 @@ class ShardOutcome:
     ``metrics`` is the shard's whole accounting
     (:meth:`~repro.core.pipeline.QualityDrivenPipeline.account`): run
     metrics and, in its ``join`` field, the MSWJ operator's counters.
+    Collected ``outputs`` cross the wire as a
+    :class:`~repro.core.blocks.ResultBlock`; the executor decodes before
+    it exposes the outcome.
     """
 
     shard: int
-    outputs: Outputs
+    outputs: Union[Outputs, ResultBlock]
     metrics: PipelineMetrics
 
 
@@ -374,6 +379,28 @@ def checkpoint_shard_state(
     return frame, outputs
 
 
+#: A worker's running outputs: a bare count, or — for collected results
+#: — the :class:`~repro.core.blocks.ResultBlock` it will ship, under
+#: construction, so no result object outlives the batch that made it.
+WorkerOutputs = Union[ResultAccumulator, int]
+
+
+def _absorb(outputs: WorkerOutputs, produced: Outputs) -> WorkerOutputs:
+    """``outputs`` with one more pipeline return folded in."""
+    if isinstance(outputs, int):
+        return outputs + produced  # type: ignore[operator]
+    outputs.extend(produced)  # type: ignore[arg-type]
+    return outputs
+
+
+def _shipped(outputs: WorkerOutputs) -> CheckpointOutputs:
+    """The wire form of ``outputs`` (a fresh encoder per block: each
+    carries its schema inline)."""
+    if isinstance(outputs, int):
+        return outputs
+    return outputs.block(BlockEncoder())
+
+
 def shard_worker(
     conn: Connection,
     shard: int,
@@ -388,11 +415,12 @@ def shard_worker(
     messages — ``payload`` is a :class:`~repro.core.blocks.TupleBlock` —
     then exactly one ``(MSG_FLUSH, None)``.  The child replies with a
     single ``("ok", ShardOutcome)`` — or ``("error", text)`` if the
-    pipeline raised — and exits.  Outputs accumulate in the child and
-    travel back once (as a :class:`~repro.core.blocks.ResultBlock` in
-    the outcome's ``outputs`` field when results are collected; the
-    parent decodes before exposing the outcome), so steady-state IPC is
-    just the batched tuple stream.  ``(MSG_ABORT, None)`` makes the child
+    pipeline raised — and exits.  Outputs accumulate in the child
+    (:data:`WorkerOutputs`: collected results go straight into the
+    :class:`~repro.core.blocks.ResultBlock` they will travel in) and
+    travel back once, in the outcome's ``outputs`` field (the parent
+    decodes before exposing the outcome), so steady-state IPC is just
+    the batched tuple stream.  ``(MSG_ABORT, None)`` makes the child
     exit immediately with no reply — the shutdown path for abandoned
     runs; an explicit message rather than pipe EOF because under the
     ``fork`` start method sibling workers inherit copies of earlier pipe
@@ -451,7 +479,7 @@ def shard_worker(
             # the worker; hand the injector the live channel so it can.
             injector.connection = channel
             channel.on_ring_write = injector.on_ring_write
-        outputs: Outputs = empty_outputs(collect)
+        outputs: WorkerOutputs = ResultAccumulator() if collect else 0
         consumed = 0
         while True:
             tag, payload = channel.recv()
@@ -461,39 +489,36 @@ def shard_worker(
                 break
             if tag == MSG_MIGRATE_OUT:
                 drained, states = extract_shard_state(pipeline, shard, payload)
-                outputs = merge_outputs(collect, outputs, drained)
+                outputs = _absorb(outputs, drained)
                 if injector is not None:
                     injector.on_migrate()
                 channel.send(("state", states), bulky=True)
                 continue
             if tag == MSG_MIGRATE_IN:
                 adopted = adopt_shard_state(pipeline, payload)
-                outputs = merge_outputs(collect, outputs, adopted)
+                outputs = _absorb(outputs, adopted)
                 continue
             if tag == MSG_PING:
                 channel.send((MSG_PONG, payload))
                 continue
             if tag == MSG_CHECKPOINT:
                 frame, barrier = checkpoint_shard_state(pipeline, shard, payload)
-                outputs = merge_outputs(collect, outputs, barrier)
+                outputs = _absorb(outputs, barrier)
                 if injector is not None:
                     frame.payload = injector.corrupt_payload(frame.payload)
-                delta: CheckpointOutputs = outputs
-                if collect:
-                    delta = BlockEncoder().encode_results(outputs)
                 record = CheckpointRecord(
                     shard,
                     payload.epoch,
                     payload.seq,
                     frame,
-                    delta,
+                    _shipped(outputs),
                     pipeline.account(),
                 )
                 channel.send((MSG_CHECKPOINT, record), bulky=True)
                 # The delta shipped exactly once; restart the
                 # accumulator so the next checkpoint (or the outcome)
                 # carries only newer results.
-                outputs = empty_outputs(collect)
+                outputs = ResultAccumulator() if collect else 0
                 continue
             if tag != MSG_BATCH:
                 # Exhaustive dispatch: an unknown tag is a protocol bug
@@ -506,16 +531,14 @@ def shard_worker(
             # point of consumption — the pipe and the parent never hold
             # per-tuple objects for this batch.
             batch = decoder.decode(payload)
-            outputs = merge_outputs(collect, outputs, pipeline.process_batch(batch))
+            outputs = _absorb(outputs, pipeline.process_batch(batch))
             if injector is not None:
                 injector.after_batch()
             consumed += 1
             if grant_credits:
                 channel.send((MSG_CREDIT, consumed))
-        outputs = merge_outputs(collect, outputs, pipeline.flush())
-        if collect:
-            outputs = BlockEncoder().encode_results(outputs)
-        outcome = ShardOutcome(shard, outputs, pipeline.account())
+        outputs = _absorb(outputs, pipeline.flush())
+        outcome = ShardOutcome(shard, _shipped(outputs), pipeline.account())
         channel.send(("ok", outcome), bulky=True)
     except Exception as exc:  # surfaced by the parent as a RuntimeError
         try:

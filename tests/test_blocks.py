@@ -19,6 +19,7 @@ Two layers of contract:
 import multiprocessing
 import pickle
 import random
+import threading
 import types
 
 import pytest
@@ -42,6 +43,17 @@ from repro import (
     from_tuple_specs,
     make_d3_syn,
     seconds,
+)
+from repro.core.blocks import ResultAccumulator, ResultBlock
+from repro.core.pipeline import QualityDrivenPipeline
+from repro.parallel.channel import Channel
+from repro.parallel.shard import (
+    MSG_BATCH,
+    MSG_CHECKPOINT,
+    MSG_FLUSH,
+    CheckpointRequest,
+    checkpoint_shard_state,
+    shard_worker,
 )
 
 CONDITION = equi_join_chain("a1", 3)
@@ -209,7 +221,76 @@ class TestResultBlock:
 
     def test_empty_results(self):
         block = BlockEncoder().encode_results([])
+        assert (block.arity, block.ts, block.component_indexes) == (0, [], [])
         assert BlockDecoder().decode_results(block) == []
+
+    def test_arity_zero_block_keeps_one_result_per_timestamp(self):
+        # Nothing encodes this, but a column decode must not truncate
+        # it to nothing: zip() over no columns is empty.
+        block = ResultBlock(0, [3, 4], [], BlockEncoder().encode([]))
+        decoded = BlockDecoder().decode_results(block)
+        assert [(r.ts, r.components) for r in decoded] == [(3, ()), (4, ())]
+
+    @pytest.mark.parametrize(
+        "damage,message",
+        [
+            (lambda flat, n: flat[:-1], "component indexes"),  # short
+            (lambda flat, n: flat[:-3], "component indexes"),  # a whole row short
+            (lambda flat, n: flat + [0], "component indexes"),  # long
+            (lambda flat, n: flat[:4] + [n] + flat[5:], "outside"),
+            (lambda flat, n: flat[:4] + [-1] + flat[5:], "outside"),
+        ],
+    )
+    def test_decode_rejects_a_misshapen_block(self, damage, message):
+        block = BlockEncoder().encode_results(self._results())
+        block.component_indexes = damage(
+            block.component_indexes, len(block.components)
+        )
+        with pytest.raises(ValueError, match=message):
+            BlockDecoder().decode_results(block)
+
+    @staticmethod
+    def _encode_results_reference(results):
+        """The per-result interning loop ``encode_results`` used to be."""
+        ts_col, flat, distinct, index_of = [], [], [], {}
+        for result in results:
+            ts_col.append(result.ts)
+            for component in result.components:
+                idx = index_of.get(id(component))
+                if idx is None:
+                    idx = index_of[id(component)] = len(distinct)
+                    distinct.append(component)
+                flat.append(idx)
+        arity = len(results[0].components) if results else 0
+        return ResultBlock(arity, ts_col, flat, BlockEncoder().encode(distinct))
+
+    @pytest.mark.parametrize("cuts", [(), (0,), (7, 7, 19), (1, 2, 3, 29, 30)])
+    def test_accumulator_ships_the_bytes_of_one_shot_encoding(self, cuts):
+        results = self._results()
+        expected = pickle.dumps(self._encode_results_reference(results), protocol=5)
+        assert pickle.dumps(BlockEncoder().encode_results(results), protocol=5) == expected
+        accumulator = ResultAccumulator()
+        bounds = [0, *cuts, len(results)]
+        for start, stop in zip(bounds, bounds[1:]):
+            accumulator.extend(results[start:stop])  # some of them empty
+        assert pickle.dumps(accumulator.block(BlockEncoder()), protocol=5) == expected
+
+    def test_accumulator_restarted_at_a_checkpoint_ships_only_the_rest(self):
+        # A checkpoint takes the block and the worker starts a fresh
+        # accumulator: the delta after it is numbered from zero again.
+        results = self._results()
+        first, rest = ResultAccumulator(), ResultAccumulator()
+        first.extend(results[:11])
+        first.extend([])
+        taken = pickle.dumps(first.block(BlockEncoder()), protocol=5)
+        rest.extend(results[11:20])
+        rest.extend(results[20:])
+        remainder = pickle.dumps(rest.block(BlockEncoder()), protocol=5)
+        reference = self._encode_results_reference
+        assert taken == pickle.dumps(reference(results[:11]), protocol=5)
+        assert remainder == pickle.dumps(reference(results[11:]), protocol=5)
+        decoded = BlockDecoder().decode_results(pickle.loads(taken))
+        assert decoded == results[:11]
 
 
 # ----------------------------------------------------------------------
@@ -395,6 +476,66 @@ class TestTransportInvariance:
 # ----------------------------------------------------------------------
 # executor lifecycle (startup-failure unwind)
 # ----------------------------------------------------------------------
+
+
+class TestWorkerWire:
+    def test_worker_ships_the_bytes_one_shot_encoding_would(self):
+        """The worker keeps a block under construction, not results: what
+        it ships at a checkpoint and at the flush must still be, byte
+        for byte, the one-shot encoding of the results a plain pipeline
+        derives from the same batches — an empty batch and the
+        checkpoint's accumulator restart included."""
+        dataset = _dataset()
+        config = _config(dataset)
+        encoder = BlockEncoder()
+        wire = [
+            pickle.dumps(encoder.encode(batch), protocol=5)
+            for batch in [*_chunks(list(dataset.arrivals()), 40), []]
+        ]
+        cut = len(wire) // 2
+        wire.insert(cut, wire.pop())  # the empty batch, mid-stream
+
+        parent_end, worker_end = multiprocessing.Pipe()
+        worker = threading.Thread(target=shard_worker, args=(worker_end, 0, config))
+        worker.start()
+        channel = Channel(parent_end)
+        try:
+            for data in wire[: cut + 1]:
+                channel.send((MSG_BATCH, pickle.loads(data)))
+            channel.send((MSG_CHECKPOINT, CheckpointRequest(0, cut + 1)))
+            assert channel.poll(30)
+            tag, record = channel.recv()
+            assert tag == MSG_CHECKPOINT
+            for data in wire[cut + 1 :]:
+                channel.send((MSG_BATCH, pickle.loads(data)))
+            channel.send((MSG_FLUSH, None))
+            assert channel.poll(30)
+            tag, outcome = channel.recv()
+            assert tag == "ok"
+        finally:
+            worker.join(timeout=30)
+            channel.close()
+        assert not worker.is_alive()
+
+        # The same run in this thread, results kept as objects (the
+        # checkpoint barrier included: it reorders same-ts tuples in
+        # flight, so what follows it is only comparable with it).
+        plain, decoder = QualityDrivenPipeline(config), BlockDecoder()
+        request = CheckpointRequest(0, cut + 1)
+        before, after = [], []
+        for data in wire[: cut + 1]:
+            before += plain.process_batch(decoder.decode(pickle.loads(data)))
+        before += checkpoint_shard_state(plain, 0, request)[1]
+        for data in wire[cut + 1 :]:
+            after += plain.process_batch(decoder.decode(pickle.loads(data)))
+        after += plain.flush()
+        assert before and after
+        reference = TestResultBlock._encode_results_reference
+        for shipped, results in ((record.outputs, before), (outcome.outputs, after)):
+            assert len(shipped) == len(results)
+            assert pickle.dumps(shipped, protocol=5) == pickle.dumps(
+                reference(results), protocol=5
+            )
 
 
 class TestExecutorStartupFailure:

@@ -9,6 +9,8 @@ GitHub anchor slugs) so the gate itself cannot silently stop checking.
 """
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -73,3 +75,18 @@ def test_repository_documents_pass_the_gate(capsys):
     assert failing == 0, f"docs gate failed:\n{captured.err}"
     # The gate is actually exercising content, not vacuously passing.
     assert "ARCHITECTURE.md: 4 python block(s)" in captured.out
+
+
+def test_gate_runs_from_a_bare_checkout():
+    """No install, no ``PYTHONPATH``: the tool finds ``src/`` itself, as
+    ``tools/lint.py`` and ``tools/soak.py`` do."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tools" / "check_docs.py")],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr or done.stdout

@@ -7,31 +7,44 @@ handling is lossless (fixed K covering the max delay, or in-order input).
 """
 
 import dataclasses
+import gc
+import hashlib
 from collections import Counter
+from operator import attrgetter
 
 import pytest
 
 from repro import (
     BandPredicate,
     EquiPredicate,
+    FaultPlan,
+    FaultSpec,
     FixedKPolicy,
     JoinCondition,
+    JoinResult,
     KeyRouter,
+    NexmarkConfig,
     PartitionedPipeline,
     PipelineConfig,
     PipelineMetrics,
     ProcessExecutor,
     QualityDrivenPipeline,
     SerialExecutor,
+    ShardFailure,
     StreamTuple,
+    SupervisionConfig,
     ThetaPredicate,
+    auction_bid_query,
     equi_join_chain,
     from_tuple_specs,
+    make_auction_bids,
     make_d3_syn,
     run_partitioned,
     seconds,
     star_equi_join,
 )
+from repro.faults import KIND_CRASH_BEFORE_BATCH
+from repro.parallel.pipeline import canonical_order
 from repro.parallel.router import stable_hash
 
 
@@ -220,6 +233,120 @@ class TestShardCountInvariance:
             pipeline.process(t)
         final = pipeline.flush()
         assert [r.ts for r in final] == sorted(r.ts for r in final)
+
+    def test_merge_keeps_shard_then_emission_order_on_tied_keys(self):
+        # Hand-built tuples left at the default seq=-1: every result of
+        # one timestamp has the same (ts, seq...) key.  The merge must
+        # order them as the stable key sort it replaces did — the
+        # concatenation order, shard 0's results before shard 1's.
+        def result(ts, tag):
+            parts = tuple(
+                StreamTuple(ts=ts, values={"tag": tag}, stream=s) for s in range(2)
+            )
+            return JoinResult(ts, parts)
+
+        shard0 = [result(5, "a"), result(3, "b"), result(5, "c"), result(3, "d")]
+        shard1 = [result(3, "e"), result(5, "f"), result(3, "g")]
+        seq_of = attrgetter("seq")
+        stable = sorted(
+            shard0 + shard1, key=lambda r: (r.ts, *map(seq_of, r.components))
+        )
+        merged = canonical_order(shard0 + shard1)
+        assert [r.components[0]["tag"] for r in merged] == list("bdegacf")
+        assert all(a is b for a, b in zip(merged, stable))
+        assert canonical_order([]) == []
+
+
+class TestFlushLeavesTheCollectorAsFound:
+    """``flush()`` pauses the cyclic collector over the bulk build and
+    merge; whatever state the host had it in comes back, also when the
+    flush raises."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    @pytest.mark.parametrize("host_enabled", [True, False])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_state_restored_after_a_collecting_flush(self, host_enabled, executor):
+        dataset = _d3(duration_s=4)
+        config = _lossless_config(dataset, equi_join_chain("a1", 3), 3)
+        with PartitionedPipeline(config, 2, executor=executor) as pipeline:
+            produced = list(pipeline.process_batch(list(dataset.arrivals())))
+            (gc.enable if host_enabled else gc.disable)()
+            produced += pipeline.flush()
+            assert gc.isenabled() is host_enabled
+        assert produced
+
+    def test_state_restored_when_the_flush_raises(self):
+        dataset = _d3(duration_s=2)
+        config = _lossless_config(dataset, equi_join_chain("a1", 3), 3)
+        # Nothing is dispatched before finish() (one oversized batch);
+        # there shard 0 dies on every incarnation and has no respawns.
+        plan = FaultPlan(
+            (FaultSpec(0, KIND_CRASH_BEFORE_BATCH, at=1, persistent=True),)
+        )
+        supervision = SupervisionConfig(max_respawns=0, backoff_base_s=0.01)
+        pipeline = PartitionedPipeline(
+            config, 2, executor="supervised", batch_size=100_000,
+            supervision=supervision, fault_plan=plan,
+        )
+        with pipeline:
+            pipeline.process_batch(list(dataset.arrivals()))
+            assert gc.isenabled()
+            with pytest.raises(ShardFailure, match="shard 0"):
+                pipeline.flush()
+            assert gc.isenabled()
+
+
+def _sequence_digest(results):
+    rows = [(r.ts, *(c.seq for c in r.components)) for r in results]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_collected_flush_budget():
+    """The collecting path's saving, pinned by counts instead of a
+    timing: on the NEXMark layout every probe plan is a pure product,
+    so an in-order trigger fetches each other window's candidates at
+    most once — while the results and their merged order stay those of
+    a single pipeline."""
+    dataset = make_auction_bids(
+        NexmarkConfig(num_phases=1, phase_duration_ms=4_000, seed=5)
+    )
+    num_streams = 3
+    config = _lossless_config(dataset, auction_bid_query(2), num_streams)
+    single = canonical_order(_single_run(dataset, config))
+
+    pipeline = PartitionedPipeline(config, 2, executor="serial")
+    fetches = Counter()
+
+    def counted(fetch, shard):
+        def wrapper(*args):
+            fetches[shard] += 1
+            return fetch(*args)
+
+        return wrapper
+
+    for shard, shard_pipeline in enumerate(pipeline.executor.pipelines):
+        for window in shard_pipeline.join.windows:
+            window.lookup = counted(window.lookup, shard)
+            window.tuples = counted(window.tuples, shard)
+    arrivals = list(dataset.arrivals())
+    outputs = []
+    for start in range(0, len(arrivals), 16):
+        outputs += pipeline.process_batch(arrivals[start : start + 16])
+    final = pipeline.flush()
+    assert final and final == canonical_order(list(final))
+    outputs += final
+
+    stats = pipeline.join_statistics()
+    assert stats["tuples_in_order"] == stats["probes"] == len(arrivals)
+    assert stats["results_produced"] == len(outputs) == len(single) == 43_908
+    assert 0 < min(fetches.values())
+    assert sum(fetches.values()) <= (num_streams - 1) * stats["probes"]
+    assert _sequence_digest(canonical_order(outputs)) == _sequence_digest(single)
 
 
 class TestPartitionedLifecycle:

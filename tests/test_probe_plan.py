@@ -9,7 +9,11 @@ collecting one whose probe-order policy records what it was shown) and
 requires, per trigger, the same count, the same productivity-callback
 arguments, the same ``JoinStatistics`` and — against a nested-loop
 enumeration of the recorded window content under the full condition —
-the same result *sequence*.
+the same result *sequence*.  A second property pins the collecting
+probe's own shape: it walks depth-first only over the enumerating prefix
+of a plan and expands the factor suffix as one product, which must emit
+the sequence of the plain recursion kept here and fetch each factor
+depth's candidates once per expansion.
 
 Join keys are drawn from the values where an index lookup and ``==``
 could disagree: ``None`` and a missing attribute (one bucket), ``1`` /
@@ -20,6 +24,7 @@ could disagree: ``None`` and a missing attribute (one bucket), ``1`` /
 
 import itertools
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +68,13 @@ CONDITIONS = {
     "chain3": (3, equi_join_chain("a", 3)),
     "chain4": (4, equi_join_chain("a", 4)),
     "star4": (4, star_equi_join(0, {1: "a", 2: "b", 3: "c"})),
+    # Two equivalence classes in a row: from either end the far stream
+    # is keyed by an enumerated candidate (prefix + factor suffix); from
+    # the middle both are keyed by the trigger (pure product).
+    "chain-ab": (
+        3,
+        JoinCondition([EquiPredicate(0, "a", 1, "a"), EquiPredicate(1, "b", 2, "b")]),
+    ),
     # Three equivalence classes: the second equi predicate that closes
     # at the last depth is not implied by the lookup and must survive.
     "triangle": (
@@ -128,6 +140,47 @@ def nested_loop(trigger, order, content, condition):
         if condition.evaluate(bound):
             expected.append(tuple(bound[s] for s in range(len(content))))
     return expected
+
+
+def recursive_probe(op, trigger, plan):
+    """The collecting probe as plain recursion, one level per step,
+    candidates fetched anew under every surviving binding.
+
+    Returns the emitted component rows and, per stream, how often the
+    operator may fetch that window's candidates: once per binding that
+    reaches an enumerating depth, and once per *expansion* — a binding
+    of the whole enumerating prefix — for each factor depth below it
+    (never for a NaN key, which is answered without the store).
+    """
+    emitted, fetches = [], Counter()
+
+    def candidates(step, bound):
+        store = op.windows[step.stream].store  # not the counted façade
+        if step.lookup is None:
+            return list(store.tuples())
+        attr, source, source_attr = step.lookup
+        value = bound[source].get(source_attr)
+        return None if value != value else list(store.lookup(attr, value))
+
+    def bind(depth, bound):
+        if depth == plan.prefix:
+            for step in plan.steps[depth:]:
+                fetches[step.stream] += candidates(step, bound) is not None
+        if depth == len(plan.steps):
+            emitted.append(tuple(bound[s] for s in range(op.num_streams)))
+            return
+        step = plan.steps[depth]
+        found = candidates(step, bound)
+        if depth < plan.prefix:
+            fetches[step.stream] += found is not None
+        for candidate in found or ():
+            bound[step.stream] = candidate
+            if all(p.evaluate(bound) for p in step.residual):
+                bind(depth + 1, bound)
+        bound.pop(step.stream, None)
+
+    bind(0, {trigger.stream: trigger})
+    return emitted, +fetches
 
 
 @st.composite
@@ -211,6 +264,45 @@ class TestDifferential:
         assert counting.stats.as_dict() == recorded.stats.as_dict()
         assert calls["count"] == calls["collect"]
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=streams())
+    def test_product_expansion_emits_the_recursive_sequence(self, case):
+        name, windows, rows, tiered = case
+        _, condition = CONDITIONS[name]
+        op = MSWJOperator(
+            windows, condition, store=SMALL_TIERED if tiered else None
+        )
+        fetched = Counter()
+
+        def counted(fetch, stream):
+            def wrapper(*args):
+                fetched[stream] += 1
+                return fetch(*args)
+
+            return wrapper
+
+        for stream, window in enumerate(op.windows):
+            window.lookup = counted(window.lookup, stream)
+            window.tuples = counted(window.tuples, stream)
+        probe = op._probe
+
+        def checked_probe(trigger):
+            plan = op._plan_for(trigger.stream)
+            assert all(step.factor for step in plan.steps[plan.prefix :])
+            assert not (plan.prefix and plan.steps[plan.prefix - 1].factor)
+            expected, expected_fetches = recursive_probe(op, trigger, plan)
+            fetched.clear()
+            results = probe(trigger)
+            assert [r.components for r in results] == expected
+            assert +fetched == expected_fetches
+            if plan.is_product:  # one fetch per window, whatever matches
+                assert all(n == 1 for n in fetched.values())
+            return results
+
+        op._probe = checked_probe
+        for t in _tuples(rows):
+            op.process(t)
+
 
 def _plan(condition, num_streams, trigger, order):
     op = MSWJOperator([100] * num_streams, condition)
@@ -248,6 +340,33 @@ class TestClassification:
         assert middle.lookup == ("b", 0, "b") and middle.factor
         assert leaf.lookup == ("c", 0, "c") and leaf.factor
         assert middle.residual == [] and leaf.residual == []
+
+    @pytest.mark.parametrize(
+        "name,trigger,order,prefix",
+        [
+            ("chain3", 0, (1, 2), 0),  # from an end: keyed through the pins
+            ("chain-ab", 1, (0, 2), 0),  # from the middle
+            ("chain-ab", 0, (1, 2), 1),  # S2 keyed by the S1 candidate
+            ("star4", 0, (1, 2, 3), 0),
+            ("star4", 1, (0, 2, 3), 1),  # the centre, then two factors
+            ("cross", 2, (0, 1), 0),
+            ("equi+band", 0, (1, 2), 1),  # band residual, trigger-keyed factor
+            ("equi+band", 2, (1, 0), 2),  # the band closes last
+            ("equi+theta", 0, (1, 2), 2),
+            ("triangle", 0, (1, 2), 2),
+        ],
+    )
+    def test_collecting_prefix_ends_where_the_trailing_factors_begin(
+        self, name, trigger, order, prefix
+    ):
+        num_streams, condition = CONDITIONS[name]
+        plan = _plan(condition, num_streams, trigger, order)
+        assert plan.prefix == prefix
+        assert all(step.factor for step in plan.steps[prefix:])
+        # ``pick`` turns a (trigger, *bindings in step order) row into
+        # stream position.
+        row = (trigger, *order)
+        assert plan.pick(row) == tuple(range(num_streams))
 
     def test_band_leaves_a_residual_and_no_collapse(self):
         band = BandPredicate(0, "x", 1, "x", 1)

@@ -22,9 +22,10 @@ and, for the Python sources under ``src/``, ``tools/`` and
    at the repository root or in ``docs/``, so a source file cannot keep
    pointing at a document that was merged away.
 
-Run from the repository root (CI does)::
+Run from the repository root (CI does); like the other tools it finds
+``src/`` by itself when the package is not installed::
 
-    PYTHONPATH=src python tools/check_docs.py
+    python tools/check_docs.py
 
 Exit status is the number of failing documents (0 = gate passes).  Used
 both by the CI ``docs`` job and by ``tests/test_docs.py``, so the tier-1
@@ -40,6 +41,14 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+# Self-bootstrapping src layout: the doctest blocks import ``repro``.
+_SRC = str(REPO_ROOT / "src")
+if _SRC not in sys.path:
+    try:
+        import repro  # noqa: F401
+    except ImportError:
+        sys.path.insert(0, _SRC)
 
 #: ``(language, code, first line number)`` per fenced block.
 FENCE = re.compile(r"^```([A-Za-z0-9_+-]*)\s*$")
