@@ -20,8 +20,9 @@ runs; the mapping is printed in each report header.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Union
 
+from repro.core.adaptation import BufferSizePolicy
 from repro.experiments.configs import (
     ExperimentConfig,
     d3_experiment,
@@ -89,18 +90,19 @@ def experiment(name: str) -> ExperimentConfig:
 
 def run(
     exp_name: str,
-    policy_name: str,
+    policy: Union[str, BufferSizePolicy],
     gamma: float = 0.95,
     period_ms: int = None,
     interval_ms: int = None,
     basic_window_ms: int = None,
     granularity_ms: int = None,
 ) -> RunResult:
-    """One instrumented pipeline run with bench defaults filled in."""
+    """One instrumented pipeline run with bench defaults filled in;
+    ``policy`` is a ``make_policy`` name or a policy object."""
     exp = experiment(exp_name)
     return run_experiment(
         exp,
-        make_policy(policy_name, gamma),
+        make_policy(policy, gamma) if isinstance(policy, str) else policy,
         gamma=gamma,
         period_ms=period_ms or DEFAULT_PERIOD_MS,
         interval_ms=interval_ms or DEFAULT_INTERVAL_MS,

@@ -10,7 +10,8 @@ evaluated against:
   ``Γ'`` (Eq. 7), then search ``k* = 0, g, 2g, …`` until the model
   predicts ``γ(L, k*) >= Γ'`` or ``k*`` exceeds the maximum observed
   delay ``MaxDH``.  The selectivity strategy (EqSel / NonEqSel) supplies
-  ``sel(K)/sel`` per candidate.
+  ``sel(K)/sel`` per candidate, and the cap on it that lets the scan skip
+  the grid points a monotone bound of γ rules out.
 * :class:`NoKSlackPolicy` — ``K = 0``: inter-stream synchronization only
   (paper Sec. VI baseline).
 * :class:`MaxKSlackPolicy` — ``K`` equals the maximum delay among
@@ -161,7 +162,10 @@ class ModelBasedPolicy(BufferSizePolicy):
         self.name = f"Model-based({selectivity.name})"
         #: Exposed after each decide() call, for diagnostics and tests.
         self.last_instant_requirement: float = 0.0
+        #: Grid points Alg. 3 decided (the index of k* plus one) and model
+        #: evaluations it paid for them (bisected + scanned).
         self.last_search_steps: int = 0
+        self.last_model_evaluations: int = 0
         self.last_undamped_k: int = 0
 
     def decide(self, context: AdaptationContext) -> int:
@@ -176,8 +180,12 @@ class ModelBasedPolicy(BufferSizePolicy):
         sel_ratio_at = partial(self.selectivity.ratio, profile)
         if self.search == "binary":
             k_star, steps = self._binary_search(model, sel_ratio_at, instant, max_dh)
+            self.last_model_evaluations = steps
         else:
-            k_star, steps = model.first_sufficient_k(instant, sel_ratio_at, max_dh)
+            k_star, steps = model.first_sufficient_k(
+                instant, sel_ratio_at, max_dh, self.selectivity.ratio_cap
+            )
+            self.last_model_evaluations = model.last_evaluations
         self.last_search_steps = steps
         self.last_undamped_k = k_star
         floor = int(context.current_k_ms * self.shrink_damping)

@@ -34,9 +34,12 @@ what depends on K.
 
 :meth:`RecallModel.gamma` is that one candidate; Alg. 3's scan
 (:meth:`RecallModel.first_sufficient_k`) and the bisecting variant in
-``adaptation.py`` both go through it.  The split is an implementation
-matter only: the values equal the direct evaluation of Eqs. 2–5, which
-the test suite checks against a brute-force reference.
+``adaptation.py`` both go through it.  The scan itself starts where a
+monotone upper bound of γ first reaches the requirement — found in
+O(log(MaxDH / g)) candidates — whenever the selectivity strategy declares
+a cap on its ratio; which K it returns does not change.  The split is an
+implementation matter only: the values equal the direct evaluation of
+Eqs. 2–5, which the test suite checks against a brute-force reference.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from math import isfinite
+from sys import float_info
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 
@@ -190,6 +195,13 @@ class RecallModel:
         m = len(self.inputs)
         self._others = [[j for j in range(m) if j != i] for i in range(m)]
         self._true_rate = self.true_result_rate()
+        #: Relative slack of the bisected bound (``first_sufficient_k``):
+        #: 4 · m · (longest pdf + 1)² · 2⁻⁵².
+        self._guard = (
+            4 * m * (max(len(s.pdf) for s in self.inputs) + 1) ** 2 * float_info.epsilon
+        )
+        #: Model evaluations the last ``first_sufficient_k`` paid for.
+        self.last_evaluations = 0
 
     # ------------------------------------------------------------------
     # Eqs. 2, 3: per-stream terms of one candidate
@@ -323,22 +335,83 @@ class RecallModel:
         requirement: float,
         sel_ratio_at: Callable[[int], float],
         max_k_ms: int,
+        ratio_cap: Optional[float] = None,
     ) -> Tuple[int, int]:
         """Alg. 3's scan: the first ``k* = 0, g, 2g, …`` whose estimate
         ``γ(L, k*)`` clears ``requirement``, or the first grid point past
         ``max_k_ms`` (MaxDH) when none does.
 
         ``sel_ratio_at(k* // g)`` supplies ``sel(K)/sel`` per candidate.
-        Returns ``(k*, candidates evaluated)``.
+        Returns ``(k*, grid points decided)``: the index of ``k*`` plus one
+        (the give-up index itself when nothing clears), whether a point was
+        evaluated or ruled out; :attr:`last_evaluations` is what was paid.
+
+        ``ratio_cap`` is a number the caller guarantees no
+        ``sel_ratio_at(·)`` exceeds.  Given one, the scan does not start at
+        zero: ``bound(k) = ratio_cap · produced_result_rate(k) / true_rate``
+        is an upper bound of the unclamped γ(k) that no learned ratio
+        enters, the grid ``[0, max_k_ms // g + 1]`` is bisected for the
+        smallest index whose bound reaches ``requirement · (1 − guard)``,
+        and the loop below — unchanged, still the only place a K is
+        accepted — starts there.  The result is the one of the scan from
+        zero, in floating point and not only in the reals:
+
+        * *Below the bound means insufficient.*  ``ratio <= cap`` and
+          ``rate >= 0`` give ``fl(ratio · rate) <= fl(cap · rate)``
+          (round-to-nearest is monotone) and dividing both by the same
+          positive ``true_rate`` keeps the order, so the value
+          :meth:`gamma` clamps is ``<= bound(k)`` *as computed*; with
+          ``requirement > 0`` the clamp cannot lift it over.
+        * *The bound rises with k, up to rounding.*  The cdf tables are
+          non-decreasing as computed (``accumulate`` of non-negatives) and
+          every index Eqs. 2–3 read grows with k, so term-by-term sums
+          (neither of b, g divides the other) are monotone as computed.
+          The one operation monotone only in the reals is the stride-prefix
+          difference ``prefixes[o + n] − prefixes[o]`` (g | b, and the
+          staircase's ``strided_sum``).  A prefix of j non-negative terms
+          carries a relative error ``<= j·u`` (u = 2⁻⁵³), the terms before
+          offset o are each ``<=`` every term of the difference, hence
+          ``prefixes[o + n] <= (o + n)/n ·`` difference and the
+          difference's relative error is ``<= 2·(o + n)²·u / n <= 2·n_max²·u``
+          with ``n_max`` the longest pdf.  Everything downstream adds and
+          multiplies non-negatives: Eq. 4 multiplies m − 1 cardinalities,
+          so ``produced_result_rate`` is within ``ε <= 2·m·n_max²·u`` of
+          a function that is monotone in k.
+        * *So a skipped index lies under an evaluated one.*  Bisection
+          raises its lower end only past an index i it evaluated with
+          ``bound(i) < requirement · (1 − guard)``; for j < i,
+          ``bound(j) <= bound(i) · (1 + ε)/(1 − ε) · (1 + 4u)`` and
+          ``guard = 4·m·(n_max + 1)²·2⁻⁵²`` — twice ``2ε`` — keeps
+          that below ``requirement``.  At the paper's scale (m = 3,
+          MaxDH / g = 1 000) the guard is 3·10⁻⁹: the scan starts at most
+          a grid point or two early.  A guard ``>= 1``, a NaN anywhere, a
+          cap that is ``None`` or not finite, ``true_rate <= 0`` or
+          ``requirement <= 0`` rule nothing out: the scan starts at zero.
         """
         g, gamma = self.g, self.gamma
-        k_star = 0
-        steps = 0
+        start = bisected = 0
+        if (
+            ratio_cap is not None and isfinite(ratio_cap)
+            and self._true_rate > 0.0 and requirement > 0.0
+        ):
+            threshold = requirement * (1.0 - self._guard)
+            stop = max_k_ms // g + 1
+            while start < stop:
+                middle = (start + stop) // 2
+                bisected += 1
+                rate = self.produced_result_rate(middle * g)
+                if ratio_cap * rate / self._true_rate < threshold:
+                    start = middle + 1
+                else:
+                    stop = middle
+        k_star = start * g
+        steps = start
         while k_star <= max_k_ms:
             steps += 1
             if gamma(k_star, sel_ratio_at(k_star // g)) >= requirement:
                 break
             k_star += g
+        self.last_evaluations = bisected + steps - start
         return k_star, steps
 
     def estimated_true_results(self, interval_ms: int, selectivity: float = 1.0) -> float:

@@ -26,6 +26,9 @@ class SelectivityStrategy(ABC):
     """Computes ``sel^on(K)/sel^on`` for candidate coarse buffer sizes."""
 
     name: str = "abstract"
+    #: A number :meth:`ratio` never exceeds, or None when there is none.
+    #: Alg. 3 bounds γ(K) with it (``RecallModel.first_sufficient_k``).
+    ratio_cap: Optional[float] = None
 
     @abstractmethod
     def ratio(self, snapshot: Optional[ProfileSnapshot], coarse_k: int) -> float:
@@ -36,6 +39,7 @@ class EqSel(SelectivityStrategy):
     """Assume the selectivity is unaffected by K (ratio always 1.0)."""
 
     name = "EqSel"
+    ratio_cap = 1.0
 
     def ratio(self, snapshot: Optional[ProfileSnapshot], coarse_k: int) -> float:
         return 1.0
@@ -60,6 +64,10 @@ class NonEqSel(SelectivityStrategy):
 
     def __init__(self, cap_at_one: bool = True) -> None:
         self.cap_at_one = cap_at_one
+
+    @property
+    def ratio_cap(self) -> Optional[float]:  # type: ignore[override]
+        return 1.0 if self.cap_at_one else None
 
     def ratio(self, snapshot: Optional[ProfileSnapshot], coarse_k: int) -> float:
         if snapshot is None:

@@ -11,7 +11,8 @@ Monitors the *raw* input streams and maintains, per stream ``S_i``:
   window.  Per Proposition 1 the sample is taken on the raw streams as
   ``iT - min_j jT`` regardless of the K value currently applied;
 * the arrival rate ``r_i`` (tuples per millisecond), from the arrival
-  times of the tuples in ``R_i^stat``;
+  times of the tuples in ``R_i^stat`` (from the stream's local clock when
+  the tuples carry no arrival stamp);
 * ``MaxDH`` inputs: the largest coarse delay present in the window.
 
 All quantities are maintained incrementally (O(1) amortized per tuple):
@@ -172,7 +173,12 @@ class StatisticsManager:
         ksync = None
         if not self._unseen:
             ksync = self._local_times[i] - min(self._local_times)
-        self.streams[i].observe(t.delay, t.arrival, ksync)
+        # An unstamped tuple (arrival -1, the constructor default) is clocked
+        # by its stream's local time: the application-time rate, the unit the
+        # windows of Eqs. 1 and 3 are measured in.  Without it every rate is
+        # 0, γ is 1 at every K and Alg. 3 silently pins K = 0.
+        arrival = t.arrival if t.arrival >= 0 else self._local_times[i]
+        self.streams[i].observe(t.delay, arrival, ksync)
 
     # ------------------------------------------------------------------
     # queries feeding the recall model

@@ -1,5 +1,8 @@
 """Unit tests for the Buffer-Size Manager policies, Alg. 3 (repro.core.adaptation)."""
 
+import math
+import random
+
 import pytest
 
 from repro import (
@@ -253,6 +256,88 @@ class TestBinarySearch:
             ModelBasedPolicy(EqSel(), search="newton")
 
 
+class TestRatioCap:
+    """The strategy declares the cap; no declaration, no skipped grid point."""
+
+    def _steps_and_evaluations(self, selectivity, search="linear"):
+        delays = [0, 2_000] * 100  # MaxDH = 2000: the scan from zero is ~200 steps
+        stats = _stats_two_streams([delays, delays])
+        policy = ModelBasedPolicy(selectivity, shrink_damping=0.0, search=search)
+        k = policy.decide(_context(stats, gamma=0.999))
+        return k, policy.last_search_steps, policy.last_model_evaluations
+
+    def test_declared_caps(self):
+        assert EqSel().ratio_cap == 1.0
+        assert NonEqSel().ratio_cap == 1.0
+        assert NonEqSel(cap_at_one=False).ratio_cap is None
+
+    def test_a_strategy_without_a_cap_is_scanned_from_zero(self):
+        class Doubling(EqSel):
+            ratio_cap = None
+
+            def ratio(self, snapshot, coarse_k):
+                return 2.0
+
+        for uncapped in (Doubling(), NonEqSel(cap_at_one=False)):
+            k, steps, evaluations = self._steps_and_evaluations(uncapped)
+            assert evaluations == steps == k // 10 + 1
+
+    def test_a_capped_strategy_pays_the_bisection_and_a_short_scan(self):
+        k, steps, evaluations = self._steps_and_evaluations(EqSel())
+        assert steps == k // 10 + 1 > 100
+        assert evaluations <= math.ceil(math.log2(200 + 2)) + 2
+
+    def test_binary_search_reports_its_probes(self):
+        _, steps, evaluations = self._steps_and_evaluations(EqSel(), search="binary")
+        assert evaluations == steps
+
+
+class TestUnstampedInput:
+    """Tuples without an arrival stamp (``arrival=-1``, the constructor
+    default) used to give every stream rate 0, hence Eq. 1 true rate 0,
+    hence γ = 1 at every K: the policy pinned K = 0 for the whole run."""
+
+    def _run(self, stamped, policy):
+        rng = random.Random(5)
+        pending = []
+        for stream in range(3):
+            for position in range(2_000):
+                ts = 10 * position + stream
+                delay = rng.randint(1, 800) if rng.random() < 0.3 else 0
+                pending.append((ts + delay, ts, stream, position, rng.randint(0, 9)))
+        pending.sort()
+        pipeline = QualityDrivenPipeline(
+            PipelineConfig(
+                window_sizes_ms=[1_000] * 3,
+                condition=equi_join_chain("a1", 3),
+                gamma=0.95,
+                period_ms=seconds(10),
+                interval_ms=seconds(1),
+                basic_window_ms=10,
+                granularity_ms=10,
+                policy=policy,
+                collect_results=False,
+            )
+        )
+        for arrival, ts, stream, seq, value in pending:
+            pipeline.process(
+                StreamTuple(ts, {"a1": value}, stream, seq, arrival if stamped else -1)
+            )
+        pipeline.flush()
+        return pipeline
+
+    def test_unstamped_run_adapts_like_the_stamped_one(self):
+        true_results = self._run(True, FixedKPolicy(800)).metrics.results_produced
+        stamped = self._run(True, ModelBasedPolicy(NonEqSel()))
+        unstamped = self._run(False, ModelBasedPolicy(NonEqSel()))
+        assert len(unstamped.metrics.k_history) > 1
+        # One tuple per 10 ms of application time on every stream.
+        assert unstamped.statistics.rates_per_ms() == pytest.approx([0.1] * 3, rel=0.01)
+        recall = unstamped.metrics.results_produced / true_results
+        assert abs(recall - stamped.metrics.results_produced / true_results) <= 0.05
+        assert recall > 0.9
+
+
 class TestBuildRecallModel:
     def test_model_reflects_statistics(self):
         delays = [0, 0, 0, 0] * 25
@@ -264,16 +349,28 @@ class TestBuildRecallModel:
 
 
 class _SearchStepLog(ModelBasedPolicy):
-    """Alg. 3 with ``last_search_steps`` kept for every step."""
+    """Alg. 3 with ``last_search_steps`` and ``last_model_evaluations``
+    kept for every step, and the bisection's worst case at that step."""
 
     def __init__(self, selectivity):
         super().__init__(selectivity)
         self.search_steps = []
+        self.model_evaluations = []
+        self.bisection_bounds = []
 
     def decide(self, context):
         k = super().decide(context)
         self.search_steps.append(self.last_search_steps)
+        self.model_evaluations.append(self.last_model_evaluations)
+        grid = context.statistics.max_delay_ms() // context.granularity_ms
+        self.bisection_bounds.append(math.ceil(math.log2(grid + 2)))
         return k
+
+
+#: (selectivity, b, g) -> the most model evaluations the pinned run may pay
+#: for its search steps.  Before the scan started at the bound's crossing
+#: the two sums were equal: 48 208 and 36 522.
+_PINNED_EVALUATION_CEILINGS = {(NonEqSel, 10, 1): 4_500, (EqSel, 10, 1): 1_000}
 
 
 #: (selectivity, b, g) -> (k_history, results_produced, search steps per
@@ -418,3 +515,11 @@ class TestKTrajectoryPinned:
         assert pipeline.metrics.k_history == k_history
         assert pipeline.metrics.results_produced == results_produced
         assert policy.search_steps == search_steps
+        # The skip changes what a step costs, never what it decides.
+        for steps, paid, bisected in zip(
+            search_steps, policy.model_evaluations, policy.bisection_bounds
+        ):
+            assert paid <= steps + bisected
+        ceiling = _PINNED_EVALUATION_CEILINGS.get((selectivity, b, g))
+        if ceiling is not None:
+            assert sum(policy.model_evaluations) <= ceiling < sum(search_steps)

@@ -231,3 +231,103 @@ class TestAgainstBruteForce:
         assert model.expected_window_cardinality(0, 0) == pytest.approx(
             0.01 * 100 * 0.6
         )
+
+
+# ----------------------------------------------------------------------
+# The bounded scan: first_sufficient_k(..., ratio_cap=...)
+# ----------------------------------------------------------------------
+
+def plain_scan(model, requirement, sel_ratio_at, max_k_ms):
+    """Alg. 3 from zero, one ``gamma`` per grid point: what the bounded
+    scan must return, ``(k*, grid points decided)``."""
+    k_ms, steps = 0, 0
+    while k_ms <= max_k_ms:
+        steps += 1
+        if model.gamma(k_ms, sel_ratio_at(k_ms // model.g)) >= requirement:
+            break
+        k_ms += model.g
+    return k_ms, steps
+
+
+#: The model's three index paths: g | b, b | g, neither.
+INDEX_PATHS = [(10, 1), (10, 100), (30, 7)]
+
+_LATE = [0.0] * 299 + [1.0]                       # all mass in the last bucket
+_TINY = [1e-12] * 300 + [1.0 - 300e-12]           # masses the prefixes absorb
+_RAGGED = _random_pdf(random.Random(23), 2_000)   # long rows: n² · u is largest
+
+
+@pytest.mark.parametrize("b,g", INDEX_PATHS)
+class TestBoundedScan:
+    """The skip is exact: same ``(k*, steps)`` as the scan from zero."""
+
+    def _check(self, model, requirement, ratio_at, max_k_ms, cap):
+        expected = plain_scan(model, requirement, ratio_at, max_k_ms)
+        assert model.first_sufficient_k(requirement, ratio_at, max_k_ms, cap) == expected
+        assert model.last_evaluations <= expected[1] + (max_k_ms // model.g + 1).bit_length()
+
+    @pytest.mark.parametrize("pdf", [_LATE, _TINY, _RAGGED], ids=["late", "tiny", "ragged"])
+    @pytest.mark.parametrize("requirement", [0.0, 0.5, 0.95, 1.0])
+    def test_adversarial_pdfs(self, b, g, pdf, requirement):
+        model = RecallModel(_inputs(m=3, window=2_050, pdf=pdf, ksync=7.0), b, g)
+        max_k_ms = (len(pdf) - 1) * g
+        for cap in (1.0, 2.0):
+            self._check(model, requirement, lambda coarse_k: 1.0, max_k_ms, cap)
+        # A learned ratio that stays under the cap past the bound's crossing.
+        self._check(
+            model, requirement, lambda coarse_k: 0.25 + 0.75 * (coarse_k % 3 == 0),
+            max_k_ms, 1.0,
+        )
+
+    def test_requirement_equal_to_an_estimate(self, b, g):
+        """What the guard band is for.  On a flat stretch of the cdf the
+        stride-prefix difference returns the same real sum rounded
+        differently per offset, so the computed rate *falls* between some
+        neighbouring grid points; with the requirement exactly γ at a grid
+        point and the ratio on its cap, an unguarded bisection that lands
+        on a low neighbour skips the answer (49 of 1 200 ties at g | b,
+        107 at b | g, with the guard set to 0)."""
+        pdf = [0.0] * 1_200
+        pdf[0] = pdf[400] = pdf[800] = 0.3
+        pdf[-1] = 0.1
+        model = RecallModel(_inputs(m=4, window=205, pdf=pdf, ksync=12.5), b, g)
+        max_k_ms = 1_199 * g
+        rates = [model.produced_result_rate(index * g) for index in range(1_200)]
+        falls = sum(later < earlier for earlier, later in zip(rates, rates[1:]))
+        assert (falls > 0) == (b % g == 0 or g % b == 0)
+        for index in range(0, 1_200, 7):
+            self._check(model, rates[index] / model.true_result_rate(),
+                        lambda coarse_k: 1.0, max_k_ms, 1.0)
+
+    def test_skips_what_the_bound_rules_out(self, b, g):
+        model = RecallModel(_inputs(m=3, window=2_050, pdf=_LATE), b, g)
+        k_ms, steps = model.first_sufficient_k(0.95, lambda coarse_k: 1.0, 299 * g, 1.0)
+        assert steps == k_ms // g + 1 > 100
+        assert model.last_evaluations <= 2 + (300).bit_length()
+        # No cap declared (the three-argument call): every grid point is paid for.
+        assert model.first_sufficient_k(0.95, lambda coarse_k: 1.0, 299 * g) == (k_ms, steps)
+        assert model.last_evaluations == steps
+
+    def test_nothing_reaches_the_requirement(self, b, g):
+        model = RecallModel(_inputs(m=2, pdf=_TINY), b, g)
+        max_k_ms = 300 * g + g // 2
+        for requirement, ratio in ((1.1, 1.0), (0.9, 0.5)):
+            result = model.first_sufficient_k(requirement, lambda coarse_k: ratio, max_k_ms, 1.0)
+            assert result == plain_scan(model, requirement, lambda coarse_k: ratio, max_k_ms)
+            assert result == (301 * g, 301)
+
+    def test_degenerate_inputs_scan_from_zero(self, b, g):
+        ratio_at = lambda coarse_k: 1.0  # noqa: E731
+        idle = RecallModel(_inputs(m=2, rate=0.0, pdf=_LATE), b, g)
+        assert idle.first_sufficient_k(0.95, ratio_at, 299 * g, 1.0) == (0, 1)
+        assert idle.last_evaluations == 1
+        model = RecallModel(_inputs(m=2, pdf=_LATE), b, g)
+        for cap in (None, float("inf"), float("nan")):
+            assert model.first_sufficient_k(0.95, ratio_at, 299 * g, cap) == plain_scan(
+                model, 0.95, ratio_at, 299 * g
+            )
+            assert model.last_evaluations == 300
+        for max_k_ms in (g - 1, 0, -1):
+            for requirement in (0.0, 0.95, 1.0):
+                self._check(model, requirement, ratio_at, max_k_ms, 1.0)
+        assert model.first_sufficient_k(0.95, ratio_at, -1, 1.0) == (0, 0)

@@ -40,7 +40,7 @@ from repro import (
 from repro.streams.source import Dataset
 
 from .reference import reference_join, result_key_set
-from .test_model import brute_gamma
+from .test_model import brute_gamma, plain_scan
 
 # ----------------------------------------------------------------------
 # strategies
@@ -581,6 +581,26 @@ class TestScanProperties:
         assert model.first_sufficient_k(requirement, sel_ratio_at, max_k_ms) == (
             k_ms, steps,
         )
+
+
+class TestBoundedScanProperties:
+    @given(scan_cases(), st.sampled_from(["one", "max", "two"]))
+    @settings(max_examples=200, deadline=None)
+    def test_the_skip_never_changes_the_scan(self, case, cap_kind):
+        """Whatever the learned ratios do under their cap, starting the
+        scan at the bound's crossing returns the ``(k*, steps)`` of the
+        scan from zero."""
+        inputs, b, g, ratios, requirement, max_k_ms = case
+        cap = {"one": 1.0, "max": max(ratios), "two": 2.0}[cap_kind]
+        ratios = [min(ratio, cap) for ratio in ratios]
+        model = RecallModel(inputs, basic_window_ms=b, granularity_ms=g)
+
+        def sel_ratio_at(coarse_k):
+            return ratios[min(coarse_k, len(ratios) - 1)]
+
+        expected = plain_scan(model, requirement, sel_ratio_at, max_k_ms)
+        assert model.first_sufficient_k(requirement, sel_ratio_at, max_k_ms, cap) == expected
+        assert model.last_evaluations <= expected[1] + (max_k_ms // g + 1).bit_length()
 
 
 sparse_map = st.dictionaries(

@@ -133,6 +133,18 @@ class TestStatisticsManager:
         # Bucket of 250 is 25 → 25 * 10 ms.
         assert m.max_delay_ms() == 250
 
+    def test_unstamped_tuples_are_clocked_by_local_time(self):
+        m = StatisticsManager(1, granularity_ms=10)
+        for ts in (0, 100, 60, 200):  # the late tuple does not turn the clock back
+            _observe(m, 0, ts=ts, arrival=-1)
+        assert m.rates_per_ms() == [pytest.approx(3 / 200)]
+
+    def test_a_stamp_wins_over_local_time(self):
+        m = StatisticsManager(1, granularity_ms=10)
+        for ts, arrival in ((0, 0), (100, 50), (200, 100)):
+            _observe(m, 0, ts=ts, arrival=arrival)
+        assert m.rates_per_ms() == [pytest.approx(2 / 100)]
+
     def test_bad_stream_index_rejected(self):
         m = StatisticsManager(1, granularity_ms=10)
         with pytest.raises(ValueError):
