@@ -11,12 +11,14 @@ tuples are represented.  Two implementations ship:
   hot tier and every operation on it are inherited, written once)
   bounded by a budget, plus a **cold tier** of older tuples compacted into
   time-range buckets of :class:`~repro.core.blocks.ColdSegment`
-  (``TupleBlock``-encoded columns, the PR 3 codec).  Probes touch cold
-  state only when a segment's per-attribute value summary admits the
-  probed value, decoding lazily through a bounded LRU cache; expiry is
-  bucket-granular — segments wholly below the bound drop without
-  decoding, the one straddling segment *thaws* back into the hot tier
-  so expiration stays exact.
+  (``TupleBlock``-encoded columns, the PR 3 codec).  The cold tier
+  keeps per-key sizes beside the hot tier's buckets, so a count is two
+  dict reads and never decodes; a collecting probe touches cold state
+  only when the sizes say the key is there and a segment's
+  per-attribute value summary admits it, decoding lazily through a
+  bounded LRU cache; expiry is bucket-granular — segments wholly below
+  the bound drop without decoding, the one straddling segment *thaws*
+  back into the hot tier so expiration stays exact.
 
 The contract (:class:`WindowStore`) is what Alg. 2 needs of a window —
 insert, exact expiry, probe access — plus state migration
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import heapq
 from abc import ABC, abstractmethod
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import (
@@ -218,8 +220,8 @@ class WindowStore(ABC):
 
     @abstractmethod
     def count(self, attr: str, value: object) -> int:
-        """``len(list(lookup(attr, value)))``, from the store's own
-        bookkeeping where it has one (count-only probes)."""
+        """``len(list(lookup(attr, value)))``, from the store's per-key
+        sizes — no tuple is touched (count-only probes)."""
 
     @abstractmethod
     def metrics(self) -> StoreMetrics:
@@ -388,10 +390,14 @@ class TieredStore(InMemoryStore):
     segment back into the hot tier under its original slot ids, so the
     subsequent heap sweep stays exact; a bucket thaws at most once
     because frozen buckets always sit fully above the expiry bound.
-    Probes consult per-attribute value summaries to skip segments, and
-    decode through a bounded LRU keyed by segment identity.  Merged
-    hot+cold candidates sort by slot id — exactly the insertion order an
-    :class:`InMemoryStore` would have yielded.
+    ``_cold_sizes`` maps each indexed attribute to ``key → live cold
+    tuples with that key``, kept by :meth:`_admit` / :meth:`_drop_segment`
+    from the segment's column: :meth:`count` adds it to the hot bucket's
+    length, and :meth:`lookup` skips the cold tier when it reads 0.
+    Otherwise probes consult per-attribute value summaries to skip
+    segments, and decode through a bounded LRU keyed by segment
+    identity.  Merged hot+cold candidates sort by slot id — exactly the
+    insertion order an :class:`InMemoryStore` would have yielded.
     """
 
     def __init__(
@@ -406,6 +412,9 @@ class TieredStore(InMemoryStore):
         # cold tier
         self._buckets: Dict[int, List[ColdSegment]] = {}
         self._cold_count = 0
+        self._cold_sizes: Dict[str, Dict[object, int]] = {
+            attr: {} for attr in self._attrs
+        }
         self._cold_min: Optional[int] = None
         self._encoded_bytes = 0
         # decode cache (LRU by segment identity; entries are invalidated
@@ -562,6 +571,8 @@ class TieredStore(InMemoryStore):
         super().clear()
         self._buckets.clear()
         self._cold_count = 0
+        for sizes in self._cold_sizes.values():
+            sizes.clear()
         self._cold_min = None
         self._encoded_bytes = 0
         self._cache.clear()
@@ -591,7 +602,7 @@ class TieredStore(InMemoryStore):
         pairs: List[Tuple[int, StreamTuple]] = (
             [(slot, self._slots[slot]) for slot in bucket] if bucket else []
         )
-        if self._cold_count:
+        if self._cold_sizes[attr].get(value):
             for key in sorted(self._buckets):
                 for seg in self._buckets[key]:
                     summary = seg.summaries.get(attr)
@@ -605,9 +616,7 @@ class TieredStore(InMemoryStore):
         return [t for _, t in pairs]
 
     def count(self, attr: str, value: object) -> int:
-        # The cold tier keeps no per-key sizes: count what the lookup
-        # finds (thawing through the decode cache as it does).
-        return len(self.lookup(attr, value))
+        return super().count(attr, value) + self._cold_sizes[attr].get(value, 0)
 
     def metrics(self) -> StoreMetrics:
         return StoreMetrics(
@@ -672,15 +681,26 @@ class TieredStore(InMemoryStore):
         recomputed by :meth:`_rebuild_buckets`)."""
         self._cold_count += len(seg)
         self._encoded_bytes += seg.encoded_bytes
+        for attr, sizes in self._cold_sizes.items():
+            for key, n in Counter(segment_column(seg, attr)).items():
+                sizes[key] = sizes.get(key, 0) + n
         if self._cold_min is None or seg.min_ts < self._cold_min:
             self._cold_min = seg.min_ts
         return seg
 
     def _drop_segment(self, seg: ColdSegment) -> None:
         """Remove a segment from cold accounting + decode cache (the
-        caller removes it from its bucket list)."""
+        caller removes it from its bucket list).  Segments are immutable,
+        so the column counts subtracted are the ones :meth:`_admit`
+        added; a key whose size reaches 0 leaves the map."""
         self._cold_count -= len(seg)
         self._encoded_bytes -= seg.encoded_bytes
+        for attr, sizes in self._cold_sizes.items():
+            for key, n in Counter(segment_column(seg, attr)).items():
+                if sizes[key] == n:
+                    del sizes[key]
+                else:
+                    sizes[key] -= n
         entry = self._cache.pop(id(seg), None)
         if entry is not None:
             self._cached_tuples -= len(entry.pairs)

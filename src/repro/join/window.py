@@ -30,9 +30,9 @@ the hot-path surface, not private fields.  ``count(attr, value)`` must
 equal the length of ``lookup(attr, value)`` under the index's own key
 rule (dict-key equality: ``1``, ``1.0`` and ``True`` share a bucket, a
 missing attribute is ``None``, a NaN matches only itself by identity);
-a store answers it from bookkeeping where it has some (the in-memory
-store: the bucket's length) and by counting its own lookup otherwise
-(the tiered store, whose cold tier keeps no per-key sizes).
+both stores answer it from per-key sizes without touching a tuple (the
+in-memory store: the bucket's length; the tiered store adds its cold
+tier's size for the key).
 """
 
 from __future__ import annotations

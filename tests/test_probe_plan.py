@@ -498,3 +498,67 @@ class TestStoreCount:
         self._assert_counts(store)
         with pytest.raises(KeyError):
             store.count("unindexed", 1)
+
+    def _lifecycle(self, store):
+        """The lifecycle above, pausing (yielding) after each step."""
+        _filled(store, self._rows(0, 200))
+        yield "filled"
+        assert store.expire_before(70) > 0
+        yield "expired"
+        batch = [
+            StreamTuple(ts, {"v": value}, stream=0, seq=100 + i)
+            for i, (ts, value) in enumerate([(210, 1.0), (211, None), (212, 2)])
+        ]
+        store.adopt_frozen(freeze_segment(batch, range(3), ("v",)))
+        yield "adopted"
+        assert store.extract_state(lambda t: "gone" if t.get("v") == 2 else None)
+        yield "extracted"
+
+    def test_count_decodes_nothing_through_the_store_lifecycle(self):
+        store = TieredStore(("v",), SMALL_TIERED)
+        probes = self.VALUES + [float("nan"), "absent"]
+        for point in self._lifecycle(store):
+            assert store.metrics().cold_tuples > 0, point
+            before = store.metrics()
+            counts = [store.count("v", value) for value in probes]  # no lookup yet
+            after = store.metrics()
+            assert (after.decode_hits, after.decode_misses, after.resident_objects) == (
+                before.decode_hits, before.decode_misses, before.resident_objects
+            ), point
+            assert counts == [len(list(store.lookup("v", v))) for v in probes], point
+
+    @pytest.mark.parametrize(
+        "empty",
+        [
+            lambda store: store.expire_before(max(t.ts for t in store.tuples()) + 1),
+            lambda store: store.clear(),
+            lambda store: store.extract_state(lambda t: "all"),
+        ],
+        ids=["expire-all", "clear", "extract-all"],
+    )
+    def test_emptied_store_counts_zero_and_keeps_no_cold_sizes(self, empty):
+        store = TieredStore(("v",), SMALL_TIERED)
+        for _ in self._lifecycle(store):
+            pass
+        assert store._cold_sizes["v"]  # non-vacuous: cold keys were held
+        empty(store)
+        for value in self.VALUES + [float("nan")]:
+            assert store.count("v", value) == 0
+        assert store._cold_sizes == {"v": {}}
+
+    def test_equal_keys_count_as_one_bucket_across_a_straddling_thaw(self):
+        rows = [(ts, (1, 1.0, True)[ts % 3]) for ts in range(46)]
+        tiered = _filled(TieredStore(("v",), SMALL_TIERED), rows)
+        memory = _filled(InMemoryStore(("v",)), rows)
+
+        def assert_one_bucket(expected, cold):
+            assert tiered.metrics().cold_tuples == cold
+            for key in (1, 1.0, True):
+                assert tiered.count("v", key) == memory.count("v", key) == expected
+                assert len(list(tiered.lookup("v", key))) == expected
+
+        assert_one_bucket(46, cold=40)  # buckets [0, 20) and [20, 40) frozen
+        tiered.expire_before(10)  # [0, 20) straddles: thaws, half of it expires
+        memory.expire_before(10)
+        assert tiered.metrics().thaws == 1
+        assert_one_bucket(36, cold=20)
