@@ -32,8 +32,8 @@ from ..core import Finding, ModuleIndex, Rule, register
 #: Method/function names whose arguments cross a process boundary.
 #: ``send`` is a pipe's or a :class:`~repro.parallel.channel.Channel`'s
 #: (which pickles the message whichever carrier it then takes) and
-#: ``_send`` the typed-failure wrappers around it; the carriers below
-#: take bytes that are already pickled.
+#: ``_send`` the executor's typed-failure wrapper around it; the
+#: carriers below take bytes that are already pickled.
 IPC_CALLEES = (
     "submit",
     "submit_batch",

@@ -11,8 +11,8 @@ closes the loop statically:
 * every defined ``MSG_*`` constant must appear in at least one **send**
   — as the first element of a tuple passed to a call whose callee is
   named ``send`` (:meth:`repro.parallel.channel.Channel.send`, which
-  hides pipe, ring and socket alike) or ``_send`` (the executor's and
-  the tree stage stub's typed-failure wrappers around it);
+  hides pipe, ring and socket alike) or ``_send`` (the executor's
+  typed-failure wrapper around it);
 * every defined ``MSG_*`` constant must appear in at least one
   **dispatch arm** — an ``==`` / ``!=`` comparison against it;
 * a comparison against an *undefined* ``MSG_*`` name is a stale arm

@@ -26,7 +26,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .model import RecallModel, StreamModelInput
 from .profiler import ProfileSnapshot
@@ -135,30 +135,21 @@ class ModelBasedPolicy(BufferSizePolicy):
         the oscillation; it plays the role the PD controller's derivative
         term played in the authors' earlier aggregate-query work [16, 17].
         Set to 0.0 for the undamped, paper-literal Alg. 3.
-    search:
-        ``"linear"`` is the paper's trial-and-error scan (Alg. 3);
-        ``"binary"`` bisects over the g-grid in [0, MaxDH] — O(log) model
-        evaluations instead of O(MaxDH/g).  The paper explicitly leaves
-        "other algorithms for searching for k*" as future work; binary
-        search is exact whenever the quality estimate is non-decreasing
-        in K (always true under EqSel; under NonEqSel the learned ratio
-        can dip locally, in which case bisection may return a slightly
-        different grid point than the scan).
+
+    The K search is :meth:`~repro.core.model.RecallModel.first_sufficient_k`:
+    the paper's scan, started where a bisected upper bound of γ (the
+    strategy's ``ratio_cap``) crosses Γ', so it returns the scan's k*.
     """
 
     def __init__(
         self,
         selectivity: SelectivityStrategy,
         shrink_damping: float = 0.5,
-        search: str = "linear",
     ) -> None:
         if not 0.0 <= shrink_damping < 1.0:
             raise ValueError(f"shrink_damping must be in [0, 1), got {shrink_damping}")
-        if search not in ("linear", "binary"):
-            raise ValueError(f"search must be 'linear' or 'binary', got {search!r}")
         self.selectivity = selectivity
         self.shrink_damping = shrink_damping
-        self.search = search
         self.name = f"Model-based({selectivity.name})"
         #: Exposed after each decide() call, for diagnostics and tests.
         self.last_instant_requirement: float = 0.0
@@ -177,43 +168,17 @@ class ModelBasedPolicy(BufferSizePolicy):
         )
         self.last_instant_requirement = instant
         model = build_recall_model(context)
-        sel_ratio_at = partial(self.selectivity.ratio, profile)
-        if self.search == "binary":
-            k_star, steps = self._binary_search(model, sel_ratio_at, instant, max_dh)
-            self.last_model_evaluations = steps
-        else:
-            k_star, steps = model.first_sufficient_k(
-                instant, sel_ratio_at, max_dh, self.selectivity.ratio_cap
-            )
-            self.last_model_evaluations = model.last_evaluations
+        k_star, steps = model.first_sufficient_k(
+            instant,
+            partial(self.selectivity.ratio, profile),
+            max_dh,
+            self.selectivity.ratio_cap,
+        )
         self.last_search_steps = steps
+        self.last_model_evaluations = model.last_evaluations
         self.last_undamped_k = k_star
         floor = int(context.current_k_ms * self.shrink_damping)
         return max(k_star, floor)
-
-    @staticmethod
-    def _binary_search(
-        model: RecallModel,
-        sel_ratio_at: Callable[[int], float],
-        instant: float,
-        max_dh: int,
-    ) -> Tuple[int, int]:
-        """Bisect for the smallest grid point whose estimate clears Γ';
-        returns it with the number of candidates probed."""
-        g = model.g
-        steps = 1
-        if model.gamma(0, sel_ratio_at(0)) >= instant:
-            return 0, steps
-        low = 0  # known insufficient
-        high = (max_dh // g + 1) * g  # Alg. 3's "give up" point
-        while high - low > g:
-            mid = ((low + high) // (2 * g)) * g
-            steps += 1
-            if model.gamma(mid, sel_ratio_at(mid // g)) >= instant:
-                high = mid
-            else:
-                low = mid
-        return high, steps
 
 
 def build_recall_model(context: AdaptationContext) -> RecallModel:

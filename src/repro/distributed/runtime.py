@@ -1,4 +1,4 @@
-"""Socket-distributed execution: NodeServers, worker placement, tree stages.
+"""Socket-distributed execution: NodeServers and shard-worker placement.
 
 The partitioned pipeline's process executor talks to forked shard
 workers through ``multiprocessing`` pipes — which confines a run to one
@@ -14,10 +14,10 @@ TCP:
   end, so :func:`~repro.parallel.shard.shard_worker` and the executor
   run over it **unchanged**.
 * :class:`NodeServer` — the remote end: an accept loop that hosts shard
-  (or join-tree) workers as forked child processes, one per accepted
-  :data:`MSG_JOIN` handshake.  Workers arm ``PDEATHSIG`` so a killed
-  node takes its workers down with it — a whole-machine loss the
-  supervised executor recovers from by reconnecting to surviving nodes.
+  workers as forked child processes, one per accepted :data:`MSG_JOIN`
+  handshake.  Workers arm ``PDEATHSIG`` so a killed node takes its
+  workers down with it — a whole-machine loss the supervised executor
+  recovers from by reconnecting to surviving nodes.
 * :func:`connect_worker` / :func:`place_shard_worker` — the parent
   side: the dial + :data:`MSG_JOIN` handshake that
   :class:`~repro.parallel.executors.ProcessExecutor` uses in place of
@@ -25,15 +25,6 @@ TCP:
   executor changes (migration barriers, heartbeats, checkpoint/replay
   and elastic ``add_shard``/``retire_shard`` included); its workers
   simply live in ``NodeServer`` processes addressed by ``(host, port)``.
-* :class:`DistributedTreeJoin` — the tree-of-binary-joins execution of
-  the paper's Sec. V scaled out node-to-node.  It *is* the
-  :class:`~repro.distributed.tree.TreeJoinOperator`, with every
-  :class:`~repro.distributed.tree.BinaryJoinNode` hosted as a *stage*
-  in its own remote worker behind a stub of the node's surface:
-  routing, the close cascade and result materialization are the
-  operator's; composites cross each hop columnar
-  (:class:`PartialBlock`) over a channel, with :data:`MSG_CLOSE`
-  carrying ``flush_input``.
 
 Because worker specs cross the wire pickled (no fork inheritance from
 the driver), socket-distributed runs require picklable configs — equi
@@ -57,45 +48,25 @@ import select
 import signal
 import socket
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple
 
-from ..core.blocks import PICKLE_PROTOCOL, BlockDecoder, BlockEncoder, TupleBlock
+from ..core.blocks import PICKLE_PROTOCOL
 from ..core.pipeline import PipelineConfig
-from ..core.tuples import JoinResult, StreamTuple
 from ..faults import FaultPlan
 from ..faults import plan as _fault_plan_module
-from ..join.conditions import JoinCondition
-from ..parallel.channel import Channel, frame_header, read_frame
-from ..parallel.executors import dead_worker, receive
-from ..parallel.shard import (
-    MSG_ABORT,
-    MSG_BATCH,
-    MSG_FLUSH,
-    ShardFailure,
-    shard_worker,
-)
-from .tree import BinaryJoinNode, PartialResult, TreeJoinOperator
+from ..parallel.channel import frame_header, read_frame
+from ..parallel.shard import ShardFailure, shard_worker
 
 #: Seconds a connecting parent (and the accepting node) will wait on the
 #: :data:`MSG_JOIN` handshake before treating the peer as unreachable.
 HANDSHAKE_TIMEOUT_S = 10.0
 
-# Socket-runtime extensions of the executor ↔ worker protocol.
-#: Parent → node handshake: payload is a :class:`_WorkerSpec`; the node
-#: replies ``("ok", node_pid)`` and forks a worker that owns the
-#: connection from then on.  Any other opening tag is rejected with
+#: The socket runtime's extension of the executor ↔ worker protocol:
+#: the parent → node handshake.  Payload is a :class:`_WorkerSpec`; the
+#: node replies ``("ok", node_pid)`` and forks a worker that owns the
+#: connection from then on.  Any other opener is rejected with
 #: ``("error", ...)``.
 MSG_JOIN = "join"
-#: Driver → tree-stage: payload is the input port (0 or 1) to close.
-#: The stage runs :meth:`~repro.distributed.tree.BinaryJoinNode.flush_input`
-#: and replies ``("ok", PartialBlock | None)`` — the emissions the
-#: closure unlocked, which the driver forwards downstream *before*
-#: cascading further closes.
-MSG_CLOSE = "close"
-
-#: Worker kinds a :class:`NodeServer` can host.
-KIND_SHARD = "shard"
-KIND_TREE = "tree-node"
 
 
 class SocketIntegrityError(OSError):
@@ -226,28 +197,15 @@ class SocketConnection:
 
 
 @dataclass
-class _TreeNodeSpec:
-    """Constructor arguments of one remotely-hosted tree stage."""
-
-    window_sizes_ms: List[int]
-    condition: JoinCondition
-    left_cover: frozenset
-    right_cover: frozenset
-
-
-@dataclass
 class _WorkerSpec:
-    """The :data:`MSG_JOIN` handshake payload: which worker to host.
+    """The :data:`MSG_JOIN` handshake payload: which shard worker to host.
 
-    ``config`` is a :class:`~repro.core.pipeline.PipelineConfig` for
-    ``kind == KIND_SHARD`` and a :class:`_TreeNodeSpec` for
-    ``kind == KIND_TREE``.  Travels pickled, so everything in it must be
-    picklable (theta lambdas are not — see the module docstring).
+    Travels pickled, so everything in it must be picklable (theta
+    lambdas are not — see the module docstring).
     """
 
-    kind: str
     index: int
-    config: Union[PipelineConfig, _TreeNodeSpec]
+    config: PipelineConfig
     faults: Optional[FaultPlan] = None
     grant_credits: bool = False
 
@@ -270,156 +228,35 @@ def _arm_pdeathsig() -> None:
 
 
 def _node_worker(conn: SocketConnection, spec: _WorkerSpec) -> None:
-    """Entry point of a node-hosted worker child (post-fork).
+    """Entry point of a node-hosted shard worker child (post-fork).
 
     Arms ``PDEATHSIG`` against the hosting node and publishes the node's
     pid through :data:`repro.faults.plan.NODE_PID` so the
     ``node-sigkill`` fault (whose injector is constructed deep inside
-    ``shard_worker``) can find its target, then dispatches on the spec's
-    worker kind.
+    ``shard_worker``) can find its target.
     """
     _arm_pdeathsig()
     _fault_plan_module.NODE_PID = os.getppid()
-    if spec.kind == KIND_SHARD:
-        shard_worker(
-            conn,  # type: ignore[arg-type]  # Connection-shaped by design
-            spec.index,
-            spec.config,
-            faults=spec.faults,
-            rings=None,
-            grant_credits=spec.grant_credits,
-        )
-    elif spec.kind == KIND_TREE:
-        _tree_node_worker(conn, spec.config)
-    else:
-        try:
-            conn.send(("error", f"unknown worker kind {spec.kind!r}"))
-        except OSError:
-            pass
-        conn.close()
-
-
-class PartialBlock:
-    """A batch of :class:`~repro.distributed.tree.PartialResult`
-    composites in columnar form — the tree runtime's wire unit.
-
-    Every composite crossing one stage-to-stage hop covers the same
-    stream set (the left-deep invariant: a stage's output always carries
-    its full cover), so the set travels once as ``streams`` and the
-    component tuples flatten into one :class:`~repro.core.blocks.TupleBlock`
-    in ``streams`` order, ``len(streams)`` per composite.  ``delays``
-    carries each composite's propagated delay annotation; its timestamp
-    is recomputed on decode (max component ts — the constructor's own
-    rule), so it never travels.  Blocks are self-contained (fresh
-    encoder, schema inline): tree hops are per-trigger small, so schema
-    renegotiation costs less than stateful pairing would complicate.
-    """
-
-    __slots__ = ("streams", "delays", "components")
-
-    def __init__(
-        self,
-        streams: Tuple[int, ...],
-        delays: List[int],
-        components: TupleBlock,
-    ) -> None:
-        self.streams = streams
-        self.delays = delays
-        self.components = components
-
-    def __len__(self) -> int:
-        return len(self.delays)
-
-    def __getstate__(self) -> Tuple[Tuple[int, ...], List[int], TupleBlock]:
-        return (self.streams, self.delays, self.components)
-
-    def __setstate__(
-        self, state: Tuple[Tuple[int, ...], List[int], TupleBlock]
-    ) -> None:
-        self.streams, self.delays, self.components = state
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"PartialBlock(n={len(self.delays)}, streams={self.streams})"
-
-
-def encode_partials(partials: Sequence[PartialResult]) -> PartialBlock:
-    """Columnar-encode one hop's composites (shared stream set)."""
-    streams = tuple(sorted(partials[0].components))
-    flat: List[StreamTuple] = []
-    delays: List[int] = []
-    for partial in partials:
-        if tuple(sorted(partial.components)) != streams:
-            raise ValueError(
-                "composites on one hop must share a stream set: "
-                f"{streams} vs {tuple(sorted(partial.components))}"
-            )
-        delays.append(partial.delay)
-        flat.extend(partial.components[s] for s in streams)
-    return PartialBlock(streams, delays, BlockEncoder().encode(flat))
-
-
-def decode_partials(block: PartialBlock) -> List[PartialResult]:
-    """Rebuild the composites; ts is recomputed (= max component ts)."""
-    components = BlockDecoder().decode(block.components)
-    streams = block.streams
-    width = len(streams)
-    partials: List[PartialResult] = []
-    pos = 0
-    for delay in block.delays:
-        group = dict(zip(streams, components[pos : pos + width]))
-        pos += width
-        partials.append(PartialResult(group, delay=delay))
-    return partials
-
-
-def _tree_node_worker(conn: SocketConnection, spec: _TreeNodeSpec) -> None:
-    """Stage loop hosting one :class:`BinaryJoinNode` behind a channel.
-
-    Protocol (driver → stage), every request answered by ``("ok",
-    PartialBlock | None)`` carrying whatever it made the node emit:
-    ``(MSG_BATCH, (port, PartialBlock))`` feeds decoded composites to
-    the node in block order; ``(MSG_CLOSE, port)`` closes the port;
-    ``(MSG_FLUSH, None)`` drains the node's synchronizer and ends the
-    stage after the reply; ``(MSG_ABORT, None)`` ends it with no reply.
-    Unknown tags raise (surfaced as an ``("error", ...)`` reply) —
-    dispatch stays exhaustive like the shard worker's.
-    """
-    channel = Channel(conn)
-    emitted: List[PartialResult] = []
-    node = BinaryJoinNode(
-        spec.window_sizes_ms,
-        spec.condition,
-        spec.left_cover,
-        spec.right_cover,
-        output=emitted.append,
+    shard_worker(
+        conn,  # type: ignore[arg-type]  # Connection-shaped by design
+        spec.index,
+        spec.config,
+        faults=spec.faults,
+        rings=None,
+        grant_credits=spec.grant_credits,
     )
-    try:
-        while True:
-            tag, payload = channel.recv()
-            if tag == MSG_ABORT:
-                return
-            last = tag == MSG_FLUSH
-            if last:
-                node.flush()
-            elif tag == MSG_CLOSE:
-                node.flush_input(payload)
-            elif tag == MSG_BATCH:
-                port, block = payload
-                for item in decode_partials(block):
-                    node.feed(port, item)
-            else:
-                raise ValueError(f"unknown protocol message tag {tag!r}")
-            channel.send(("ok", encode_partials(emitted) if emitted else None))
-            emitted.clear()
-            if last:
-                return
-    except Exception as exc:  # surfaced by the driver as a ShardFailure
-        try:
-            channel.send(("error", f"{type(exc).__name__}: {exc}"))
-        except OSError:
-            pass
-    finally:
-        channel.close()
+
+
+def _join_spec(opener: Any) -> Optional[_WorkerSpec]:
+    """The spec of a well-formed ``(MSG_JOIN, _WorkerSpec)`` opener."""
+    if (
+        isinstance(opener, tuple)
+        and len(opener) == 2
+        and opener[0] == MSG_JOIN
+        and isinstance(opener[1], _WorkerSpec)
+    ):
+        return opener[1]
+    return None
 
 
 class NodeServer:
@@ -461,14 +298,21 @@ class NodeServer:
                 conn = SocketConnection(sock)
                 sock.settimeout(HANDSHAKE_TIMEOUT_S)
                 try:
-                    tag, spec = conn.recv()
+                    opener = conn.recv()
                 except (EOFError, OSError):
                     conn.close()
                     continue
-                if tag != MSG_JOIN:
+                except Exception as exc:
+                    # A well-framed payload that does not unpickle: the
+                    # accept loop must outlive any one peer.
+                    opener = exc
+                spec = _join_spec(opener)
+                if spec is None:
+                    # Never fork for it: a malformed opener costs one
+                    # reply, not the node.
                     try:
                         conn.send(
-                            ("error", f"expected a join handshake, got {tag!r}")
+                            ("error", f"expected a join handshake, got {opener!r:.200}")
                         )
                     except OSError:
                         pass
@@ -599,7 +443,6 @@ def place_shard_worker(
     that did not start.
     """
     spec = _WorkerSpec(
-        kind=KIND_SHARD,
         index=shard,
         config=config,
         faults=faults,
@@ -610,163 +453,3 @@ def place_shard_worker(
     except ConnectionError as exc:
         raise ShardFailure(shard, str(exc)) from exc
     return conn, node_index
-
-
-# ----------------------------------------------------------------------
-# distributed join tree
-# ----------------------------------------------------------------------
-
-
-class _RemoteStage:
-    """A :class:`BinaryJoinNode` hosted by a tree-stage worker on a node.
-
-    Presents the node's surface — ``feed`` / ``flush_input`` / ``flush``
-    / ``exhausted`` — so :class:`TreeJoinOperator` drives it like a
-    local node: each call is one request, and the emissions in the
-    stage's reply go, in emission order and before the call returns, to
-    the same ``output`` callback a local node would call.  Port closure
-    is mirrored here (``exhausted`` is "both ports closed" on either
-    side), so the idempotent repeats of the operator's close cascade
-    cost no round trip.  A dead or erroring stage surfaces as a typed
-    :class:`~repro.parallel.shard.ShardFailure` carrying the stage
-    index, through the executor's own receive step.
-    """
-
-    def __init__(
-        self,
-        index: int,
-        channel: Channel,
-        output: Callable[[PartialResult], None],
-    ) -> None:
-        self.index = index
-        self.channel = channel
-        self._output = output
-        self._port_closed = [False, False]
-
-    def feed(self, port: int, item: PartialResult) -> None:
-        self._send((MSG_BATCH, (port, encode_partials([item]))))
-
-    @property
-    def exhausted(self) -> bool:
-        return self._port_closed[0] and self._port_closed[1]
-
-    def flush_input(self, port: int) -> None:
-        if not self._port_closed[port]:
-            self._port_closed[port] = True
-            self._send((MSG_CLOSE, port))
-
-    def flush(self) -> None:
-        """Drain the stage's synchronizer; the stage worker then ends."""
-        self._send((MSG_FLUSH, None))
-
-    def _send(self, message: tuple) -> None:
-        """One request; the reply's emissions go to ``output``."""
-        try:
-            self.channel.send(message)
-        except OSError as exc:
-            raise dead_worker(self.channel, None, self.index, str(exc)) from exc
-        tag, payload = receive(self.channel, None, self.index, None)
-        if tag != "ok":
-            raise ShardFailure(self.index, str(payload), recoverable=False)
-        if payload is not None:
-            for item in decode_partials(payload):
-                self._output(item)
-
-
-class DistributedTreeJoin(TreeJoinOperator):
-    """A left-deep join tree with every binary node on a NodeServer.
-
-    The :class:`~repro.distributed.tree.TreeJoinOperator` over remote
-    stages: stage *i* hosts the node covering streams ``{0..i+1}``
-    behind a :class:`_RemoteStage`, and the operator's own ``process``
-    / ``close_stream`` / ``flush`` route base tuples, forward each
-    stage's emissions to the next stage's port 0 and materialize the
-    root's as :class:`~repro.core.tuples.JoinResult`.  Because every
-    stage applies Alg. 2 on exactly the same composite sequence the
-    in-process tree would see, results match it one for one
-    (``test_socket_transport`` pins this differentially, close orders
-    included).  What this class adds is lifecycle: ``flush`` is
-    terminal (it ends the stage workers) and ``close`` aborts them.
-
-    Emission is gated by the pairwise-window check
-    (:func:`~repro.distributed.tree._pairwise_windows_ok`), which holds
-    per composite independent of placement — so key-partitioned stage
-    replicas would stay result-set-faithful; this runtime runs one
-    replica per stage and leaves replication to the partitioned pipeline
-    layer (``transport="socket"``).
-    """
-
-    def __init__(
-        self,
-        window_sizes_ms: Sequence[int],
-        condition: JoinCondition,
-        nodes: Sequence[NodeAddress],
-        collect_results: bool = True,
-    ) -> None:
-        self._addresses = [(str(host), int(port)) for host, port in nodes]
-        self._flushed = False
-        super().__init__(window_sizes_ms, condition, collect_results)
-
-    def _make_node(
-        self,
-        left_cover: frozenset,
-        right_cover: frozenset,
-        output: Callable[[PartialResult], None],
-    ) -> _RemoteStage:
-        index = len(self.nodes)
-        spec = _WorkerSpec(
-            kind=KIND_TREE,
-            index=index,
-            config=_TreeNodeSpec(
-                window_sizes_ms=self.window_sizes_ms,
-                condition=self.condition,
-                left_cover=left_cover,
-                right_cover=right_cover,
-            ),
-        )
-        try:
-            conn, _node_pid, _node_index = connect_worker(
-                self._addresses, spec, preferred=index % len(self._addresses)
-            )
-        except BaseException:
-            self.close()  # the stages already placed
-            raise
-        return _RemoteStage(index, Channel(conn), output)
-
-    # -- driving -------------------------------------------------------
-
-    def process(self, t: StreamTuple) -> Union[List[JoinResult], int]:
-        self._check_live()
-        return super().process(t)
-
-    def close_stream(self, stream: int) -> Union[List[JoinResult], int]:
-        self._check_live()
-        return super().close_stream(stream)
-
-    def flush(self) -> Union[List[JoinResult], int]:
-        """Flush every stage left to right; ends the stage workers."""
-        if self._flushed:
-            return self._drain(self._count)
-        self._flushed = True
-        return super().flush()
-
-    def _check_live(self) -> None:
-        if self._flushed:
-            raise RuntimeError("tree already flushed")
-
-    def close(self) -> None:
-        """Abort every stage without draining (abandoned run)."""
-        for stage in self.nodes:
-            if not self._flushed:
-                try:
-                    stage.channel.send((MSG_ABORT, None))
-                except OSError:
-                    pass
-            stage.channel.close()
-        self._flushed = True
-
-    def __enter__(self) -> "DistributedTreeJoin":
-        return self
-
-    def __exit__(self, exc_type, exc_value, traceback) -> None:
-        self.close()

@@ -229,16 +229,9 @@ class TreeJoinOperator:
     The node over streams {0, 1} feeds the node over {0, 1, 2}, and so
     on.  ``process`` accepts base-stream tuples in (partially sorted)
     order — e.g. straight from a K-slack + Synchronizer front end — and
-    returns the final results produced by the root.
-
-    Where a node lives is the one thing a subclass may change:
-    :meth:`_make_node` builds each stage, and anything with
-    :class:`BinaryJoinNode`'s ``feed`` / ``flush_input`` / ``flush`` /
-    ``exhausted`` surface that reports emissions to the given ``output``
-    callback will do
-    (:class:`~repro.distributed.runtime.DistributedTreeJoin` hosts every
-    stage in a remote worker).  Routing, the close cascade and result
-    materialization exist once, here.
+    returns the final results produced by the root.  Every node runs
+    in-process; scaling out across machines is the partitioned
+    pipeline's job (``transport="socket"``), not the tree's.
     """
 
     def __init__(
@@ -265,25 +258,15 @@ class TreeJoinOperator:
             is_root = stream == self.num_streams - 1
             sink = self._root_sink if is_root else self._make_forwarder(len(self.nodes) + 1)
             self.nodes.append(
-                self._make_node(left_cover, frozenset({stream}), sink)
+                BinaryJoinNode(
+                    self.window_sizes_ms,
+                    condition,
+                    left_cover,
+                    frozenset({stream}),
+                    output=sink,
+                )
             )
             left_cover = left_cover | {stream}
-
-    def _make_node(
-        self,
-        left_cover: frozenset,
-        right_cover: frozenset,
-        output: Callable[[PartialResult], None],
-    ) -> BinaryJoinNode:
-        """Build the stage joining ``left_cover`` with ``right_cover``
-        (stage index = ``len(self.nodes)`` at the time of the call)."""
-        return BinaryJoinNode(
-            self.window_sizes_ms,
-            self.condition,
-            left_cover,
-            right_cover,
-            output=output,
-        )
 
     def _make_forwarder(self, next_index: int) -> Callable[[PartialResult], None]:
         def forward(item: PartialResult) -> None:

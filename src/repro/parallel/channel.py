@@ -1,7 +1,7 @@
 """The wire: one frame, one channel, under every worker conversation.
 
-Every conversation between a driver and a worker process — executor ↔
-shard worker, tree driver ↔ tree stage — is a stream of pickled
+Every conversation between the executor and a shard worker process —
+over a pipe, a shared-memory ring or a socket — is a stream of pickled
 ``(tag, payload)`` messages.  How a message becomes bytes on a carrier
 is decided here and nowhere else:
 

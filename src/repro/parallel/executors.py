@@ -345,7 +345,7 @@ def receive(
     """Receive one worker message with death (and hang) detection.
 
     The one receive step under every wait — the executor's reply and
-    credit waits and the tree driver's stage replies.  Polls instead of
+    credit waits.  Polls instead of
     blocking in ``recv()``: a dead worker surfaces as a typed
     :class:`ShardFailure` via EOF, a torn frame or its exitcode, and —
     when ``timeout`` is given — a worker that is alive but unresponsive

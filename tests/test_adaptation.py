@@ -219,50 +219,13 @@ class TestShrinkDamping:
         assert trajectory == [4_000, 2_000, 1_000, 500, 250]
 
 
-class TestBinarySearch:
-    """The future-work search variant must agree with the Alg. 3 scan."""
-
-    def _policies(self):
-        return (
-            ModelBasedPolicy(EqSel(), shrink_damping=0.0, search="linear"),
-            ModelBasedPolicy(EqSel(), shrink_damping=0.0, search="binary"),
-        )
-
-    @pytest.mark.parametrize("gamma", [0.7, 0.9, 0.99, 0.999])
-    def test_matches_linear_scan_under_eqsel(self, gamma):
-        delays = [0, 150, 0, 400] * 50
-        stats = _stats_two_streams([delays, delays])
-        linear, binary = self._policies()
-        k_linear = linear.decide(_context(stats, gamma=gamma))
-        k_binary = binary.decide(_context(stats, gamma=gamma))
-        assert k_binary == k_linear
-
-    def test_zero_k_short_circuit(self):
-        stats = _stats_two_streams([[0] * 50, [0] * 50])
-        policy = ModelBasedPolicy(EqSel(), shrink_damping=0.0, search="binary")
-        assert policy.decide(_context(stats, gamma=0.99)) == 0
-        assert policy.last_search_steps == 1
-
-    def test_binary_uses_fewer_evaluations(self):
-        delays = [0, 2_000] * 100  # MaxDH = 2000 → linear scan ~200 steps
-        stats = _stats_two_streams([delays, delays])
-        linear, binary = self._policies()
-        linear.decide(_context(stats, gamma=0.999))
-        binary.decide(_context(stats, gamma=0.999))
-        assert binary.last_search_steps < linear.last_search_steps / 4
-
-    def test_unknown_search_rejected(self):
-        with pytest.raises(ValueError):
-            ModelBasedPolicy(EqSel(), search="newton")
-
-
 class TestRatioCap:
     """The strategy declares the cap; no declaration, no skipped grid point."""
 
-    def _steps_and_evaluations(self, selectivity, search="linear"):
+    def _steps_and_evaluations(self, selectivity):
         delays = [0, 2_000] * 100  # MaxDH = 2000: the scan from zero is ~200 steps
         stats = _stats_two_streams([delays, delays])
-        policy = ModelBasedPolicy(selectivity, shrink_damping=0.0, search=search)
+        policy = ModelBasedPolicy(selectivity, shrink_damping=0.0)
         k = policy.decide(_context(stats, gamma=0.999))
         return k, policy.last_search_steps, policy.last_model_evaluations
 
@@ -286,10 +249,6 @@ class TestRatioCap:
         k, steps, evaluations = self._steps_and_evaluations(EqSel())
         assert steps == k // 10 + 1 > 100
         assert evaluations <= math.ceil(math.log2(200 + 2)) + 2
-
-    def test_binary_search_reports_its_probes(self):
-        _, steps, evaluations = self._steps_and_evaluations(EqSel(), search="binary")
-        assert evaluations == steps
 
 
 class TestUnstampedInput:

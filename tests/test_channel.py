@@ -3,8 +3,7 @@
 The frame half pins the one reader every framed carrier uses (sequence
 and CRC verdicts raised as the carrier's own error type, payloads
 reassembled from bounded reads).  The channel half pins what the
-executor, the shard worker and the tree runtime rely on without ever
-seeing it: a bulky message rides the ring behind a doorbell that is not
+executor and the shard worker rely on without ever seeing it: a bulky message rides the ring behind a doorbell that is not
 a protocol message, everything else stays inline, each message is
 pickled once, and ``close`` leaves no ``/dev/shm`` segment behind.
 """

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     EquiPredicate,
@@ -176,6 +178,42 @@ class TestTreeLifecycle:
             for stream in order:
                 produced.extend(tree.close_stream(stream))
             assert result_key_set(produced) == result_key_set(expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), num_streams=st.integers(2, 4), seed=st.integers(0, 10**6))
+    def test_mid_stream_closes_match_reference_over_fed_tuples(
+        self, data, num_streams, seed
+    ):
+        # Streams end at random points of the sorted feed; a closed
+        # stream's later tuples are never fed.  The results (closures
+        # included) must be exactly the join of what *was* fed.
+        windows = data.draw(
+            st.lists(st.integers(50, 400), min_size=num_streams, max_size=num_streams)
+        )
+        dataset = _random_dataset(num_streams, 9 * num_streams, seed)
+        arrivals = dataset.sorted_by_timestamp()
+        close_at = data.draw(
+            st.lists(
+                st.integers(0, len(arrivals)),
+                min_size=num_streams,
+                max_size=num_streams,
+            )
+        )
+        condition = equi_join_chain("v", num_streams)
+        tree = TreeJoinOperator(windows, condition)
+        produced, fed = [], []
+        for position, t in enumerate(arrivals):
+            for stream, at in enumerate(close_at):
+                if at == position:
+                    produced.extend(tree.close_stream(stream))
+            if position < close_at[t.stream]:
+                produced.extend(tree.process(t))
+                fed.append(t)
+        produced.extend(tree.flush())
+        fed.sort(key=lambda t: t.arrival)
+        expected = reference_join(Dataset(fed, num_streams), windows, condition)
+        assert result_key_set(produced) == result_key_set(expected)
+        assert len(produced) == len(expected)
 
     def test_close_stream_is_idempotent_and_rejects_feed(self):
         tree = TreeJoinOperator([1_000, 1_000], self.CONDITION)

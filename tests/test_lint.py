@@ -451,8 +451,8 @@ def node(conn):
 
 
 def test_protocol_socket_handshake_tags_are_covered():
-    # The socket runtime's MSG_JOIN/MSG_CLOSE extensions follow the same
-    # contract as the pipe tags: defined, sent, dispatched.
+    # Tags a socket carrier adds (the runtime's MSG_JOIN handshake) follow
+    # the same contract as the pipe tags: defined, sent, dispatched.
     findings = analyze_sources(
         {"sock.py": SOCKET_PROTOCOL_CLEAN}, ["protocol-exhaustiveness"]
     )
@@ -834,9 +834,9 @@ def ship(self, channel, batch):
 
 
 def test_ipc_safety_covers_tree_stage_requests():
-    # A tree driver's request crosses a socket inside a channel, pickled
-    # like any pipe send — an unpicklable argument fails on the wire the
-    # same way, and the rule must see it through the stage stub's _send.
+    # A request sent through a typed-failure _send wrapper (the
+    # executor's) is pickled like any pipe send — an unpicklable argument
+    # fails on the wire the same way, and the rule must see it.
     source = '''
 def feed(stage, port, batch):
     stage._send((MSG_BATCH, (port, lambda: batch)))

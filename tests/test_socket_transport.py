@@ -1,6 +1,6 @@
-"""Tests for the socket-distributed runtime (ISSUE 10).
+"""Tests for the socket-distributed runtime.
 
-Four layers.  The :class:`SocketConnection` unit layer pins the framing
+Three layers.  The :class:`SocketConnection` unit layer pins the framing
 protocol itself: roundtrips, sequence verification, CRC detection, pipe
 EOF/OSError semantics.  The executor identity layer proves the
 load-bearing property of ``transport="socket"``: the canonical result
@@ -11,9 +11,7 @@ including across a mid-stream elastic node join (``pipeline.grow`` onto
 a node started *after* the run began) and a node leave
 (``pipeline.shrink``).  The recovery layer injects a socket drop and a
 whole-node SIGKILL under supervision and requires indistinguishable
-output plus evidence the faults actually fired.  The tree layer drives
-:class:`DistributedTreeJoin` differentially against the in-process
-:class:`TreeJoinOperator`, close orders included.
+output plus evidence the faults actually fired.
 """
 
 import random
@@ -31,21 +29,19 @@ from repro import (
     seconds,
 )
 from repro.distributed import (
-    DistributedTreeJoin,
     NodeServer,
     SocketConnection,
     SocketIntegrityError,
-    TreeJoinOperator,
     connect_worker,
 )
-from repro.distributed.runtime import KIND_SHARD, _WorkerSpec
+from repro.distributed.runtime import MSG_JOIN, _WorkerSpec
 from repro.faults import (
     FaultPlan,
     FaultSpec,
     KIND_NODE_SIGKILL,
     KIND_SOCKET_DROP,
 )
-from repro.parallel import PartitionedPipeline, ShardFailure, SupervisionConfig
+from repro.parallel import PartitionedPipeline, SupervisionConfig
 
 # ---------------------------------------------------------------------------
 # SocketConnection unit tests
@@ -181,9 +177,44 @@ def test_non_join_handshake_is_rejected(nodes):
         conn.close()
 
 
+def test_malformed_openers_leave_the_node_serving():
+    # A framed opener that is not a pair, a join whose payload is not a
+    # worker spec and a frame that does not unpickle are each refused
+    # with one reply; the node forks nothing for them and keeps
+    # accepting, so a well-formed join still places a worker.
+    import pickle
+
+    process, address = NodeServer.spawn()
+    try:
+        for payload in (
+            pickle.dumps("hello"),
+            pickle.dumps((MSG_JOIN, 42)),
+            b"not a pickle",
+        ):
+            conn = SocketConnection(socket.create_connection(address, timeout=10))
+            try:
+                conn.send_bytes(payload)
+                tag, detail = conn.recv()
+                assert tag == "error"
+                assert "join" in detail
+            finally:
+                conn.close()
+        spec = _WorkerSpec(index=0, config=_lossless_config(_dataset(12)))
+        conn, node_pid, node_index = connect_worker([address], spec, preferred=0)
+        try:
+            assert (node_pid, node_index) == (process.pid, 0)
+        finally:
+            conn.send(("abort", None))
+            conn.close()
+        assert process.is_alive()
+    finally:
+        process.terminate()
+        process.join(5)
+
+
 def test_connect_worker_fails_over_to_a_live_node(nodes):
     dead = ("127.0.0.1", 1)  # reserved port: connection refused
-    spec = _WorkerSpec(kind=KIND_SHARD, index=0, config=_lossless_config(_dataset(12)))
+    spec = _WorkerSpec(index=0, config=_lossless_config(_dataset(12)))
     conn, node_pid, node_index = connect_worker([dead, nodes[0]], spec, preferred=0)
     try:
         assert node_index == 1
@@ -194,7 +225,7 @@ def test_connect_worker_fails_over_to_a_live_node(nodes):
 
 
 def test_connect_worker_raises_when_no_node_accepts():
-    spec = _WorkerSpec(kind=KIND_SHARD, index=0, config=_lossless_config(_dataset(12)))
+    spec = _WorkerSpec(index=0, config=_lossless_config(_dataset(12)))
     with pytest.raises(ConnectionError, match="no NodeServer accepted"):
         connect_worker([("127.0.0.1", 1)], spec, preferred=0)
 
@@ -498,118 +529,3 @@ def test_shrink_last_live_shard_is_rejected(dataset):
     with PartitionedPipeline(config, 1, slots_per_shard=4) as pipeline:
         with pytest.raises(ValueError, match="last live shard"):
             pipeline.shrink(0)
-
-
-# ---------------------------------------------------------------------------
-# distributed tree: differential vs the in-process operator
-# ---------------------------------------------------------------------------
-
-
-def _tree_reference(dataset, windows, condition, closes=()):
-    tree = TreeJoinOperator(windows, condition)
-    out = []
-    closed = dict(closes)
-    for i, t in enumerate(dataset.arrivals()):
-        for stream in closed.pop(i, ()):
-            out.extend(tree.close_stream(stream))
-        if not tree._closed[t.stream]:
-            out.extend(tree.process(t))
-    out.extend(tree.flush())
-    return [(r.ts, r.key()) for r in out]
-
-
-def _tree_distributed(dataset, windows, condition, addresses, closes=()):
-    out = []
-    closed = dict(closes)
-    with DistributedTreeJoin(windows, condition, nodes=addresses) as tree:
-        for i, t in enumerate(dataset.arrivals()):
-            for stream in closed.pop(i, ()):
-                out.extend(tree.close_stream(stream))
-            if not tree._closed[t.stream]:
-                out.extend(tree.process(t))
-        out.extend(tree.flush())
-    return [(r.ts, r.key()) for r in out]
-
-
-def test_distributed_tree_matches_in_process_tree(dataset, nodes):
-    windows = [seconds(1)] * 3
-    condition = equi_join_chain("a1", 3)
-    assert _tree_distributed(dataset, windows, condition, nodes) == \
-        _tree_reference(dataset, windows, condition)
-
-
-@pytest.mark.parametrize(
-    "closes",
-    [
-        ((300, (0,)),),
-        ((200, (2,)), (400, (0,))),
-        ((250, (1,)), (350, (0,)), (450, (2,))),
-    ],
-    ids=["close-left-first", "close-right-then-left", "close-all-mid-stream"],
-)
-def test_distributed_tree_close_orders_match(dataset, nodes, closes):
-    windows = [seconds(1)] * 3
-    condition = equi_join_chain("a1", 3)
-    assert _tree_distributed(dataset, windows, condition, nodes, closes) == \
-        _tree_reference(dataset, windows, condition, closes)
-
-
-def _feed_until_failure(tree, dataset):
-    for t in dataset.arrivals():
-        tree.process(t)
-    tree.flush()
-
-
-def test_distributed_tree_dead_stage_is_a_typed_failure(dataset):
-    # SIGKILL the node hosting the stages mid-run: its workers die with
-    # it (PDEATHSIG) and the driver must see a typed failure carrying
-    # the stage index within seconds — not a bare RuntimeError out of a
-    # blocking recv(), and never a hang.
-    import time
-
-    process, address = NodeServer.spawn()
-    try:
-        windows = [seconds(1)] * 3
-        condition = equi_join_chain("a1", 3)
-        with DistributedTreeJoin(windows, condition, nodes=[address]) as tree:
-            arrivals = dataset.arrivals()
-            for _ in range(60):
-                tree.process(next(arrivals))
-            process.kill()
-            process.join(10)
-            started = time.perf_counter()
-            with pytest.raises(ShardFailure) as excinfo:
-                _feed_until_failure(tree, dataset)
-            assert time.perf_counter() - started < 10
-            assert excinfo.value.shard in (0, 1)
-            assert excinfo.value.recoverable
-    finally:
-        process.kill()
-        process.join(10)
-
-
-def test_distributed_tree_stage_error_is_not_recoverable(nodes):
-    # A stage whose node raised reports ("error", ...): deterministic,
-    # so the typed failure says a retry would only reproduce it.
-    windows = [seconds(1)] * 2
-    condition = equi_join_chain("a1", 2)
-    with DistributedTreeJoin(windows, condition, nodes=nodes) as tree:
-        stage = tree.nodes[0]
-        with pytest.raises(ShardFailure, match="unknown protocol") as excinfo:
-            stage._send(("bogus", None))
-        assert excinfo.value.shard == 0
-        assert not excinfo.value.recoverable
-
-
-def test_distributed_tree_rejects_closed_stream_feed(nodes):
-    windows = [seconds(1)] * 2
-    condition = equi_join_chain("a1", 2)
-    ds = _dataset(24)
-    with DistributedTreeJoin(windows, condition, nodes=nodes) as tree:
-        tree.close_stream(0)
-        assert tree.close_stream(0) == []  # idempotent
-        for t in ds.arrivals():
-            if t.stream == 0:
-                with pytest.raises(ValueError, match="already closed"):
-                    tree.process(t)
-                break
