@@ -23,6 +23,7 @@ from repro import (
     seconds,
 )
 from repro.core.adaptation import build_recall_model
+from repro.core.model import RecallModel
 from repro.core.profiler import ProfileSnapshot
 
 
@@ -219,6 +220,71 @@ class TestShrinkDamping:
         assert trajectory == [4_000, 2_000, 1_000, 500, 250]
 
 
+def _scan_from_zero(selectivity):
+    """The same strategy, ratios included, with no declared cap: Alg. 3's
+    scan from k* = 0, which the bisected start must reproduce."""
+    twin = type(f"ScanFromZero{type(selectivity).__name__}", (type(selectivity),),
+                {"ratio_cap": None})
+    return twin()
+
+
+class TestBinarySearch:
+    """The bisected start of a capped strategy's search must agree with
+    the Alg. 3 scan from zero, and pay fewer model evaluations for it."""
+
+    def _policies(self, selectivity):
+        return (
+            ModelBasedPolicy(_scan_from_zero(selectivity), shrink_damping=0.0),
+            ModelBasedPolicy(selectivity, shrink_damping=0.0),
+        )
+
+    @pytest.mark.parametrize("gamma", [0.7, 0.9, 0.99, 0.999])
+    def test_matches_linear_scan_under_eqsel(self, gamma):
+        delays = [0, 150, 0, 400] * 50
+        stats = _stats_two_streams([delays, delays])
+        linear, binary = self._policies(EqSel())
+        k_linear = linear.decide(_context(stats, gamma=gamma))
+        k_binary = binary.decide(_context(stats, gamma=gamma))
+        assert k_binary == k_linear
+        assert binary.last_search_steps == linear.last_search_steps
+
+    @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.6, 0.7])
+    def test_matches_linear_scan_under_noneqsel(self, gamma):
+        # A learned ratio below 1 that dips again at coarse K 100: the
+        # bound crosses early and the scan walks on past it, where a
+        # skipped grid point would change k*.
+        delays = [0, 300, 0, 1_000, 0, 1_500] * 40
+        stats = _stats_two_streams([delays, delays])
+        profile = ProfileSnapshot(
+            {0: 1_000.0, 30: 1_000.0, 100: 1_000.0, 150: 1_000.0},
+            {0: 10.0, 30: 60.0, 100: 20.0, 150: 90.0},
+        )
+        linear, binary = self._policies(NonEqSel())
+        k_linear = linear.decide(_context(stats, profile=profile, gamma=gamma))
+        k_binary = binary.decide(_context(stats, profile=profile, gamma=gamma))
+        assert k_binary == k_linear
+        assert binary.last_search_steps == linear.last_search_steps
+
+    def test_zero_k_short_circuit(self):
+        stats = _stats_two_streams([[0] * 50, [0] * 50])
+        policy = ModelBasedPolicy(EqSel(), shrink_damping=0.0)
+        assert policy.decide(_context(stats, gamma=0.99)) == 0
+        assert policy.last_search_steps == 1
+
+    def test_binary_uses_fewer_evaluations(self):
+        delays = [0, 2_000] * 100  # MaxDH = 2000 → linear scan ~200 steps
+        stats = _stats_two_streams([delays, delays])
+        linear, binary = self._policies(EqSel())
+        linear.decide(_context(stats, gamma=0.999))
+        binary.decide(_context(stats, gamma=0.999))
+        assert binary.last_model_evaluations < linear.last_model_evaluations / 4
+
+    def test_unknown_search_rejected(self):
+        # The bisected start is the only K search: there is no knob.
+        with pytest.raises(TypeError):
+            ModelBasedPolicy(EqSel(), search="binary")
+
+
 class TestRatioCap:
     """The strategy declares the cap; no declaration, no skipped grid point."""
 
@@ -249,6 +315,23 @@ class TestRatioCap:
         k, steps, evaluations = self._steps_and_evaluations(EqSel())
         assert steps == k // 10 + 1 > 100
         assert evaluations <= math.ceil(math.log2(200 + 2)) + 2
+
+    def test_binary_search_reports_its_probes(self, monkeypatch):
+        # Bisection probes and scanned points each evaluate Eq. 4 once:
+        # the reported count is exactly what the search paid.
+        calls = []
+        original = RecallModel.produced_result_rate
+
+        def counted(model, k_ms):
+            calls.append(k_ms)
+            return original(model, k_ms)
+
+        monkeypatch.setattr(RecallModel, "produced_result_rate", counted)
+        for selectivity in (EqSel(), _scan_from_zero(EqSel())):
+            calls.clear()
+            _, steps, evaluations = self._steps_and_evaluations(selectivity)
+            assert evaluations == len(calls)
+        assert evaluations == steps  # the uncapped twin probes only by scanning
 
 
 class TestUnstampedInput:

@@ -11,7 +11,9 @@ including across a mid-stream elastic node join (``pipeline.grow`` onto
 a node started *after* the run began) and a node leave
 (``pipeline.shrink``).  The recovery layer injects a socket drop and a
 whole-node SIGKILL under supervision and requires indistinguishable
-output plus evidence the faults actually fired.
+output plus evidence the faults actually fired.  A last differential
+check holds the in-process tree of binary joins, with streams closing
+mid-stream, to the socket runtime's result over the same tuples.
 """
 
 import random
@@ -32,6 +34,7 @@ from repro.distributed import (
     NodeServer,
     SocketConnection,
     SocketIntegrityError,
+    TreeJoinOperator,
     connect_worker,
 )
 from repro.distributed.runtime import MSG_JOIN, _WorkerSpec
@@ -42,6 +45,7 @@ from repro.faults import (
     KIND_SOCKET_DROP,
 )
 from repro.parallel import PartitionedPipeline, SupervisionConfig
+from repro.streams.source import Dataset
 
 # ---------------------------------------------------------------------------
 # SocketConnection unit tests
@@ -529,3 +533,45 @@ def test_shrink_last_live_shard_is_rejected(dataset):
     with PartitionedPipeline(config, 1, slots_per_shard=4) as pipeline:
         with pytest.raises(ValueError, match="last live shard"):
             pipeline.shrink(0)
+
+
+# ---------------------------------------------------------------------------
+# the distributed tree (paper Sec. V) vs the socket runtime, mid-stream closes
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "closes",
+    [
+        ((300, (0,)),),
+        ((200, (2,)), (400, (0,))),
+        ((250, (1,)), (350, (0,)), (450, (2,))),
+    ],
+    ids=["close-left-first", "close-right-then-left", "close-all-mid-stream"],
+)
+def test_distributed_tree_close_orders_match(dataset, nodes, closes):
+    # The tree of binary joins takes the timestamp-ordered feed and ends
+    # streams at the given positions; a closed stream's later tuples are
+    # never fed.  A lossless socket-distributed run over exactly the fed
+    # tuples, in their disordered arrival order, must produce the same
+    # result multiset.
+    windows = [seconds(1)] * 3
+    condition = equi_join_chain("a1", 3)
+    tree = TreeJoinOperator(windows, condition)
+    closed = dict(closes)
+    produced, fed = [], []
+    for i, t in enumerate(dataset.sorted_by_timestamp()):
+        for stream in closed.pop(i, ()):
+            produced.extend(tree.close_stream(stream))
+        if not tree._closed[t.stream]:
+            produced.extend(tree.process(t))
+            fed.append(t)
+    produced.extend(tree.flush())
+    assert len(fed) < len(dataset)
+    fed_dataset = Dataset(sorted(fed, key=lambda t: t.arrival), num_streams=3)
+    sequence, _, _ = _drive(
+        fed_dataset, _lossless_config(dataset), 2,
+        executor="process", transport="socket", nodes=nodes,
+    )
+    assert produced
+    assert sorted(r.key() for r in produced) == sorted(key for _, key in sequence)
