@@ -22,7 +22,19 @@ Classes
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from itertools import compress, repeat, tee
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.tuples import StreamTuple
 
@@ -42,16 +54,36 @@ class Predicate(ABC):
         Callers guarantee every referenced stream is present in ``bound``.
         """
 
+    def select(
+        self,
+        stream: int,
+        bound: Mapping[int, StreamTuple],
+        candidates: Iterable[StreamTuple],
+    ) -> Iterator[StreamTuple]:
+        """The ``candidates`` of ``stream`` that satisfy the predicate.
 
-class EquiPredicate(Predicate):
-    """Equality between one attribute of each of two streams.
+        ``bound`` holds every *other* referenced stream; ``stream`` is one
+        this predicate references.  Yields lazily and in order, testing
+        one candidate per step, so chained ``select`` calls test (and
+        call user code) in the same order as a loop over the candidates
+        that evaluates each predicate in turn.  Reads ``bound`` without
+        changing it; the other streams' bindings must not change while
+        the result is consumed.  This default evaluates ``bound`` extended
+        by each candidate; subclasses answer the same in fewer frames.
+        """
+        extended = dict(bound)
+        for candidate in candidates:
+            extended[stream] = candidate
+            if self.evaluate(extended):
+                yield candidate
 
-    ``EquiPredicate(0, "a1", 1, "a1")`` is ``S0.a1 == S1.a1``.
-    """
+
+class _AttributePair(Predicate):
+    """A predicate on one attribute of each of two distinct streams."""
 
     def __init__(self, left_stream: int, left_attr: str, right_stream: int, right_attr: str) -> None:
         if left_stream == right_stream:
-            raise ValueError("equi predicate must reference two distinct streams")
+            raise ValueError(f"{type(self).__name__} must reference two distinct streams")
         self.left_stream = left_stream
         self.left_attr = left_attr
         self.right_stream = right_stream
@@ -61,14 +93,6 @@ class EquiPredicate(Predicate):
     @property
     def streams(self) -> FrozenSet[int]:
         return self._streams
-
-    def evaluate(self, bound: Mapping[int, StreamTuple]) -> bool:
-        # Missing attributes read as None (mirroring the hash-index
-        # behaviour), so None == None matches rather than raising.
-        return (
-            bound[self.left_stream].get(self.left_attr)
-            == bound[self.right_stream].get(self.right_attr)
-        )
 
     def side_for(self, stream: int) -> Tuple[str, int, str]:
         """Return ``(attr_on_stream, other_stream, attr_on_other)``.
@@ -82,6 +106,33 @@ class EquiPredicate(Predicate):
             return (self.right_attr, self.left_stream, self.left_attr)
         raise ValueError(f"stream {stream} not referenced by this predicate")
 
+
+class EquiPredicate(_AttributePair):
+    """Equality between one attribute of each of two streams.
+
+    ``EquiPredicate(0, "a1", 1, "a1")`` is ``S0.a1 == S1.a1``.
+    """
+
+    def evaluate(self, bound: Mapping[int, StreamTuple]) -> bool:
+        # Missing attributes read as None (mirroring the hash-index
+        # behaviour), so None == None matches rather than raising.
+        return (
+            bound[self.left_stream].get(self.left_attr)
+            == bound[self.right_stream].get(self.right_attr)
+        )
+
+    def select(
+        self,
+        stream: int,
+        bound: Mapping[int, StreamTuple],
+        candidates: Iterable[StreamTuple],
+    ) -> Iterator[StreamTuple]:
+        attr, other, other_attr = self.side_for(stream)
+        value = bound[other].get(other_attr)
+        if stream == self.left_stream:  # ``==`` keeps its operand order
+            return (c for c in candidates if c.get(attr) == value)
+        return (c for c in candidates if value == c.get(attr))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"S{self.left_stream}.{self.left_attr} == "
@@ -89,7 +140,7 @@ class EquiPredicate(Predicate):
         )
 
 
-class BandPredicate(Predicate):
+class BandPredicate(_AttributePair):
     """``|S_i.attr_a - S_j.attr_b| <= band`` between two streams."""
 
     def __init__(
@@ -100,20 +151,10 @@ class BandPredicate(Predicate):
         right_attr: str,
         band: float,
     ) -> None:
-        if left_stream == right_stream:
-            raise ValueError("band predicate must reference two distinct streams")
+        super().__init__(left_stream, left_attr, right_stream, right_attr)
         if band < 0:
             raise ValueError(f"band must be non-negative, got {band}")
-        self.left_stream = left_stream
-        self.left_attr = left_attr
-        self.right_stream = right_stream
-        self.right_attr = right_attr
         self.band = band
-        self._streams = frozenset((left_stream, right_stream))
-
-    @property
-    def streams(self) -> FrozenSet[int]:
-        return self._streams
 
     def evaluate(self, bound: Mapping[int, StreamTuple]) -> bool:
         left = bound[self.left_stream].get(self.left_attr)
@@ -121,6 +162,29 @@ class BandPredicate(Predicate):
         if left is None or right is None:
             return False
         return abs(left - right) <= self.band
+
+    def select(
+        self,
+        stream: int,
+        bound: Mapping[int, StreamTuple],
+        candidates: Iterable[StreamTuple],
+    ) -> Iterator[StreamTuple]:
+        attr, other, other_attr = self.side_for(stream)
+        value, band = bound[other].get(other_attr), self.band
+        # No early return on a missing value: the candidates are still
+        # pulled, so an upstream select calls its user code as before.
+        known = value is not None
+        if stream == self.left_stream:  # ``-`` keeps its operand order
+            return (
+                c
+                for c in candidates
+                if known and (v := c.get(attr)) is not None and abs(v - value) <= band
+            )
+        return (
+            c
+            for c in candidates
+            if known and (v := c.get(attr)) is not None and abs(value - v) <= band
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -132,7 +196,11 @@ class BandPredicate(Predicate):
 class ThetaPredicate(Predicate):
     """Arbitrary user-defined predicate over tuples of given streams.
 
-    ``fn`` receives the bound tuples of ``streams`` in the order given.
+    ``fn`` receives the bound tuples of ``streams`` positionally, in the
+    order given, and its result is tested for truthiness.  The probe may
+    call it through ``map`` over a candidate list (:meth:`select`), so
+    it is called once per candidate tested, in candidate order, but from
+    C rather than from a Python loop.
     Example (the paper's Q×2 soccer condition)::
 
         ThetaPredicate(
@@ -164,6 +232,21 @@ class ThetaPredicate(Predicate):
     def evaluate(self, bound: Mapping[int, StreamTuple]) -> bool:
         return bool(self._fn(*(bound[s] for s in self._ordered_streams)))
 
+    def select(
+        self,
+        stream: int,
+        bound: Mapping[int, StreamTuple],
+        candidates: Iterable[StreamTuple],
+    ) -> Iterator[StreamTuple]:
+        data, args = tee(candidates)
+        return compress(
+            data,
+            map(
+                self._fn,
+                *(args if s == stream else repeat(bound[s]) for s in self._ordered_streams),
+            ),
+        )
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         refs = ", ".join(f"S{s}" for s in self._ordered_streams)
         return f"{self.name}({refs})"
@@ -172,13 +255,22 @@ class ThetaPredicate(Predicate):
 class JoinCondition:
     """Conjunction of predicates; the empty conjunction is the cross join.
 
-    Pre-computes, for each stream, the equality predicates touching it and
-    the indexed attributes it needs, so the window layer knows which hash
-    indexes to maintain and the probe knows which lookups are available.
+    Every predicate must reference at least two streams: a test on one
+    stream alone is a filter, to be applied to that stream before the
+    join.  Pre-computes, for each stream, the equality predicates
+    touching it and the indexed attributes it needs, so the window layer
+    knows which hash indexes to maintain and the probe knows which
+    lookups are available.
     """
 
     def __init__(self, predicates: Sequence[Predicate] = ()) -> None:
         self.predicates: List[Predicate] = list(predicates)
+        for predicate in self.predicates:
+            if len(predicate.streams) < 2:
+                raise ValueError(
+                    f"{predicate!r} references a single stream; a join condition "
+                    "relates streams — filter the stream before the join instead"
+                )
         self._equi_by_stream: Dict[int, List[EquiPredicate]] = {}
         for predicate in self.predicates:
             if isinstance(predicate, EquiPredicate):
@@ -232,7 +324,10 @@ class JoinCondition:
         These are exactly the checks to run when extending a partial
         binding by ``new_stream``: every referenced stream is either
         already bound or is ``new_stream`` itself, and ``new_stream`` is
-        referenced (otherwise the predicate was checked earlier).
+        referenced (otherwise the predicate was checked earlier).  Every
+        predicate references two or more streams (``__init__`` checks),
+        so it closes at exactly one depth of any probe order — never at
+        the trigger, which no depth binds.
         """
         closed: List[Predicate] = []
         extended = bound_streams | {new_stream}

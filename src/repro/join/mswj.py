@@ -411,9 +411,10 @@ class MSWJOperator:
 
         ``steps`` are a plan's ``count_steps``.  Factor depths contribute
         a bucket size (no tuple touched, early exit on zero); the first
-        non-factor depth enumerates its candidates against the residual
-        predicates and recurses — except at the last depth, which only
-        counts.
+        non-factor depth filters its candidates through the residuals'
+        :meth:`~repro.join.conditions.Predicate.select` chain and
+        recurses on each survivor — except at the last depth, which
+        counts the survivors in one C-level pass.
         """
         windows = self.windows
         last = len(steps) - 1
@@ -434,20 +435,17 @@ class MSWJOperator:
             if not product or depth == last:
                 return product
             depth += 1
-        candidates = (
+        survivors = (
             windows[j].tuples() if lookup is None else windows[j].lookup(attr, value)
         )
-        residual = step.residual
+        for predicate in step.residual:
+            survivors = predicate.select(j, bound, survivors)
+        if depth == last:
+            return product * len(list(survivors))
         count = 0
-        for candidate in candidates:
+        for candidate in survivors:
             bound[j] = candidate
-            for predicate in residual:
-                if not predicate.evaluate(bound):
-                    break
-            else:
-                count += (
-                    1 if depth == last else self._count_from(depth + 1, steps, bound)
-                )
+            count += self._count_from(depth + 1, steps, bound)
         bound.pop(j, None)
         return product * count
 
@@ -474,7 +472,8 @@ class MSWJOperator:
     ) -> None:
         """Bind ``plan.steps[depth:]``, appending every match in DFS order.
 
-        Only the enumerating prefix is walked depth-first.  Below it
+        Only the enumerating prefix is walked depth-first, each depth
+        over the survivors of its residuals' ``select`` chain.  Below it
         every step is a factor — no residual, read by nothing later —
         so the matches under one prefix binding are the product of the
         remaining candidate lists, each fetched once, last step
@@ -491,14 +490,12 @@ class MSWJOperator:
             return
         step = plan.steps[depth]
         j = step.stream
-        residual = step.residual
-        for candidate in self._candidates(step, bound):
+        survivors = self._candidates(step, bound)
+        for predicate in step.residual:
+            survivors = predicate.select(j, bound, survivors)
+        for candidate in survivors:
             bound[j] = candidate
-            for predicate in residual:
-                if not predicate.evaluate(bound):
-                    break
-            else:
-                self._collect_from(depth + 1, plan, bound, result_ts, collected)
+            self._collect_from(depth + 1, plan, bound, result_ts, collected)
         bound.pop(j, None)
 
     # ------------------------------------------------------------------

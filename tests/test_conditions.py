@@ -1,16 +1,21 @@
 """Unit tests for the join condition algebra (repro.join.conditions)."""
 
+import itertools
+
 import pytest
 
 from repro import (
     BandPredicate,
     EquiPredicate,
     JoinCondition,
+    MSWJOperator,
+    Predicate,
     StreamTuple,
     ThetaPredicate,
     equi_join_chain,
     star_equi_join,
 )
+from repro.distributed.tree import TreeJoinOperator
 
 
 def _t(stream, **values):
@@ -135,6 +140,93 @@ class TestJoinCondition:
         c = JoinCondition([p01])
         # Binding stream 2 does not re-close p01.
         assert c.predicates_closed_by(2, frozenset({0, 1})) == []
+
+
+class _Above(Predicate):
+    """``S0.x > S1.x`` with only ``evaluate``: the base-class ``select``."""
+
+    streams = frozenset((0, 1))
+
+    def __init__(self, streams=(0, 1)):
+        self.streams = frozenset(streams)
+
+    def evaluate(self, bound):
+        return (bound[0].get("x") or 0) > (bound[1].get("x") or 0)
+
+
+class TestSelect:
+    """``select`` keeps exactly the candidates ``evaluate`` accepts, in
+    order, whichever side of the predicate the candidate stream is."""
+
+    VALUES = [{}, {"x": None}, {"x": 0}, {"x": 1}, {"x": 1.0}, {"x": 2}, {"x": 5}]
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            EquiPredicate(0, "x", 1, "x"),
+            BandPredicate(0, "x", 1, "x", 1),
+            ThetaPredicate((1, 0), lambda b, a: (a.get("x") or 0) < (b.get("x") or 0) + 2),
+            _Above(),
+        ],
+        ids=["equi", "band", "theta-reversed", "custom"],
+    )
+    @pytest.mark.parametrize("stream", [0, 1])
+    def test_select_keeps_what_evaluate_accepts(self, predicate, stream):
+        other = 1 - stream
+        candidates = [_t(stream, **values) for values in self.VALUES]
+        for values in self.VALUES:
+            bound = {other: _t(other, **values)}
+            expected = [
+                c for c in candidates if predicate.evaluate({**bound, stream: c})
+            ]
+            assert list(predicate.select(stream, bound, iter(candidates))) == expected
+            assert bound == {other: bound[other]}  # left as it was
+
+    def test_select_pulls_one_candidate_at_a_time(self):
+        calls = []
+        theta = ThetaPredicate((0, 1), lambda a, b: calls.append(a["x"]) or a["x"] > 1)
+        candidates = (_t(0, x=x) for x in itertools.count())  # endless
+        survivors = theta.select(0, {1: _t(1)}, candidates)
+        assert calls == []  # nothing is tested before it is asked for
+        assert next(survivors)["x"] == 2
+        assert calls == [0, 1, 2]
+
+
+class TestSingleStreamPredicates:
+    """A predicate on one stream alone would be skipped by the MSWJ probe
+    whenever that stream triggers (no depth binds the trigger) and by the
+    tree join (a leaf covers it), so a condition refuses it; filtering the
+    stream before the join is order-independent everywhere."""
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [ThetaPredicate((0,), lambda a: a["v"] > 5), _Above(streams=(0,))],
+        ids=["theta", "custom"],
+    )
+    def test_condition_rejects_a_single_stream_predicate(self, predicate):
+        with pytest.raises(ValueError, match="filter the stream before the join"):
+            JoinCondition([EquiPredicate(0, "a", 1, "a"), predicate])
+
+    @pytest.mark.parametrize("v", [1, 7])
+    def test_filtered_input_joins_alike_in_every_arrival_order(self, v):
+        def passes(t):
+            return t.stream != 0 or t["v"] > 5
+
+        counts = []
+        for first in (0, 1):  # which stream's tuple arrives first
+            arrivals = [
+                StreamTuple(10 + rank, {"v": v}, stream=stream, seq=0)
+                for rank, stream in enumerate((first, 1 - first))
+            ]
+            arrivals = [t for t in arrivals if passes(t)]
+            for collect in (True, False):
+                op = MSWJOperator([1_000, 1_000], JoinCondition(), collect_results=collect)
+                outputs = [op.process(t) for t in arrivals]
+                counts.append(sum(len(o) if collect else o for o in outputs))
+            tree = TreeJoinOperator([1_000, 1_000], JoinCondition())
+            produced = [r for t in arrivals for r in tree.process(t)] + tree.flush()
+            counts.append(len(produced))
+        assert counts == [1 if v > 5 else 0] * 6
 
 
 class TestConditionFactories:

@@ -36,6 +36,7 @@ from repro import (
     InMemoryStore,
     JoinCondition,
     MSWJOperator,
+    Predicate,
     StreamTuple,
     ThetaPredicate,
     TieredStore,
@@ -59,6 +60,27 @@ def _close(a, b, c):
 
 def _near(a, b):
     return abs((a.get("x") or 0) - (b.get("x") or 0)) <= 1
+
+
+def _below(a, b):
+    # Asymmetric: which argument the candidate is changes the answer.
+    return (a.get("x") or 0) < (b.get("x") or 0) + 2
+
+
+class Apart(Predicate):
+    """``S0.x != S1.x`` defined by ``evaluate`` alone, so the probe filters
+    through :meth:`Predicate.select`'s fallback; appends every binding it
+    is shown to ``log``."""
+
+    streams = frozenset((0, 1))
+
+    def __init__(self, log=None):
+        self.log = log
+
+    def evaluate(self, bound):
+        if self.log is not None:
+            self.log.append(("apart", bound[0].seq, bound[1].seq))
+        return (bound[0].get("x") or 0) != (bound[1].get("x") or 0)
 
 
 #: name -> (number of streams, condition).  Triggers arrive on every
@@ -113,7 +135,42 @@ CONDITIONS = {
     "equi+free": (3, JoinCondition([EquiPredicate(0, "a", 2, "a")])),
     "cross": (3, JoinCondition()),
     "theta": (2, JoinCondition([ThetaPredicate((0, 1), _near)])),
+    # The candidate is the first argument from an S0 trigger and the
+    # second from an S1 trigger.
+    "theta-reversed": (2, JoinCondition([ThetaPredicate((1, 0), _below)])),
+    # Two residuals closing at the one (last) depth: the theta runs only
+    # on what the band let through.
+    "band+theta": (
+        2,
+        JoinCondition([BandPredicate(0, "x", 1, "x", 1), ThetaPredicate((0, 1), _below)]),
+    ),
+    # A predicate with only ``evaluate``, closing in the middle of the
+    # order from an S0 trigger (S1 before S2) and last from an S2 one.
+    "custom": (3, JoinCondition(equi_join_chain("a", 3).predicates + [Apart()])),
 }
+
+
+def recording(condition, log):
+    """``condition`` with every theta callable and :class:`Apart` logging
+    the ``seq`` of each argument it is called with, in call order."""
+
+    def logged(name, fn):
+        def call(*args):
+            log.append((name,) + tuple(t.seq for t in args))
+            return fn(*args)
+
+        return call
+
+    predicates = []
+    for predicate in condition.predicates:
+        if isinstance(predicate, ThetaPredicate):
+            predicate = ThetaPredicate(
+                predicate._ordered_streams, logged(predicate.name, predicate._fn)
+            )
+        elif isinstance(predicate, Apart):
+            predicate = Apart(log)
+        predicates.append(predicate)
+    return JoinCondition(predicates)
 
 
 class RecordingOrder(ProbeOrderPolicy):
@@ -142,6 +199,43 @@ def nested_loop(trigger, order, content, condition):
     return expected
 
 
+def fetch(op, step, bound):
+    """The candidates of ``step`` under ``bound`` as a list (``None`` for a
+    NaN key, which the operator answers without the store)."""
+    store = op.windows[step.stream].store  # not the counted façade
+    if step.lookup is None:
+        return list(store.tuples())
+    attr, source, source_attr = step.lookup
+    value = bound[source].get(source_attr)
+    return None if value != value else list(store.lookup(attr, value))
+
+
+def recursive_count(op, trigger, steps):
+    """The count-only probe as a per-candidate loop over a plan's
+    ``count_steps``: a factor depth multiplies by its candidate count
+    (stopping at zero), any other depth evaluates each residual in turn
+    on each candidate and descends into those that pass all of them."""
+
+    def count(depth, bound):
+        if depth == len(steps):
+            return 1
+        step = steps[depth]
+        found = fetch(op, step, bound)
+        if not found:
+            return 0
+        if step.factor:
+            return len(found) * count(depth + 1, bound)
+        total = 0
+        for candidate in found:
+            bound[step.stream] = candidate
+            if all(p.evaluate(bound) for p in step.residual):
+                total += count(depth + 1, bound)
+        bound.pop(step.stream, None)
+        return total
+
+    return count(0, {trigger.stream: trigger})
+
+
 def recursive_probe(op, trigger, plan):
     """The collecting probe as plain recursion, one level per step,
     candidates fetched anew under every surviving binding.
@@ -154,23 +248,15 @@ def recursive_probe(op, trigger, plan):
     """
     emitted, fetches = [], Counter()
 
-    def candidates(step, bound):
-        store = op.windows[step.stream].store  # not the counted façade
-        if step.lookup is None:
-            return list(store.tuples())
-        attr, source, source_attr = step.lookup
-        value = bound[source].get(source_attr)
-        return None if value != value else list(store.lookup(attr, value))
-
     def bind(depth, bound):
         if depth == plan.prefix:
             for step in plan.steps[depth:]:
-                fetches[step.stream] += candidates(step, bound) is not None
+                fetches[step.stream] += fetch(op, step, bound) is not None
         if depth == len(plan.steps):
             emitted.append(tuple(bound[s] for s in range(op.num_streams)))
             return
         step = plan.steps[depth]
-        found = candidates(step, bound)
+        found = fetch(op, step, bound)
         if depth < plan.prefix:
             fetches[step.stream] += found is not None
         for candidate in found or ():
@@ -183,9 +269,17 @@ def recursive_probe(op, trigger, plan):
     return emitted, +fetches
 
 
+#: The conditions with user code to record: a theta callable or Apart.
+CALLING = sorted(
+    name
+    for name, (_, condition) in CONDITIONS.items()
+    if any(isinstance(p, (ThetaPredicate, Apart)) for p in condition.predicates)
+)
+
+
 @st.composite
-def streams(draw):
-    name = draw(st.sampled_from(sorted(CONDITIONS)))
+def streams(draw, names=tuple(sorted(CONDITIONS))):
+    name = draw(st.sampled_from(names))
     num_streams, _ = CONDITIONS[name]
     windows = [draw(st.sampled_from([15, 40, 90])) for _ in range(num_streams)]
     # A few keys per example, so that combinations do match.
@@ -302,6 +396,39 @@ class TestDifferential:
         op._probe = checked_probe
         for t in _tuples(rows):
             op.process(t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=streams(CALLING))
+    def test_predicates_see_the_per_candidate_call_sequence(self, case):
+        # Filtering a candidate list in one pass must call user code
+        # exactly as a loop evaluating one residual after another on one
+        # candidate at a time did: same arguments, same order, same
+        # short-circuits — in both modes.
+        name, windows, rows, tiered = case
+        log = []
+        condition = recording(CONDITIONS[name][1], log)
+        store = SMALL_TIERED if tiered else None
+        for collect in (True, False):
+            op = MSWJOperator(windows, condition, store=store, collect_results=collect)
+            probe = op._probe
+
+            def checked_probe(trigger, op=op, probe=probe, collect=collect):
+                plan = op._plan_for(trigger.stream)
+                if collect:
+                    expected = len(recursive_probe(op, trigger, plan)[0])
+                else:
+                    expected = recursive_count(op, trigger, plan.count_steps)
+                expected_calls = log[:]
+                log.clear()
+                results = probe(trigger)
+                assert (len(results) if collect else results) == expected
+                assert log == expected_calls
+                log.clear()
+                return results
+
+            op._probe = checked_probe
+            for t in _tuples(rows):
+                op.process(t)
 
 
 def _plan(condition, num_streams, trigger, order):
