@@ -14,6 +14,17 @@ so memory is ``O(max_buckets · log(n))`` and each update is amortized
 ``O(log n)``.  Cut checks are performed every ``clock`` insertions, as in
 the reference implementation.
 
+The histogram is plain float lists, no object per bucket: row ``l``
+holds the buckets of capacity ``2^l``, oldest first, as ``_totals[l]``
+with the parallel ``_variances[l]``.  Row 0 holds the raw values, whose
+variance is 0 and is not stored (``_variances[0]`` stays empty).
+:meth:`extend` is the one insert path: it runs the per-value mean and
+variance updates in input order, merges the two oldest buckets of every
+row that overflowed, and makes the cut check at every ``clock``-th value
+exactly as inserting the values one at a time would — merges take the
+oldest pair of a row first whenever they happen, so deferring them to a
+cut check leaves the same buckets.
+
 The delta parameter is the change-detector confidence: smaller delta means
 fewer false alarms but slower reaction.
 """
@@ -21,26 +32,7 @@ fewer false alarms but slower reaction.
 from __future__ import annotations
 
 import math
-from typing import List
-
-
-class _Bucket:
-    """A bucket holds the sum and variance contribution of 2^level items."""
-
-    __slots__ = ("total", "variance")
-
-    def __init__(self, total: float = 0.0, variance: float = 0.0) -> None:
-        self.total = total
-        self.variance = variance
-
-
-class _BucketRow:
-    """All buckets of one capacity level (each covering 2^level items)."""
-
-    __slots__ = ("buckets",)
-
-    def __init__(self) -> None:
-        self.buckets: List[_Bucket] = []
+from typing import List, Sequence
 
 
 class Adwin:
@@ -70,11 +62,14 @@ class Adwin:
             raise ValueError(f"delta must be in (0, 1), got {delta}")
         if max_buckets < 1:
             raise ValueError("max_buckets must be >= 1")
+        if clock < 1:
+            raise ValueError(f"clock must be >= 1, got {clock}")
         self.delta = delta
         self.max_buckets = max_buckets
         self.clock = clock
         self.min_window = min_window
-        self._rows: List[_BucketRow] = [_BucketRow()]
+        self._totals: List[List[float]] = [[]]
+        self._variances: List[List[float]] = [[]]
         self._total = 0.0
         self._variance = 0.0
         self._width = 0
@@ -109,66 +104,84 @@ class Adwin:
 
     def update(self, value: float) -> bool:
         """Insert ``value``; return True if a change was detected (window cut)."""
-        self._insert(value)
-        self._ticks += 1
-        if self._ticks % self.clock != 0 or self._width < self.min_window:
-            return False
-        return self._detect_and_cut()
+        return self.extend((value,))
+
+    def extend(self, values: Sequence[float]) -> bool:
+        """Insert ``values`` in order; return True if any cut check cut."""
+        changed = False
+        clock = self.clock
+        start = 0
+        while start < len(values):
+            stop = start + clock - self._ticks % clock
+            chunk = values[start:stop]
+            self._insert(chunk)
+            self._ticks += len(chunk)
+            start = stop
+            if self._ticks % clock == 0 and self._width >= self.min_window:
+                changed = self._detect_and_cut() or changed
+        return changed
 
     # ------------------------------------------------------------------
     # exponential-histogram maintenance
     # ------------------------------------------------------------------
 
-    def _insert(self, value: float) -> None:
-        row0 = self._rows[0]
-        row0.buckets.insert(0, _Bucket(total=value, variance=0.0))
-        if self._width > 0:
-            mean = self._total / self._width
-            self._variance += (
-                self._width / (self._width + 1.0) * (value - mean) * (value - mean)
-            )
-        self._width += 1
-        self._total += value
-        if len(row0.buckets) > self.max_buckets:
-            self._compress()
+    def _insert(self, values: Sequence[float]) -> None:
+        width, total, variance = self._width, self._total, self._variance
+        for value in values:
+            if width > 0:
+                mean = total / width
+                variance += width / (width + 1.0) * (value - mean) * (value - mean)
+            width += 1
+            total += value
+        self._width, self._total, self._variance = width, total, variance
+        self._totals[0].extend(values)
+        self._compress()
 
     def _compress(self) -> None:
+        """Merge the two oldest buckets of each overflowing row upward."""
+        totals, variances = self._totals, self._variances
         level = 0
-        while level < len(self._rows):
-            row = self._rows[level]
-            if len(row.buckets) <= self.max_buckets:
-                break
-            # Merge the two oldest buckets of this row into the next row.
-            older = row.buckets.pop()
-            newer = row.buckets.pop()
+        while level < len(totals) and len(totals[level]) > self.max_buckets:
+            if level + 1 == len(totals):
+                totals.append([])
+                variances.append([])
+            row, row_variances = totals[level], variances[level]
+            up, up_variances = totals[level + 1], variances[level + 1]
             capacity = 1 << level
-            mean_older = older.total / capacity
-            mean_newer = newer.total / capacity
-            merged_variance = (
-                older.variance
-                + newer.variance
-                + capacity
-                * capacity
-                / (2.0 * capacity)
-                * (mean_older - mean_newer) ** 2
-            )
-            merged = _Bucket(total=older.total + newer.total, variance=merged_variance)
-            if level + 1 == len(self._rows):
-                self._rows.append(_BucketRow())
-            self._rows[level + 1].buckets.insert(0, merged)
+            while len(row) > self.max_buckets:
+                older, newer = row[0], row[1]
+                del row[:2]
+                if level:
+                    variance = row_variances[0] + row_variances[1]
+                    del row_variances[:2]
+                else:
+                    variance = 0.0
+                up.append(older + newer)
+                up_variances.append(
+                    variance
+                    + capacity
+                    * capacity
+                    / (2.0 * capacity)
+                    * (older / capacity - newer / capacity) ** 2
+                )
             level += 1
 
     def _drop_oldest(self) -> None:
-        """Remove the single oldest bucket (the tail of the highest row)."""
-        for level in range(len(self._rows) - 1, -1, -1):
-            row = self._rows[level]
-            if row.buckets:
-                bucket = row.buckets.pop()
+        """Remove the single oldest bucket (the head of the highest row).
+
+        Rows left empty stay: every walk skips them, and the cut scan
+        that calls this may go on walking down the rows afterwards.
+        """
+        totals, variances = self._totals, self._variances
+        for level in range(len(totals) - 1, -1, -1):
+            if totals[level]:
+                bucket_total = totals[level].pop(0)
+                bucket_variance = variances[level].pop(0) if level else 0.0
                 capacity = 1 << level
                 if self._width > capacity:
-                    mean_bucket = bucket.total / capacity
-                    mean_rest = (self._total - bucket.total) / (self._width - capacity)
-                    self._variance -= bucket.variance + (
+                    mean_bucket = bucket_total / capacity
+                    mean_rest = (self._total - bucket_total) / (self._width - capacity)
+                    self._variance -= bucket_variance + (
                         capacity
                         * (self._width - capacity)
                         / self._width
@@ -178,10 +191,8 @@ class Adwin:
                 else:
                     self._variance = 0.0
                 self._width -= capacity
-                self._total -= bucket.total
+                self._total -= bucket_total
                 break
-        while len(self._rows) > 1 and not self._rows[-1].buckets:
-            self._rows.pop()
 
     # ------------------------------------------------------------------
     # change detection
@@ -220,11 +231,11 @@ class Adwin:
             width, total, log_term, variance_term = window_terms()
             n0 = 0.0
             sum0 = 0.0
-            for level in range(len(self._rows) - 1, -1, -1):
+            for level in range(len(self._totals) - 1, -1, -1):
                 capacity = float(1 << level)
-                for bucket in reversed(self._rows[level].buckets):
+                for bucket_total in self._totals[level]:
                     n0 += capacity
-                    sum0 += bucket.total
+                    sum0 += bucket_total
                     n1 = width - n0
                     if n0 < 1 or n1 < 1:
                         continue

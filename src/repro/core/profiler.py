@@ -29,7 +29,6 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Dict, List, Optional
 
-from .statistics import coarse_delay
 from .tuples import StreamTuple
 
 
@@ -173,13 +172,17 @@ class TupleProductivityProfiler:
         n_on: Optional[int],
         in_order: bool,
     ) -> None:
-        bucket = coarse_delay(t.delay, self.granularity_ms)
+        # coarse_delay(), inlined: this runs once per tuple.
+        delay, g = t.delay, self.granularity_ms
+        bucket = (delay + g - 1) // g if delay > 0 else 0
         if in_order:
             assert n_cross is not None and n_on is not None
             self._m_cross[bucket] = self._m_cross.get(bucket, 0.0) + n_cross
             self._m_on[bucket] = self._m_on.get(bucket, 0.0) + n_on
-            self._interval_max_cross = max(self._interval_max_cross, float(n_cross))
-            self._interval_max_on = max(self._interval_max_on, float(n_on))
+            if n_cross > self._interval_max_cross:
+                self._interval_max_cross = float(n_cross)
+            if n_on > self._interval_max_on:
+                self._interval_max_on = float(n_on)
             self._interval_on_sum += n_on
             self._interval_in_order += 1
             self.in_order_recorded += 1

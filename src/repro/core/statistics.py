@@ -16,14 +16,24 @@ Monitors the *raw* input streams and maintains, per stream ``S_i``:
 * ``MaxDH`` inputs: the largest coarse delay present in the window.
 
 All quantities are maintained incrementally (O(1) amortized per tuple):
-the deques hold the raw values, a dict of bucket counts backs the
-histogram, and running sums back the averages.
+the deques hold the raw values, a counter of coarse buckets backs the
+histogram, and a running sum backs the K_sync average.
+
+A tuple costs three list appends: :meth:`StreamStatistics.observe` only
+queues its delay, arrival and K_sync sample.  The queue is folded in
+bulk — into ADWIN, the deques, the bucket counts and the K_sync sum —
+when ADWIN's next cut check falls due (every ``clock``-th sample) and
+before any read.  A fold thus holds at most one cut check, at its last
+sample, and that is the only point where ADWIN's window can shrink:
+without a cut it grows by exactly one per sample, as the deques do, so
+they are trimmed to its width only after a cut.  Every read is
+therefore bit-identical to folding each tuple as it arrives.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Dict, List, Optional
+from collections import Counter, deque
+from typing import Deque, List, Optional
 
 from ..adwin.adwin import Adwin
 from .tuples import StreamTuple
@@ -47,9 +57,14 @@ class StreamStatistics:
         self._delays: Deque[int] = deque()
         self._arrivals: Deque[int] = deque()
         self._ksyncs: Deque[int] = deque()
-        self._bucket_counts: Dict[int, int] = {}
+        self._bucket_counts: Counter = Counter()
         self._ksync_sum = 0
-        self.tuples_observed = 0
+        self._folded = 0
+        # Observed but not yet folded, and how many more make a fold.
+        self._new_delays: List[int] = []
+        self._new_arrivals: List[int] = []
+        self._new_ksyncs: List[int] = []
+        self._due = self._adwin.clock
 
     # ------------------------------------------------------------------
     # updates
@@ -57,16 +72,36 @@ class StreamStatistics:
 
     def observe(self, delay_ms: int, arrival_ms: int, ksync_ms: Optional[int]) -> None:
         """Record one tuple of this stream (delay annotation already set)."""
-        self.tuples_observed += 1
-        self._adwin.update(float(delay_ms))
-        self._delays.append(delay_ms)
-        self._arrivals.append(arrival_ms)
-        bucket = coarse_delay(delay_ms, self.granularity_ms)
-        self._bucket_counts[bucket] = self._bucket_counts.get(bucket, 0) + 1
+        self._new_delays.append(delay_ms)
+        self._new_arrivals.append(arrival_ms)
         if ksync_ms is not None:
-            self._ksyncs.append(ksync_ms)
-            self._ksync_sum += ksync_ms
-        self._trim_to_adwin_width()
+            self._new_ksyncs.append(ksync_ms)
+        if len(self._new_delays) == self._due:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Fold the queued tuples in; they end at or before a cut check."""
+        delays = self._new_delays
+        if not delays:
+            return
+        cut = self._adwin.extend(list(map(float, delays)))
+        self._delays.extend(delays)
+        self._arrivals.extend(self._new_arrivals)
+        g = self.granularity_ms  # coarse_delay(), inlined
+        self._bucket_counts.update([(d + g - 1) // g if d > 0 else 0 for d in delays])
+        self._ksyncs.extend(self._new_ksyncs)
+        self._ksync_sum += sum(self._new_ksyncs)  # integer ms: exact in any order
+        self._folded += len(delays)
+        self._due = self._adwin.clock - self._folded % self._adwin.clock
+        delays.clear()
+        self._new_arrivals.clear()
+        self._new_ksyncs.clear()
+        if cut:
+            self._trim_to_adwin_width()
+
+    @property
+    def tuples_observed(self) -> int:
+        return self._folded + len(self._new_delays)
 
     def _trim_to_adwin_width(self) -> None:
         """Keep the deques no longer than ADWIN's current window width."""
@@ -90,6 +125,7 @@ class StreamStatistics:
     @property
     def window_length(self) -> int:
         """Current length of R_i^stat in tuples."""
+        self._fold()
         return len(self._delays)
 
     def delay_pdf(self) -> List[float]:
@@ -98,6 +134,7 @@ class StreamStatistics:
         Returns ``[1.0]`` (all mass on delay 0) when nothing was observed,
         which makes downstream model code total-probability-safe.
         """
+        self._fold()
         total = len(self._delays)
         if total == 0:
             return [1.0]
@@ -109,14 +146,17 @@ class StreamStatistics:
 
     def max_coarse_delay(self) -> int:
         """Largest coarse delay bucket present in R_i^stat (0 when empty)."""
+        self._fold()
         return max(self._bucket_counts) if self._bucket_counts else 0
 
     def mean_ksync(self) -> float:
         """Average synchronizer-slack sample over R_i^stat (ms)."""
+        self._fold()
         return self._ksync_sum / len(self._ksyncs) if self._ksyncs else 0.0
 
     def rate_per_ms(self) -> float:
         """Arrival rate in tuples per millisecond over R_i^stat."""
+        self._fold()
         if len(self._arrivals) < 2:
             return 0.0
         span = self._arrivals[-1] - self._arrivals[0]
@@ -126,6 +166,7 @@ class StreamStatistics:
 
     @property
     def adwin_detections(self) -> int:
+        self._fold()
         return self._adwin.detections
 
 
@@ -179,6 +220,11 @@ class StatisticsManager:
         # 0, γ is 1 at every K and Alg. 3 silently pins K = 0.
         arrival = t.arrival if t.arrival >= 0 else self._local_times[i]
         self.streams[i].observe(t.delay, arrival, ksync)
+
+    def fold(self) -> None:
+        """Fold every stream's queued tuples in (each read does it too)."""
+        for stream in self.streams:
+            stream._fold()
 
     # ------------------------------------------------------------------
     # queries feeding the recall model

@@ -2,7 +2,34 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.adwin import Adwin
+
+from .reference import ReferenceAdwin
+
+
+def shifting_signal(seed, segments):
+    """A signal of level-shifted segments, each with its own spread."""
+    rng = random.Random(seed)
+    return [
+        rng.gauss(level, spread) if spread else float(level)
+        for level, spread, length in segments
+        for _ in range(length)
+    ]
+
+
+#: (level, spread, length): shifts big enough to cut, and flat stretches.
+signal_segments = st.lists(
+    st.tuples(
+        st.sampled_from([0, 1, 5, 50, 400, 3_000]),
+        st.sampled_from([0.0, 0.5, 3.0, 40.0]),
+        st.integers(1, 300),
+    ),
+    min_size=1,
+    max_size=6,
+)
 
 
 class TestAdwinBasics:
@@ -44,6 +71,19 @@ class TestAdwinBasics:
             Adwin(delta=0.0)
         with pytest.raises(ValueError):
             Adwin(delta=1.5)
+
+    def test_invalid_clock_rejected(self):
+        import pytest
+
+        # clock = 0 used to construct and then divide by zero on the
+        # first update; the cut-check cadence needs clock >= 1.
+        with pytest.raises(ValueError, match="clock"):
+            Adwin(clock=0)
+        with pytest.raises(ValueError, match="clock"):
+            Adwin(clock=-3)
+        adwin = Adwin(clock=1)
+        adwin.update(1.0)
+        assert adwin.width == 1
 
 
 class TestAdwinBehaviour:
@@ -91,7 +131,7 @@ class TestAdwinBehaviour:
         rng = random.Random(5)
         for _ in range(10_000):
             adwin.update(rng.random())
-        total_buckets = sum(len(row.buckets) for row in adwin._rows)
+        total_buckets = sum(len(row) for row in adwin._totals)
         # max_buckets+1 per level, ~log2(n) levels.
         assert total_buckets <= (5 + 1) * 20
 
@@ -101,3 +141,54 @@ class TestAdwinBehaviour:
         for _ in range(1_000):
             adwin.update(rng.gauss(0.0, 5.0))
         assert adwin.variance() > 1.0
+
+
+class TestAgainstPerSampleReference:
+    """Bulk inserts are the per-sample ADWIN2, bit for bit."""
+
+    @given(
+        st.integers(0, 2**16),
+        signal_segments,
+        st.lists(st.tuples(st.integers(1, 90), st.booleans()), min_size=1),
+        st.integers(1, 40),
+        st.integers(2, 6),
+        st.sampled_from([0.002, 0.05]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_update_and_chunked_extend_match(
+        self, seed, segments, chunks, clock, max_buckets, delta
+    ):
+        values = shifting_signal(seed, segments)
+        ref = ReferenceAdwin(delta=delta, max_buckets=max_buckets, clock=clock)
+        adwin = Adwin(delta=delta, max_buckets=max_buckets, clock=clock)
+        start = 0
+        for size, one_at_a_time in chunks * (len(values) // len(chunks) + 1):
+            chunk = values[start:start + size]
+            if not chunk:
+                break
+            start += size
+            expected = [ref.update(v) for v in chunk]
+            if one_at_a_time:
+                cut = [adwin.update(v) for v in chunk]
+                assert cut == expected
+            else:
+                assert adwin.extend(chunk) == any(expected)
+            assert adwin.width == ref.width
+            assert adwin.total == ref.total
+            assert adwin._variance == ref._variance
+            assert adwin.detections == ref.detections
+        assert adwin.mean() == ref.mean()
+        assert adwin.variance() == ref.variance()
+
+    def test_single_bucket_rows_survive_a_cut(self):
+        # max_buckets = 1 leaves rows empty between full ones; a cut that
+        # empties the top row must not end the scan (the per-sample
+        # reference raises IndexError on this signal).
+        adwin = Adwin(max_buckets=1, clock=1)
+        for value in [0.0] * 32 + [50.0] * 40:
+            adwin.update(value)
+        assert adwin.detections >= 1
+        assert adwin.width == sum(
+            len(row) << level for level, row in enumerate(adwin._totals)
+        )
+

@@ -1,8 +1,29 @@
 """Unit tests for the Statistics Manager (repro.core.statistics)."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import StatisticsManager, StreamStatistics, StreamTuple, coarse_delay
+
+from .reference import ReferenceStreamStatistics
+
+#: The six reads; each folds the queued tuples first.
+READS = (
+    "delay_pdf",
+    "max_coarse_delay",
+    "mean_ksync",
+    "rate_per_ms",
+    "window_length",
+    "adwin_detections",
+)
+
+
+def _read(stats, name):
+    value = getattr(stats, name)
+    return repr(value() if callable(value) else value)
 
 
 def _observe(manager, stream, ts, arrival, delay=None):
@@ -157,3 +178,54 @@ class TestStatisticsManager:
         pdfs = m.delay_pdfs()
         assert pdfs[0] == [1.0]
         assert pdfs[1][2] == pytest.approx(1.0)
+
+
+class TestFoldAgainstPerSampleReference:
+    """Queued-and-folded statistics are the per-sample ones, bit for bit."""
+
+    @given(
+        st.integers(0, 2**16),
+        st.lists(
+            st.tuples(
+                st.sampled_from([0, 3, 40, 900, 6_000]),
+                st.sampled_from([0.0, 2.0, 30.0, 500.0]),
+                st.integers(1, 400),
+            ),
+            min_size=1,
+            max_size=5,
+        ),
+        st.integers(0, 300),
+        st.lists(st.one_of(st.integers(1, 100), st.sampled_from(READS))),
+        st.sampled_from([1, 10, 250]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reads_match_under_any_interleaving(
+        self, seed, segments, unsynced, ops, granularity
+    ):
+        rng = random.Random(seed)
+        arrival = 0
+        tuples = []
+        for level, spread, length in segments:
+            for _ in range(length):
+                arrival += rng.randint(0, 4)
+                ksync = None if len(tuples) < unsynced else rng.randint(0, 500)
+                delay = max(0, int(rng.gauss(level, spread)))
+                tuples.append((delay, arrival, ksync))
+        stats = StreamStatistics(granularity)
+        ref = ReferenceStreamStatistics(granularity)
+        fed = 0
+        for op in ops + [len(tuples)] + list(READS):
+            if isinstance(op, int):
+                for t in tuples[fed:fed + op]:
+                    stats.observe(*t)
+                    ref.observe(*t)
+                fed = min(fed + op, len(tuples))
+                assert stats.tuples_observed == ref.tuples_observed
+                continue
+            assert _read(stats, op) == _read(ref, op)
+            adwin, ref_adwin = stats._adwin, ref._adwin
+            assert adwin.width == ref_adwin.width
+            assert repr(adwin.total) == repr(ref_adwin.total)
+            assert repr(adwin._variance) == repr(ref_adwin._variance)
+            assert adwin.detections == ref_adwin.detections
+
