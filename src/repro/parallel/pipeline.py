@@ -49,7 +49,6 @@ static routing — rebalancing is purely a load-balance/performance knob.
 
 from __future__ import annotations
 
-import gc
 from itertools import chain, count
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
@@ -80,6 +79,7 @@ from .shard import (
     ShardFailure,
     ShardOutcome,
     adopt_shard_state,
+    collector_paused,
     extract_shard_state,
     merge_outputs,
 )
@@ -643,21 +643,16 @@ class PartitionedPipeline:
         then emission order (see :func:`canonical_order`).
 
         A collecting flush allocates an object or two per result and
-        frees none, and none of it is cyclic; the cyclic collector
-        would walk that growing heap again every few hundred
-        allocations and find nothing.  It is therefore paused from
+        frees none, and none of it is cyclic, so the cyclic collector is
+        paused (:func:`~repro.parallel.shard.collector_paused`) from
         ``executor.finish()`` to the end of the merge and put back as
-        found whatever happens; one young-generation pass then settles
-        what was allocated meanwhile here, inside the flush that caused
-        it, instead of in whatever the caller allocates next.
+        found whatever happens.
         """
         collect = self.config.collect_results
         if self._flushed:
             return empty_outputs(collect)
         self._flushed = True
-        collector_was_on = gc.isenabled()
-        gc.disable()
-        try:
+        with collector_paused():
             self._outcomes = self.executor.finish()
             emitted = [
                 outcome.outputs
@@ -667,10 +662,6 @@ class PartitionedPipeline:
             if collect:
                 return canonical_order(list(chain.from_iterable(emitted)))  # type: ignore[arg-type]
             return sum(emitted)  # type: ignore[arg-type]
-        finally:
-            if collector_was_on:
-                gc.enable()
-                gc.collect(1)
 
     def close(self) -> None:
         """Release shard resources without draining (abandoning the run).

@@ -20,9 +20,11 @@ parallel layer; a worker's own running outputs are
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing.connection import Connection
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from ..core.blocks import (
     BlockDecoder,
@@ -379,6 +381,33 @@ def checkpoint_shard_state(
     return frame, outputs
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Run the block with the cyclic collector paused; put it back as found.
+
+    A batch, a barrier or a flush allocates an object or two per tuple
+    and result, none of them cyclic: results die by refcount once a
+    :class:`~repro.core.blocks.ResultAccumulator` has absorbed them, and
+    what survives (window state, collected results) is freed by
+    refcount too.  The collector would walk that growing heap again
+    every few hundred allocations and find nothing.  If it was on, one
+    young-generation pass on the way out settles what the block
+    allocated, inside the block that caused it.
+
+    Assumes the caller owns its process: the collector is process-wide,
+    so other threads' allocations go unscanned for as long as the block
+    runs.
+    """
+    was_on = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_on:
+            gc.enable()
+            gc.collect(1)
+
+
 #: A worker's running outputs: a bare count, or — for collected results
 #: — the :class:`~repro.core.blocks.ResultBlock` it will ship, under
 #: construction, so no result object outlives the batch that made it.
@@ -459,6 +488,10 @@ def shard_worker(
     worker confirms every *processed* batch with ``(MSG_CREDIT,
     cumulative count)`` — the pipelined feeder's backpressure signal.
 
+    Every message that runs the pipeline (a batch, either migration leg,
+    a checkpoint, the flush) is handled under :func:`collector_paused`,
+    and its reply goes out once the collector is back as found.
+
     Dispatch is exhaustive over the ``MSG_*`` tags (the
     ``protocol-exhaustiveness`` lint rule pins this): any other tag
     raises, surfacing as an ``("error", ...)`` reply, instead of being
@@ -488,32 +521,35 @@ def shard_worker(
             if tag == MSG_FLUSH:
                 break
             if tag == MSG_MIGRATE_OUT:
-                drained, states = extract_shard_state(pipeline, shard, payload)
-                outputs = _absorb(outputs, drained)
-                if injector is not None:
-                    injector.on_migrate()
+                with collector_paused():
+                    drained, states = extract_shard_state(pipeline, shard, payload)
+                    outputs = _absorb(outputs, drained)
+                    if injector is not None:
+                        injector.on_migrate()
                 channel.send(("state", states), bulky=True)
                 continue
             if tag == MSG_MIGRATE_IN:
-                adopted = adopt_shard_state(pipeline, payload)
-                outputs = _absorb(outputs, adopted)
+                with collector_paused():
+                    adopted = adopt_shard_state(pipeline, payload)
+                    outputs = _absorb(outputs, adopted)
                 continue
             if tag == MSG_PING:
                 channel.send((MSG_PONG, payload))
                 continue
             if tag == MSG_CHECKPOINT:
-                frame, barrier = checkpoint_shard_state(pipeline, shard, payload)
-                outputs = _absorb(outputs, barrier)
-                if injector is not None:
-                    frame.payload = injector.corrupt_payload(frame.payload)
-                record = CheckpointRecord(
-                    shard,
-                    payload.epoch,
-                    payload.seq,
-                    frame,
-                    _shipped(outputs),
-                    pipeline.account(),
-                )
+                with collector_paused():
+                    frame, barrier = checkpoint_shard_state(pipeline, shard, payload)
+                    outputs = _absorb(outputs, barrier)
+                    if injector is not None:
+                        frame.payload = injector.corrupt_payload(frame.payload)
+                    record = CheckpointRecord(
+                        shard,
+                        payload.epoch,
+                        payload.seq,
+                        frame,
+                        _shipped(outputs),
+                        pipeline.account(),
+                    )
                 channel.send((MSG_CHECKPOINT, record), bulky=True)
                 # The delta shipped exactly once; restart the
                 # accumulator so the next checkpoint (or the outcome)
@@ -525,20 +561,22 @@ def shard_worker(
                 # (or version skew) — refusing it here beats silently
                 # feeding its payload to the join as a tuple batch.
                 raise ValueError(f"unknown protocol message tag {tag!r}")
-            if injector is not None:
-                injector.before_batch()
-            # Lazy decode: blocks materialize tuples here, right at the
-            # point of consumption — the pipe and the parent never hold
-            # per-tuple objects for this batch.
-            batch = decoder.decode(payload)
-            outputs = _absorb(outputs, pipeline.process_batch(batch))
-            if injector is not None:
-                injector.after_batch()
+            with collector_paused():
+                if injector is not None:
+                    injector.before_batch()
+                # Lazy decode: blocks materialize tuples here, right at
+                # the point of consumption — the pipe and the parent
+                # never hold per-tuple objects for this batch.
+                batch = decoder.decode(payload)
+                outputs = _absorb(outputs, pipeline.process_batch(batch))
+                if injector is not None:
+                    injector.after_batch()
             consumed += 1
             if grant_credits:
                 channel.send((MSG_CREDIT, consumed))
-        outputs = _absorb(outputs, pipeline.flush())
-        outcome = ShardOutcome(shard, _shipped(outputs), pipeline.account())
+        with collector_paused():
+            outputs = _absorb(outputs, pipeline.flush())
+            outcome = ShardOutcome(shard, _shipped(outputs), pipeline.account())
         channel.send(("ok", outcome), bulky=True)
     except Exception as exc:  # surfaced by the parent as a RuntimeError
         try:

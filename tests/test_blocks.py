@@ -16,11 +16,13 @@ Two layers of contract:
   collected and count-only modes.
 """
 
+import gc
 import multiprocessing
 import pickle
 import random
 import threading
 import types
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,7 @@ from repro import (
     PipelineConfig,
     ProcessExecutor,
     StreamTuple,
+    ThetaPredicate,
     equi_join_chain,
     from_tuple_specs,
     make_d3_syn,
@@ -536,6 +539,76 @@ class TestWorkerWire:
             assert pickle.dumps(shipped, protocol=5) == pickle.dumps(
                 reference(results), protocol=5
             )
+
+
+class TestWorkerCollectorState:
+    """The worker handles each message with the cyclic collector paused
+    and puts it back as found before its reply goes out: a probe sees it
+    off, the host sees its own state again after every reply."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_collector(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    @staticmethod
+    def _start(config):
+        parent_end, worker_end = multiprocessing.Pipe()
+        worker = threading.Thread(target=shard_worker, args=(worker_end, 0, config))
+        worker.start()
+        return worker, Channel(parent_end)
+
+    @staticmethod
+    def _reply(channel):
+        assert channel.poll(30)
+        return channel.recv()
+
+    @pytest.mark.parametrize("host_enabled", [True, False])
+    def test_paused_in_the_probe_and_restored_after_each_reply(self, host_enabled):
+        dataset = _dataset(duration_s=4)
+        seen = []
+
+        def recording(a, c):
+            seen.append(gc.isenabled())
+            return True
+
+        condition = JoinCondition(
+            [*CONDITION.predicates, ThetaPredicate((0, 2), recording)]
+        )
+        config = replace(_config(dataset), condition=condition)
+        encoder = BlockEncoder()
+        batches = [encoder.encode(b) for b in _chunks(list(dataset.arrivals()), 40)]
+        cut = len(batches) // 2
+        (gc.enable if host_enabled else gc.disable)()
+
+        worker, channel = self._start(config)
+        try:
+            for block in batches[:cut]:
+                channel.send((MSG_BATCH, block))
+            channel.send((MSG_CHECKPOINT, CheckpointRequest(0, cut)))
+            assert self._reply(channel)[0] == MSG_CHECKPOINT
+            assert gc.isenabled() is host_enabled
+            for block in batches[cut:]:
+                channel.send((MSG_BATCH, block))
+            channel.send((MSG_FLUSH, None))
+            assert self._reply(channel)[0] == "ok"
+            assert gc.isenabled() is host_enabled
+        finally:
+            worker.join(timeout=30)
+            channel.close()
+        assert seen and not any(seen)
+
+        worker, channel = self._start(config)
+        try:
+            channel.send((MSG_BATCH, batches[0]))
+            channel.send(("carrier-pigeon", None))
+            tag, text = self._reply(channel)
+            assert tag == "error" and "carrier-pigeon" in text
+            assert gc.isenabled() is host_enabled
+        finally:
+            worker.join(timeout=30)
+            channel.close()
 
 
 class TestExecutorStartupFailure:
