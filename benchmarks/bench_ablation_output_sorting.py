@@ -8,7 +8,8 @@ still out of order (to preserve the in-order output contract).
 This ablation replays (D×3syn, Q×3) under matched buffer sizes K for the
 two architectures and compares recall:
 
-* input-side: K-slack(K) per stream + Synchronizer + Alg. 2 join;
+* input-side: K-slack(K) per stream + Synchronizer + Alg. 2 join, i.e.
+  the pipeline under a fixed K;
 * output-side: raw disordered feed into a probe-everything join, then a
   ResultSorter(K) on the result stream.
 
@@ -19,43 +20,26 @@ disorder exceeds K; input-side handling dominates at equal K once delays
 are significant — the paper's architectural choice.
 """
 
-from common import experiment, report
+from common import experiment, fixed_k_config, report
 
-from repro import KSlackBuffer, MSWJOperator, Synchronizer
+from repro import MSWJOperator, QualityDrivenPipeline, replay
 from repro.core.result_sorter import ResultSorter
 
 BUFFER_SIZES_MS = (0, 500, 2_000, 5_000)
 
 
-def _input_side(dataset, windows, condition, k_ms, num_streams):
-    buffers = [KSlackBuffer(k_ms) for _ in range(num_streams)]
-    sync = Synchronizer(num_streams)
-    op = MSWJOperator(windows, condition, collect_results=False)
-    count = 0
-    for t in dataset.arrivals():
-        for released in buffers[t.stream].process(t):
-            for emitted in sync.process(released):
-                count += op.process(emitted)
-    for i, buffer in enumerate(buffers):
-        for released in buffer.flush():
-            for emitted in sync.process(released):
-                count += op.process(emitted)
-        for emitted in sync.close_stream(i):
-            count += op.process(emitted)
-    for emitted in sync.flush():
-        count += op.process(emitted)
-    return count
+def _input_side(dataset, windows, condition, k_ms):
+    pipeline = QualityDrivenPipeline(fixed_k_config(k_ms, windows, condition))
+    return replay(pipeline, dataset.arrivals())
 
 
 def _output_side(dataset, windows, condition, k_ms):
     op = MSWJOperator(windows, condition, probe_out_of_order=True)
     sorter = ResultSorter(k_ms)
-    delivered = 0
-    for t in dataset.arrivals():
-        for result in op.process(t):
-            delivered += len(sorter.process(result))
-    delivered += len(sorter.flush())
-    return delivered, sorter.discarded
+    # The operator's batch is its per-tuple outputs, concatenated.
+    results = op.process_batch(list(dataset.arrivals()))
+    delivered = sum(len(sorter.process(result)) for result in results)
+    return delivered + len(sorter.flush()), sorter.discarded
 
 
 def _sweep():
@@ -64,9 +48,7 @@ def _sweep():
     truth_total = exp.truth().index.total
     rows = []
     for k_ms in BUFFER_SIZES_MS:
-        in_count = _input_side(
-            dataset, exp.window_sizes_ms, exp.condition, k_ms, exp.num_streams
-        )
+        in_count = _input_side(dataset, exp.window_sizes_ms, exp.condition, k_ms)
         out_count, discarded = _output_side(
             dataset, exp.window_sizes_ms, exp.condition, k_ms
         )

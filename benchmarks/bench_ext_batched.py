@@ -5,10 +5,11 @@ per-tuple probe work — the regime where engine overhead, not probe
 enumeration, bounds throughput) behind a lossless fixed-K front end
 through two drivers at shard counts 1/2/4:
 
-* **per-tuple** — one ``process(t)`` call per raw tuple; under the
-  process executor this is the *per-tuple envelope* configuration
-  (``batch_size=1``): every routed tuple is its own pipe message, so
-  pickling and syscalls are paid per tuple.
+* **per-tuple** — one tuple per call (``replay`` at ``chunk_size=1``,
+  i.e. ``process(t)``); under the process executor this is the
+  *per-tuple envelope* configuration (``batch_size=1``): every routed
+  tuple is its own pipe message, so pickling and syscalls are paid per
+  tuple.
 * **batched** — ``process_batch`` over arrival-order chunks of
   ``CHUNK_SIZE`` tuples: one routed batch per shard per call, the
   executors dispatch whole bursts, and the shard pipelines drain them
@@ -22,17 +23,12 @@ the batched path over the per-tuple path at shards >= 2 under the
 process executor, which must reach ``MIN_SPEEDUP``.
 """
 
-import random
-import time
-
-from common import BENCH_SCALE, report
+from common import best_of, fixed_k_config, interleaved_dataset, report, scaled
 
 from repro import (
-    FixedKPolicy,
-    PipelineConfig,
     QualityDrivenPipeline,
     equi_join_chain,
-    from_tuple_specs,
+    replay,
     run_partitioned,
     seconds,
 )
@@ -40,69 +36,28 @@ from repro import (
 SHARD_COUNTS = (1, 2, 4)
 CHUNK_SIZE = 512
 MIN_SPEEDUP = 1.5
-NUM_TUPLES = max(3_000, int(30_000 * BENCH_SCALE))
 #: Timing rounds per configuration; the best round is reported (standard
 #: noise shielding — shared CI runners and process spawn jitter).
 ROUNDS = 2
 
-CONDITION = equi_join_chain("a1", 3)
-
-
-def _light_equi_dataset(num_tuples=NUM_TUPLES, domain=500, max_delay_ms=800, seed=101):
-    """Three interleaved streams, uniform keys, ~20% delayed arrivals."""
-    rng = random.Random(seed)
-    events = []
-    for i in range(num_tuples):
-        delay = 0 if rng.random() < 0.8 else rng.randint(1, max_delay_ms)
-        events.append((i % 3, i * 5, delay, rng.randint(1, domain)))
-    order = sorted(
-        range(num_tuples), key=lambda i: (events[i][1] + events[i][2], i)
-    )
-    specs = [(events[i][0], events[i][1], {"a1": events[i][3]}) for i in order]
-    return from_tuple_specs(specs, num_streams=3, name="light-equi")
-
 
 def _config(k_ms):
-    return PipelineConfig(
-        window_sizes_ms=[seconds(2)] * 3,
-        condition=CONDITION,
-        gamma=0.95,
-        period_ms=15_000,
-        interval_ms=1_000,
-        policy=FixedKPolicy(k_ms),
-        initial_k_ms=k_ms,
-        collect_results=False,
-    )
-
-
-def _chunks(items, size):
-    for start in range(0, len(items), size):
-        yield items[start : start + size]
+    return fixed_k_config(k_ms, [seconds(2)] * 3, equi_join_chain("a1", 3))
 
 
 def _sweep():
-    dataset = _light_equi_dataset()
+    # Uniform keys over 1..500, 5 ms apart, ~20% delayed up to 0.8 s.
+    dataset = interleaved_dataset(
+        "light-equi", scaled(30_000, floor=3_000), 5, 800, 500, seed=101
+    )
     k_ms = dataset.max_delay()
     tuples = len(dataset)
     arrivals = list(dataset.arrivals())
 
-    rows = []
-    counts = {}
-    rates = {}
-
-    def single_per_tuple():
-        pipeline = QualityDrivenPipeline(_config(k_ms))
-        count = 0
-        for t in arrivals:
-            count += pipeline.process(t)
-        return count + pipeline.flush()
-
-    def single_batched():
-        pipeline = QualityDrivenPipeline(_config(k_ms))
-        count = 0
-        for chunk in _chunks(arrivals, CHUNK_SIZE):
-            count += pipeline.process_batch(chunk)
-        return count + pipeline.flush()
+    def single(chunk_size):
+        return lambda: replay(
+            QualityDrivenPipeline(_config(k_ms)), arrivals, chunk_size
+        )
 
     def partitioned(shards, executor, **kwargs):
         def run():
@@ -114,8 +69,8 @@ def _sweep():
         return run
 
     configurations = [
-        ("single per-tuple", single_per_tuple),
-        ("single batched", single_batched),
+        ("single per-tuple", single(1)),
+        ("single batched", single(CHUNK_SIZE)),
     ]
     for shards in SHARD_COUNTS:
         configurations.append(
@@ -143,22 +98,12 @@ def _sweep():
             )
         )
 
-    # Interleaved rounds (full sweep per round, best time per config):
-    # load drift on a shared machine hits every configuration about
-    # equally instead of whichever config happened to run last.
-    best = {}
-    for _ in range(ROUNDS):
-        for label, run in configurations:
-            started = time.perf_counter()
-            counts[label] = run()
-            elapsed = time.perf_counter() - started
-            if label not in best or elapsed < best[label]:
-                best[label] = elapsed
-    for label, _ in configurations:
-        rates[label] = tuples / best[label]
-        rows.append(
-            (label, counts[label], f"{best[label]:.2f}", f"{rates[label]:,.0f}")
-        )
+    counts, best = best_of(configurations, ROUNDS)
+    rates = {label: tuples / wall for label, wall in best.items()}
+    rows = [
+        (label, counts[label], f"{best[label]:.2f}", f"{rates[label]:,.0f}")
+        for label, _ in configurations
+    ]
 
     speedup_rows = []
     for shards in SHARD_COUNTS:

@@ -25,16 +25,19 @@ Sequence/statistics identity of the block transport with the serial
 executor is proven in ``tests/test_blocks.py``; this file only measures.
 """
 
-import os
 import pickle
 import random
 import time
 
 from common import (
-    BENCH_SCALE,
+    CPUS,
+    MULTICORE,
+    bench_scale,
+    best_of,
     heavy_probe_config,
     heavy_probe_dataset,
     report,
+    scaled,
 )
 
 from repro import (
@@ -42,14 +45,9 @@ from repro import (
     BlockEncoder,
     QualityDrivenPipeline,
     StreamTuple,
+    replay,
     run_partitioned,
 )
-
-try:
-    CPUS = len(os.sched_getaffinity(0))
-except AttributeError:  # pragma: no cover - non-Linux
-    CPUS = os.cpu_count() or 1
-MULTICORE = CPUS >= 2
 
 CHUNK_SIZE = 1024
 ROUNDS = 2
@@ -60,24 +58,6 @@ ROUNDS = 2
 #: at full workload scale.
 MIN_VS_SINGLE_FLOOR = 0.8
 MIN_CODEC_SPEEDUP = 1.3
-
-
-def _timed(fn):
-    started = time.perf_counter()
-    value = fn()
-    return value, time.perf_counter() - started
-
-
-def _best_of(configurations, rounds=ROUNDS):
-    """Interleaved rounds, best wall per configuration (noise shield)."""
-    counts, best = {}, {}
-    for _ in range(rounds):
-        for label, run in configurations:
-            value, elapsed = _timed(run)
-            counts[label] = value
-            if label not in best or elapsed < best[label]:
-                best[label] = elapsed
-    return counts, best
 
 
 # ----------------------------------------------------------------------
@@ -108,7 +88,7 @@ def _codec_micro():
     # message (~batch_size tuples); shrinking it with REPRO_BENCH_SCALE
     # would just surface per-block fixed costs no real message pays.
     num = 4_096
-    repeats = max(3, int(10 * BENCH_SCALE))
+    repeats = scaled(10, floor=3)
     for width in (2, 6, 12):
         batch = _payload_batch(num, width)
         encoder, decoder = BlockEncoder(), BlockDecoder()
@@ -154,49 +134,59 @@ def _codec_micro():
 # ----------------------------------------------------------------------
 
 
-def _collect_heavy():
-    dataset = heavy_probe_dataset()
-    tuples = len(dataset)
-    k_ms = dataset.max_delay()
-    # Shorter windows than the count-only heavy run: collected results
-    # are materialized objects, and the 12 s windows' result volume
-    # would be memory-, not transport-, bound.
-    config = lambda: heavy_probe_config(k_ms, window_s=3, collect=True)  # noqa: E731
-    arrivals = list(dataset.arrivals())
+def _versus_single(dataset, config, shard_counts):
+    """The single pipeline vs the columnar process executor at
+    ``shard_counts``, best of ``ROUNDS``: (counts, walls, rates, rows).
 
-    def single():
-        pipeline = QualityDrivenPipeline(config())
-        results = []
-        for start in range(0, len(arrivals), CHUNK_SIZE):
-            results.extend(
-                pipeline.process_batch(arrivals[start : start + CHUNK_SIZE])
-            )
-        results.extend(pipeline.flush())
-        return len(results)
+    A count is the number of results in either collect mode.
+    """
+
+    def count(outputs):
+        return outputs if isinstance(outputs, int) else len(outputs)
 
     def partitioned(shards):
-        def run():
-            results, _ = run_partitioned(
+        return lambda: count(
+            run_partitioned(
                 dataset, config(), shards, executor="process",
                 batch_size=CHUNK_SIZE, chunk_size=CHUNK_SIZE,
-            )
-            return len(results)
+            )[0]
+        )
 
-        return run
-
-    configurations = [("single pipeline", single)]
-    for shards in (1, 2):
-        configurations.append((f"process x{shards} blocks", partitioned(shards)))
-    counts, best = _best_of(configurations)
-    rates = {label: tuples / wall for label, wall in best.items()}
+    configurations = [
+        (
+            "single pipeline",
+            lambda: count(
+                replay(QualityDrivenPipeline(config()), dataset.arrivals(), CHUNK_SIZE)
+            ),
+        )
+    ]
+    configurations += [
+        (f"process x{shards} blocks", partitioned(shards)) for shards in shard_counts
+    ]
+    counts, best = best_of(configurations, ROUNDS)
+    rates = {label: len(dataset) / wall for label, wall in best.items()}
     rows = [
         (label, counts[label], f"{best[label]:.2f}", f"{rates[label]:,.0f}")
         for label, _ in configurations
     ]
+    return counts, best, rates, rows
+
+
+def _collect_heavy():
+    dataset = heavy_probe_dataset()
+    k_ms = dataset.max_delay()
+    # Shorter windows than the count-only heavy run: collected results
+    # are materialized objects, and the 12 s windows' result volume
+    # would be memory-, not transport-, bound.
+    counts, _, _, rows = _versus_single(
+        dataset,
+        lambda: heavy_probe_config(k_ms, window_s=3, collect=True),
+        (1, 2),
+    )
     report(
         "ext_columnar_collect",
         "Extension — collect-heavy join, full result set shipped back "
-        f"({tuples} tuples, {CPUS} CPU(s))",
+        f"({len(dataset)} tuples, {CPUS} CPU(s))",
         ["configuration", "results", "wall (s)", "tuples/s"],
         rows,
     )
@@ -212,36 +202,10 @@ def _heavy_probe():
     dataset = heavy_probe_dataset()
     tuples = len(dataset)
     k_ms = dataset.max_delay()
-    config = lambda: heavy_probe_config(k_ms)  # noqa: E731 - local factory
-    arrivals = list(dataset.arrivals())
-
-    def single():
-        pipeline = QualityDrivenPipeline(config())
-        count = 0
-        for start in range(0, len(arrivals), CHUNK_SIZE):
-            count += pipeline.process_batch(arrivals[start : start + CHUNK_SIZE])
-        return count + pipeline.flush()
-
-    def partitioned(shards):
-        def run():
-            count, _ = run_partitioned(
-                dataset, config(), shards, executor="process",
-                batch_size=CHUNK_SIZE, chunk_size=CHUNK_SIZE,
-            )
-            return count
-
-        return run
-
-    configurations = [("single pipeline", single)]
-    for shards in (2, 4):
-        configurations.append((f"process x{shards} blocks", partitioned(shards)))
-    counts, best = _best_of(configurations)
-    rates = {label: tuples / wall for label, wall in best.items()}
+    counts, best, rates, rows = _versus_single(
+        dataset, lambda: heavy_probe_config(k_ms), (2, 4)
+    )
     work_us = best["single pipeline"] / tuples * 1e6
-    rows = [
-        (label, counts[label], f"{best[label]:.2f}", f"{rates[label]:,.0f}")
-        for label, _ in configurations
-    ]
     for shards in (2, 4):
         ratio = rates[f"process x{shards} blocks"] / rates["single pipeline"]
         rows.append((f"blocks x{shards} / single", "", "", f"{ratio:.2f}x"))
@@ -283,7 +247,7 @@ def test_ext_columnar(benchmark):
         f"heavy-probe: blocks x2 {blocks2:,.0f} t/s vs single "
         f"{single:,.0f} t/s ({blocks2 / single:.2f}x < {MIN_VS_SINGLE_FLOOR}x)"
     )
-    if MULTICORE and BENCH_SCALE >= 1.0:
+    if MULTICORE and bench_scale() >= 1.0:
         # Outright win demanded only at full workload scale: the smoke
         # scale's shrunken runs leave worker spawn overhead visible.
         assert blocks2 >= single, (

@@ -27,11 +27,11 @@ asserts count identity across every configuration, because a transport
 that changes results has no performance story to tell.
 """
 
-import os
-import time
-
 from common import (
-    BENCH_SCALE,
+    CPUS,
+    MULTICORE,
+    bench_scale,
+    best_of,
     heavy_probe_config,
     heavy_probe_dataset,
     report,
@@ -40,12 +40,6 @@ from common import (
 from repro import run_partitioned
 from repro.distributed import NodeServer
 from repro.parallel import SupervisionConfig
-
-try:
-    CPUS = len(os.sched_getaffinity(0))
-except AttributeError:  # pragma: no cover - non-Linux
-    CPUS = os.cpu_count() or 1
-MULTICORE = CPUS >= 2
 
 CHUNK_SIZE = 1024
 ROUNDS = 2
@@ -69,24 +63,6 @@ SUPERVISION = SupervisionConfig(
     heartbeat_timeout_s=30.0,
     checkpoint_interval=256,
 )
-
-
-def _timed(fn):
-    started = time.perf_counter()
-    value = fn()
-    return value, time.perf_counter() - started
-
-
-def _best_of(configurations, rounds=ROUNDS):
-    """Interleaved rounds, best wall per configuration (noise shield)."""
-    counts, best = {}, {}
-    for _ in range(rounds):
-        for label, run in configurations:
-            value, elapsed = _timed(run)
-            counts[label] = value
-            if label not in best or elapsed < best[label]:
-                best[label] = elapsed
-    return counts, best
 
 
 def _sweep():
@@ -132,7 +108,7 @@ def _sweep():
                 over_sockets(addresses, True),
             ),
         ]
-        counts, best = _best_of(configurations)
+        counts, best = best_of(configurations, ROUNDS)
     finally:
         for process, _ in spawned:
             process.terminate()
@@ -176,7 +152,7 @@ def test_ext_distributed(benchmark):
         f"supervised socket {supervised:,.0f} t/s collapsed vs plain "
         f"socket {socket_rate:,.0f} t/s ({supervised / socket_rate:.2f}x)"
     )
-    if MULTICORE and BENCH_SCALE >= 1.0:
+    if MULTICORE and bench_scale() >= 1.0:
         assert socket_rate >= STRICT_SOCKET_VS_PIPE_FLOOR * pipe, (
             f"on {CPUS} CPUs socket x{SHARDS} {socket_rate:,.0f} t/s "
             f"< {STRICT_SOCKET_VS_PIPE_FLOOR}x pipe {pipe:,.0f} t/s"

@@ -26,11 +26,11 @@ configuration, because a transport that changes results has no
 performance story to tell.
 """
 
-import os
-import time
-
 from common import (
-    BENCH_SCALE,
+    CPUS,
+    MULTICORE,
+    bench_scale,
+    best_of,
     heavy_probe_config,
     heavy_probe_dataset,
     report,
@@ -40,14 +40,9 @@ from repro import (
     TRANSPORT_BLOCKS,
     TRANSPORT_SHM,
     QualityDrivenPipeline,
+    replay,
     run_partitioned,
 )
-
-try:
-    CPUS = len(os.sched_getaffinity(0))
-except AttributeError:  # pragma: no cover - non-Linux
-    CPUS = os.cpu_count() or 1
-MULTICORE = CPUS >= 2
 
 CHUNK_SIZE = 1024
 ROUNDS = 2
@@ -70,37 +65,14 @@ MIN_PIPELINED_FLOOR = 0.75
 MIN_SHM_VS_PIPE_FLOOR = 0.75
 
 
-def _timed(fn):
-    started = time.perf_counter()
-    value = fn()
-    return value, time.perf_counter() - started
-
-
-def _best_of(configurations, rounds=ROUNDS):
-    """Interleaved rounds, best wall per configuration (noise shield)."""
-    counts, best = {}, {}
-    for _ in range(rounds):
-        for label, run in configurations:
-            value, elapsed = _timed(run)
-            counts[label] = value
-            if label not in best or elapsed < best[label]:
-                best[label] = elapsed
-    return counts, best
-
-
 def _sweep():
     dataset = heavy_probe_dataset()
     tuples = len(dataset)
     k_ms = dataset.max_delay()
     config = lambda: heavy_probe_config(k_ms)  # noqa: E731 - local factory
-    arrivals = list(dataset.arrivals())
 
     def single():
-        pipeline = QualityDrivenPipeline(config())
-        count = 0
-        for start in range(0, len(arrivals), CHUNK_SIZE):
-            count += pipeline.process_batch(arrivals[start : start + CHUNK_SIZE])
-        return count + pipeline.flush()
+        return replay(QualityDrivenPipeline(config()), dataset.arrivals(), CHUNK_SIZE)
 
     def partitioned(transport, pipelined):
         def run():
@@ -122,7 +94,7 @@ def _sweep():
         configurations.append(
             (f"pipelined x{SHARDS} {tname}", partitioned(transport, True))
         )
-    counts, best = _best_of(configurations)
+    counts, best = best_of(configurations, ROUNDS)
     rates = {label: tuples / wall for label, wall in best.items()}
     rows = [
         (label, counts[label], f"{best[label]:.2f}", f"{rates[label]:,.0f}")
@@ -164,7 +136,7 @@ def test_ext_ingest(benchmark):
         f"shm transport {sync_shm:,.0f} t/s collapsed vs pipe "
         f"{sync_pipe:,.0f} t/s ({sync_shm / sync_pipe:.2f}x)"
     )
-    if MULTICORE and BENCH_SCALE >= 1.0:
+    if MULTICORE and bench_scale() >= 1.0:
         # Strict gates only where the physics allow a win: >=2 cores so
         # the feeder genuinely overlaps shard compute, full workload so
         # spawn overhead amortizes.

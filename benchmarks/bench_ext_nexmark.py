@@ -25,12 +25,10 @@ Workload sizes honor ``REPRO_BENCH_SCALE`` via ``common.scaled`` — CI
 runs at reduced scale without touching the gate constants below.
 """
 
-from common import report, run, scaled
+from common import fixed_k_config, report, run, scaled
 
 from repro import (
-    FixedKPolicy,
     NexmarkConfig,
-    PipelineConfig,
     auction_bid_query,
     make_auction_bids,
     make_person_auction_bid,
@@ -55,17 +53,8 @@ def _bench_config(seed: int = 7, channels: int = 2) -> NexmarkConfig:
     )
 
 
-def _lossless(condition, num_streams, k_ms, window_s=0.5):
-    return PipelineConfig(
-        window_sizes_ms=[seconds(window_s)] * num_streams,
-        condition=condition,
-        gamma=0.95,
-        period_ms=15_000,
-        interval_ms=1_000,
-        policy=FixedKPolicy(k_ms),
-        initial_k_ms=k_ms,
-        collect_results=False,
-    )
+def _lossless(condition, num_streams, k_ms):
+    return fixed_k_config(k_ms, [seconds(0.5)] * num_streams, condition)
 
 
 def _shard_sweep():

@@ -19,75 +19,62 @@ default); ``benchmarks/bench_ext_columnar.py`` holds the transport
 comparison and its acceptance gates.
 """
 
-import time
-
 from common import (
     HEAVY_WINDOW_S,
+    best_of,
     experiment,
+    fixed_k_config,
     heavy_probe_config,
     heavy_probe_dataset,
     report,
 )
 
-from repro import (
-    FixedKPolicy,
-    PipelineConfig,
-    QualityDrivenPipeline,
-    run_partitioned,
-)
+from repro import QualityDrivenPipeline, replay, run_partitioned
 
 SHARD_COUNTS = (1, 2, 4)
 HEAVY_CHUNK = 1024
 
 
-def _config(exp, k_ms):
-    return PipelineConfig(
-        window_sizes_ms=list(exp.window_sizes_ms),
-        condition=exp.condition,
-        gamma=0.95,
-        period_ms=15_000,
-        interval_ms=1_000,
-        policy=FixedKPolicy(k_ms),
-        initial_k_ms=k_ms,
-        collect_results=False,
-    )
+def _timed_rows(dataset, configurations):
+    """Run each configuration once, in order; report rows and counts."""
+    counts, walls = best_of(configurations)
+    rows = [
+        (label, counts[label], f"{walls[label]:.2f}",
+         f"{len(dataset) / walls[label]:,.0f}")
+        for label, _ in configurations
+    ]
+    return rows, counts
 
 
 def _sweep():
     exp = experiment("d3")
     dataset = exp.dataset()
     k_ms = dataset.max_delay()
-    tuples = len(dataset)
+    config = lambda: fixed_k_config(  # noqa: E731 - local factory
+        k_ms, exp.window_sizes_ms, exp.condition
+    )
 
-    rows = []
-    counts = {}
+    def partitioned(shards, **options):
+        return lambda: run_partitioned(dataset, config(), shards, **options)[0]
 
-    def record(label, count, elapsed):
-        counts[label] = count
-        rows.append((label, count, f"{elapsed:.2f}", f"{tuples / elapsed:,.0f}"))
-
-    started = time.perf_counter()
-    single = QualityDrivenPipeline(_config(exp, k_ms))
-    count = 0
-    for t in dataset.arrivals():
-        count += single.process(t)
-    count += single.flush()
-    record("single-pipeline", count, time.perf_counter() - started)
-
-    for shards in SHARD_COUNTS:
-        started = time.perf_counter()
-        count, _ = run_partitioned(
-            dataset, _config(exp, k_ms), shards, executor="serial"
+    configurations = [
+        (
+            "single-pipeline",
+            lambda: replay(QualityDrivenPipeline(config()), dataset.arrivals()),
         )
-        record(f"serial x{shards}", count, time.perf_counter() - started)
-
+    ]
     for shards in SHARD_COUNTS:
-        started = time.perf_counter()
-        count, _ = run_partitioned(
-            dataset, _config(exp, k_ms), shards, executor="process", batch_size=512
+        configurations.append(
+            (f"serial x{shards}", partitioned(shards, executor="serial"))
         )
-        record(f"process x{shards}", count, time.perf_counter() - started)
-
+    for shards in SHARD_COUNTS:
+        configurations.append(
+            (
+                f"process x{shards}",
+                partitioned(shards, executor="process", batch_size=512),
+            )
+        )
+    rows, counts = _timed_rows(dataset, configurations)
     report(
         "ext_partitioned",
         "Extension — partitioned pipeline throughput vs shard count "
@@ -101,44 +88,37 @@ def _sweep():
 def _heavy_sweep():
     dataset = heavy_probe_dataset()
     k_ms = dataset.max_delay()
-    tuples = len(dataset)
-    arrivals = list(dataset.arrivals())
+    config = lambda: heavy_probe_config(k_ms)  # noqa: E731 - local factory
 
-    rows = []
-    counts = {}
+    def partitioned(shards, **options):
+        return lambda: run_partitioned(
+            dataset, config(), shards, chunk_size=HEAVY_CHUNK, **options
+        )[0]
 
-    def record(label, count, elapsed):
-        counts[label] = count
-        rows.append((label, count, f"{elapsed:.2f}", f"{tuples / elapsed:,.0f}"))
-
-    started = time.perf_counter()
-    single = QualityDrivenPipeline(heavy_probe_config(k_ms))
-    count = 0
-    for start in range(0, len(arrivals), HEAVY_CHUNK):
-        count += single.process_batch(arrivals[start : start + HEAVY_CHUNK])
-    count += single.flush()
-    record("single-pipeline", count, time.perf_counter() - started)
-
-    for shards in (2, 4):
-        started = time.perf_counter()
-        count, _ = run_partitioned(
-            dataset, heavy_probe_config(k_ms), shards, executor="serial",
-            chunk_size=HEAVY_CHUNK,
+    configurations = [
+        (
+            "single-pipeline",
+            lambda: replay(
+                QualityDrivenPipeline(config()), dataset.arrivals(), HEAVY_CHUNK
+            ),
         )
-        record(f"serial x{shards}", count, time.perf_counter() - started)
-
+    ]
     for shards in (2, 4):
-        started = time.perf_counter()
-        count, _ = run_partitioned(
-            dataset, heavy_probe_config(k_ms), shards, executor="process",
-            batch_size=HEAVY_CHUNK, chunk_size=HEAVY_CHUNK,
+        configurations.append(
+            (f"serial x{shards}", partitioned(shards, executor="serial"))
         )
-        record(f"process x{shards}", count, time.perf_counter() - started)
-
+    for shards in (2, 4):
+        configurations.append(
+            (
+                f"process x{shards}",
+                partitioned(shards, executor="process", batch_size=HEAVY_CHUNK),
+            )
+        )
+    rows, counts = _timed_rows(dataset, configurations)
     report(
         "ext_partitioned_heavy",
         "Extension — partitioned pipeline on the heavy-probe scenario "
-        f"({tuples} tuples, W = {HEAVY_WINDOW_S} s, columnar transport)",
+        f"({len(dataset)} tuples, W = {HEAVY_WINDOW_S} s, columnar transport)",
         ["configuration", "results", "wall (s)", "tuples/s"],
         rows,
     )

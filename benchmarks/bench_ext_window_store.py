@@ -23,16 +23,15 @@ hot-tier objects, peak encoded cold bytes, decode hits/misses, thaws,
 and the result count — the numbers behind the docs/BENCHMARKS.md rows.
 """
 
-from common import report, scaled
+from common import fixed_k_config, report, scaled
 
 from repro import (
-    FixedKPolicy,
     NexmarkConfig,
-    PipelineConfig,
     QualityDrivenPipeline,
     TieredStoreConfig,
     auction_bid_query,
     make_auction_bids,
+    replay,
     seconds,
 )
 
@@ -58,29 +57,13 @@ def _dataset():
     )
 
 
-def _config(condition, num_streams, k_ms, window_s, store):
-    return PipelineConfig(
-        window_sizes_ms=[seconds(window_s)] * num_streams,
-        condition=condition,
-        gamma=0.95,
-        period_ms=15_000,
-        interval_ms=1_000,
-        policy=FixedKPolicy(k_ms),
-        initial_k_ms=k_ms,
-        collect_results=False,
-        store=store,
-    )
-
-
 def _run(dataset, condition, k_ms, window_s, store):
     pipeline = QualityDrivenPipeline(
-        _config(condition, dataset.num_streams, k_ms, window_s, store)
+        fixed_k_config(
+            k_ms, [seconds(window_s)] * dataset.num_streams, condition, store=store
+        )
     )
-    arrivals = list(dataset.arrivals())
-    count = 0
-    for start in range(0, len(arrivals), CHUNK):
-        count += pipeline.process_batch(arrivals[start:start + CHUNK])
-    count += pipeline.flush()
+    count = replay(pipeline, dataset.arrivals(), CHUNK)
     thaws = sum(window.store.metrics().thaws for window in pipeline.join.windows)
     return count, pipeline.join.stats.as_dict(), pipeline.metrics, thaws
 

@@ -38,7 +38,6 @@ def pytest_configure(config):
     scale = config.getoption("--bench-scale")
     if scale is not None:
         float(scale)  # fail fast on a malformed value
-        # Runs before test modules import `common`, so both the
-        # import-time BENCH_SCALE constant and the per-call
-        # bench_scale() reader observe it.
+        # Runs before any bench sizes a workload, so the per-call
+        # common.bench_scale() reader observes it.
         os.environ["REPRO_BENCH_SCALE"] = scale

@@ -45,7 +45,12 @@ from .core.blocks import (
 )
 from .core.kslack import KSlackBuffer
 from .core.model import CumulativePdf, RecallModel, StreamModelInput
-from .core.pipeline import PipelineConfig, PipelineMetrics, QualityDrivenPipeline
+from .core.pipeline import (
+    PipelineConfig,
+    PipelineMetrics,
+    QualityDrivenPipeline,
+    replay,
+)
 from .core.profiler import ProfileSnapshot, TupleProductivityProfiler
 from .core.result_monitor import ResultSizeMonitor
 from .core.result_sorter import ResultSorter
@@ -130,7 +135,7 @@ __all__ = [
     "StreamTuple", "JoinResult", "seconds", "ms", "to_seconds",
     # disorder handling core
     "KSlackBuffer", "Synchronizer", "QualityDrivenPipeline", "PipelineConfig",
-    "PipelineMetrics",
+    "PipelineMetrics", "replay",
     # adaptation
     "BufferSizePolicy", "ModelBasedPolicy", "NoKSlackPolicy", "MaxKSlackPolicy",
     "FixedKPolicy", "AdaptationContext",

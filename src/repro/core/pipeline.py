@@ -27,9 +27,20 @@ from __future__ import annotations
 import time
 from copy import deepcopy
 from dataclasses import dataclass, field, fields
-from itertools import zip_longest
+from itertools import islice, zip_longest
 from operator import add
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from ..join.conditions import JoinCondition
 from ..join.mswj import MSWJOperator
@@ -59,6 +70,38 @@ def merge_outputs(collect: bool, accumulated: Outputs, new: Outputs) -> Outputs:
         accumulated.extend(new)  # type: ignore[union-attr,arg-type]
         return accumulated
     return accumulated + new  # type: ignore[operator]
+
+
+def chunked(
+    arrivals: Iterable[StreamTuple], size: int
+) -> Iterator[List[StreamTuple]]:
+    """Consecutive lists of ``size`` tuples of ``arrivals`` (the last may
+    be shorter); raises ``ValueError`` at the call when ``size < 1``."""
+    if size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {size}")
+    tuples = iter(arrivals)
+    return iter(lambda: list(islice(tuples, size)), [])
+
+
+def replay(
+    engine: Any, arrivals: Iterable[StreamTuple], chunk_size: int = 1
+) -> Outputs:
+    """Drive a finite arrival sequence through ``engine`` and flush it.
+
+    ``engine`` is a :class:`QualityDrivenPipeline` or a
+    :class:`~repro.parallel.pipeline.PartitionedPipeline`: ``arrivals``
+    go through its ``process_batch`` in order, ``chunk_size`` tuples a
+    call (1 is the per-tuple drive, since ``process(t)`` is
+    ``process_batch((t,))``), then :meth:`~QualityDrivenPipeline.flush`
+    drains it.  Returns everything emitted: the results, or their count
+    when ``engine.config.collect_results`` is off.  The engine stays
+    readable afterwards (metrics, statistics, store state).
+    """
+    collect = engine.config.collect_results
+    outputs = empty_outputs(collect)
+    for chunk in chunked(arrivals, chunk_size):
+        outputs = merge_outputs(collect, outputs, engine.process_batch(chunk))
+    return merge_outputs(collect, outputs, engine.flush())
 
 
 @dataclass

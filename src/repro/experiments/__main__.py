@@ -62,7 +62,7 @@ def main(argv=None) -> int:
         args.experiment
     ]
     print(experiment.dataset().describe())
-    print(f"computing ground truth ...", flush=True)
+    print("computing ground truth ...", flush=True)
     print(f"true join results: {experiment.truth().index.total}")
 
     outcome = run_experiment(

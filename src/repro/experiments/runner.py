@@ -23,7 +23,7 @@ from ..core.adaptation import (
     ModelBasedPolicy,
     NoKSlackPolicy,
 )
-from ..core.pipeline import PipelineConfig, QualityDrivenPipeline
+from ..core.pipeline import PipelineConfig, QualityDrivenPipeline, replay
 from ..core.selectivity import strategy_from_name
 from ..core.tuples import to_seconds
 from ..quality.latency import LatencySummary, summarize_latency
@@ -110,9 +110,7 @@ def run_experiment(
         on_adaptation=on_adaptation,
         on_results=meter.record_produced,
     )
-    for t in dataset.arrivals():
-        pipeline.process(t)
-    pipeline.flush()
+    replay(pipeline, dataset.arrivals())
 
     end_time = pipeline.app_time_ms()
     metrics = pipeline.metrics

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import queue
 import threading
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core.pipeline import empty_outputs
 from ..core.tuples import StreamTuple
@@ -82,7 +82,7 @@ class PipelinedIngest:
 
         with PartitionedPipeline(config, 4, executor="process") as p:
             with PipelinedIngest(p) as feeder:
-                for chunk in chunks(dataset.arrivals(), 1024):
+                for chunk in chunked(dataset.arrivals(), 1024):
                     feeder.submit(chunk)
                 outputs = feeder.flush()
     """

@@ -57,7 +57,9 @@ from ..core.pipeline import (
     PipelineConfig,
     PipelineMetrics,
     QualityDrivenPipeline,
+    chunked,
     empty_outputs,
+    replay,
 )
 from ..core.tuples import JoinResult, StreamTuple
 from ..faults import FaultPlan
@@ -726,8 +728,9 @@ def run_partitioned(
     :class:`PartitionedPipeline` as given (``executor``, ``transport``,
     ``rebalance``, ``supervision``, ``nodes``, ...: see there).
 
-    ``chunk_size=None`` drives the pipeline tuple-at-a-time
-    (:meth:`~PartitionedPipeline.process`); a positive ``chunk_size``
+    The synchronous drive is :func:`~repro.core.pipeline.replay`:
+    ``chunk_size=None`` feeds the pipeline tuple-at-a-time (as
+    :meth:`~PartitionedPipeline.process` would); a positive ``chunk_size``
     slices the arrival stream into bursts of that many tuples and drives
     the batched engine (:meth:`~PartitionedPipeline.process_batch`).
 
@@ -741,54 +744,22 @@ def run_partitioned(
     tuples (the pipeline's ``batch_size`` when ``chunk_size`` is
     ``None``).
     """
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    if chunk_size is None:
+        chunk_size = (
+            pipeline_options.get("batch_size", DEFAULT_BATCH_SIZE) if pipelined else 1
+        )
     with PartitionedPipeline(config, num_shards, **pipeline_options) as pipeline:
-        collect = config.collect_results
-        outputs = empty_outputs(collect)
-        if pipelined:
-            # Deferred import: ingest builds on PartitionedPipeline, so
-            # a module-level import here would be circular.
-            from .ingest import DEFAULT_MAX_PENDING, PipelinedIngest
+        if not pipelined:
+            return replay(pipeline, dataset.arrivals(), chunk_size), pipeline.metrics
+        # Deferred import: ingest builds on PartitionedPipeline, so a
+        # module-level import here would be circular.
+        from .ingest import DEFAULT_MAX_PENDING, PipelinedIngest
 
-            feed_chunk = (
-                chunk_size
-                if chunk_size is not None
-                else pipeline_options.get("batch_size", DEFAULT_BATCH_SIZE)
-            )
-            pending = (
-                max_pending_batches
-                if max_pending_batches is not None
-                else DEFAULT_MAX_PENDING
-            )
-            with PipelinedIngest(
-                pipeline, max_pending_batches=pending
-            ) as feeder:
-                chunk: List[StreamTuple] = []
-                for t in dataset.arrivals():
-                    chunk.append(t)
-                    if len(chunk) >= feed_chunk:
-                        feeder.submit(chunk)
-                        chunk = []
-                if chunk:
-                    feeder.submit(chunk)
-                outputs = feeder.flush()
-            return outputs, pipeline.metrics
-        if chunk_size is None:
-            for t in dataset.arrivals():
-                outputs = merge_outputs(collect, outputs, pipeline.process(t))
-        else:
-            chunk: List[StreamTuple] = []
-            for t in dataset.arrivals():
-                chunk.append(t)
-                if len(chunk) >= chunk_size:
-                    outputs = merge_outputs(
-                        collect, outputs, pipeline.process_batch(chunk)
-                    )
-                    chunk = []
-            if chunk:
-                outputs = merge_outputs(
-                    collect, outputs, pipeline.process_batch(chunk)
-                )
-        outputs = merge_outputs(collect, outputs, pipeline.flush())
+        chunks = chunked(dataset.arrivals(), chunk_size)
+        if max_pending_batches is None:
+            max_pending_batches = DEFAULT_MAX_PENDING
+        with PipelinedIngest(pipeline, max_pending_batches) as feeder:
+            for chunk in chunks:
+                feeder.submit(chunk)
+            outputs = feeder.flush()
         return outputs, pipeline.metrics
