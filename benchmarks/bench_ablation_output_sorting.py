@@ -20,10 +20,11 @@ disorder exceeds K; input-side handling dominates at equal K once delays
 are significant — the paper's architectural choice.
 """
 
-from common import experiment, fixed_k_config, report
+from common import experiment, report
 
 from repro import MSWJOperator, QualityDrivenPipeline, replay
 from repro.core.result_sorter import ResultSorter
+from repro.workloads import fixed_k_config
 
 BUFFER_SIZES_MS = (0, 500, 2_000, 5_000)
 

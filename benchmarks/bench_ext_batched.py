@@ -23,7 +23,7 @@ the batched path over the per-tuple path at shards >= 2 under the
 process executor, which must reach ``MIN_SPEEDUP``.
 """
 
-from common import best_of, fixed_k_config, interleaved_dataset, report, scaled
+from common import best_of, report, scaled
 
 from repro import (
     QualityDrivenPipeline,
@@ -32,6 +32,7 @@ from repro import (
     run_partitioned,
     seconds,
 )
+from repro.workloads import fixed_k_config, interleaved_dataset
 
 SHARD_COUNTS = (1, 2, 4)
 CHUNK_SIZE = 512

@@ -25,7 +25,7 @@ Workload sizes honor ``REPRO_BENCH_SCALE`` via ``common.scaled`` — CI
 runs at reduced scale without touching the gate constants below.
 """
 
-from common import fixed_k_config, report, run, scaled
+from common import report, run, scaled
 
 from repro import (
     NexmarkConfig,
@@ -37,6 +37,7 @@ from repro import (
     seconds,
 )
 from repro.quality.truth import compute_truth
+from repro.workloads import fixed_k_config
 from repro.workloads.soak import SoakConfig, run_soak
 
 #: Gate constants (scale-independent; workloads scale, gates do not).

@@ -23,13 +23,13 @@ from common import (
     HEAVY_WINDOW_S,
     best_of,
     experiment,
-    fixed_k_config,
     heavy_probe_config,
     heavy_probe_dataset,
     report,
 )
 
 from repro import QualityDrivenPipeline, replay, run_partitioned
+from repro.workloads import fixed_k_config
 
 SHARD_COUNTS = (1, 2, 4)
 HEAVY_CHUNK = 1024

@@ -32,7 +32,6 @@ Result identity (sequences + join statistics, byte-level) is proven in
 from common import (
     CPUS,
     best_of,
-    fixed_k_config,
     heavy_probe_config,
     heavy_probe_dataset,
     report,
@@ -47,6 +46,7 @@ from repro import (
     run_partitioned,
     seconds,
 )
+from repro.workloads import fixed_k_config
 
 CHUNK_SIZE = 256
 REBALANCE_INTERVAL = 512

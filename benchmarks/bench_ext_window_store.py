@@ -23,7 +23,7 @@ hot-tier objects, peak encoded cold bytes, decode hits/misses, thaws,
 and the result count — the numbers behind the docs/BENCHMARKS.md rows.
 """
 
-from common import fixed_k_config, report, scaled
+from common import report, scaled
 
 from repro import (
     NexmarkConfig,
@@ -34,6 +34,7 @@ from repro import (
     replay,
     seconds,
 )
+from repro.workloads import fixed_k_config
 
 #: Long-window tiered residency must be ≤ this fraction of in-memory.
 RESIDENT_RATIO_GATE = 0.5

@@ -16,30 +16,20 @@ Scaled parameter grids: the measurement-period (Fig. 8) and adaptation-
 interval (Fig. 9) sweeps are rescaled so they fit within the shortened
 runs; the mapping is printed in each report header.
 
-The extension benches share one toolkit from here: :func:`best_of`
-times configurations, :func:`interleaved_dataset` generates their
-synthetic workloads, :func:`fixed_k_config` is their lossless front
-end, and :func:`repro.replay` drives every engine through a dataset.
+The extension benches time configurations with :func:`best_of`.  Their
+synthetic workloads (:func:`repro.workloads.interleaved_dataset`) and
+lossless front end (:func:`repro.workloads.fixed_k_config`) come from
+the engine toolkit the tests share, and :func:`repro.replay` drives
+every engine through a dataset.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import time
-from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
-from repro import (
-    FixedKPolicy,
-    JoinCondition,
-    PipelineConfig,
-    ThetaPredicate,
-    ZipfValueSampler,
-    equi_join_chain,
-    from_tuple_specs,
-    seconds,
-)
+from repro import JoinCondition, ThetaPredicate, equi_join_chain, seconds
 from repro.core.adaptation import BufferSizePolicy
 from repro.experiments.configs import (
     ExperimentConfig,
@@ -51,6 +41,7 @@ from repro.experiments.configs import (
 )
 from repro.experiments.report import format_table, print_and_save
 from repro.experiments.runner import RunResult, make_policy, run_experiment
+from repro.workloads import fixed_k_config, interleaved_dataset
 
 PAPER_SCALE = os.environ.get("REPRO_PAPER_SCALE", "") not in ("", "0", "false")
 
@@ -147,7 +138,7 @@ def report(name: str, title: str, headers: Sequence[str], rows: List[Sequence]) 
 ALL_EXPERIMENTS = ("soccer", "d3", "d4")
 
 # ----------------------------------------------------------------------
-# the extension benches' toolkit: timing, workloads, lossless config
+# the extension benches' timing helper
 # ----------------------------------------------------------------------
 
 
@@ -170,68 +161,6 @@ def best_of(
             elapsed = time.perf_counter() - started
             best[label] = min(elapsed, best.get(label, elapsed))
     return values, best
-
-
-def interleaved_dataset(
-    name: str,
-    num_tuples: int,
-    gap_ms: int,
-    max_delay_ms: int,
-    domain: int,
-    seed: int,
-    zipf: Optional[float] = None,
-):
-    """Three interleaved streams over one join attribute ``a1``.
-
-    Tuple ``i`` belongs to stream ``i % 3`` with ``ts = i * gap_ms``;
-    ~20% of arrivals are delayed by up to ``max_delay_ms``, and the
-    dataset is sorted by arrival.  Keys are uniform over
-    ``1..domain``, or Zipf(``zipf``)-skewed over it when ``zipf`` is
-    given — both drawn from the dataset's own seeded generator, so a
-    seed fixes the arrival sequence.
-    """
-    rng = random.Random(seed)
-    draw = (
-        partial(rng.randint, 1, domain)
-        if zipf is None
-        else ZipfValueSampler(list(range(1, domain + 1)), zipf, rng).sample
-    )
-    events = []
-    for i in range(num_tuples):
-        delay = 0 if rng.random() < 0.8 else rng.randint(1, max_delay_ms)
-        events.append((i % 3, i * gap_ms, delay, draw()))
-    order = sorted(
-        range(num_tuples), key=lambda i: (events[i][1] + events[i][2], i)
-    )
-    specs = [(events[i][0], events[i][1], {"a1": events[i][3]}) for i in order]
-    return from_tuple_specs(specs, num_streams=3, name=name)
-
-
-def fixed_k_config(
-    k_ms: int,
-    windows_ms: Sequence[int],
-    condition: JoinCondition,
-    collect: bool = False,
-    store=None,
-) -> PipelineConfig:
-    """The lossless front end of every fixed-K bench.
-
-    K is pinned at ``k_ms`` from the first tuple (``FixedKPolicy`` plus
-    ``initial_k_ms``), so with ``k_ms`` at least the dataset's maximum
-    delay every configuration of a bench must produce the same results;
-    Γ 0.95, P 15 s and L 1 s are inert under a fixed K.
-    """
-    return PipelineConfig(
-        window_sizes_ms=list(windows_ms),
-        condition=condition,
-        gamma=0.95,
-        period_ms=15_000,
-        interval_ms=1_000,
-        policy=FixedKPolicy(k_ms),
-        initial_k_ms=k_ms,
-        collect_results=collect,
-        store=store,
-    )
 
 
 # ----------------------------------------------------------------------

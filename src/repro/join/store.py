@@ -49,7 +49,6 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import (
-    Any,
     Callable,
     Dict,
     Iterable,

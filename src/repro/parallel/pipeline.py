@@ -300,11 +300,6 @@ class PartitionedPipeline:
     # ------------------------------------------------------------------
 
     @property
-    def exact_partitioning(self) -> bool:
-        """True when the condition admits an exact equi partition key."""
-        return self.router.exact
-
-    @property
     def flushed(self) -> bool:
         return self._flushed
 

@@ -17,14 +17,33 @@ Factories
 Both are deterministic under ``NexmarkConfig.seed`` (see
 :mod:`repro.streams.nexmark`).  The soak/differential harness lives in
 :mod:`repro.workloads.soak`.
+
+Engine toolkit
+--------------
+The tests, the benches, the soak and ``tools/distributed_smoke.py``
+share two helpers:
+
+* :func:`interleaved_dataset` — three seeded, disordered streams joined
+  on one attribute, uniform or Zipf-skewed keys;
+* :func:`fixed_k_config` — the lossless fixed-K front end: with K at
+  least the dataset's maximum delay, every engine variant must produce
+  the same results.
+
+:func:`repro.replay` drives an engine through a dataset, and
+:func:`repro.workloads.soak.canonical_results` is the routing-independent
+form the runs are compared in.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
-from typing import List, Optional
+from functools import partial
+from typing import List, Optional, Sequence
 
+from ..core.adaptation import FixedKPolicy
+from ..core.pipeline import PipelineConfig
 from ..core.tuples import seconds
 from ..join.conditions import JoinCondition
 from ..streams.nexmark import (
@@ -37,7 +56,8 @@ from ..streams.nexmark import (
     person_auction_bid_query,
     phase_boundaries_ms,
 )
-from ..streams.source import Dataset
+from ..streams.source import Dataset, from_tuple_specs
+from ..streams.zipf import ZipfValueSampler
 
 
 @dataclass(frozen=True)
@@ -165,10 +185,74 @@ def person_auction_bid_workload(
     )
 
 
+def interleaved_dataset(
+    name: str,
+    num_tuples: int,
+    gap_ms: int,
+    max_delay_ms: int,
+    domain: int,
+    seed: int,
+    zipf: Optional[float] = None,
+) -> Dataset:
+    """Three interleaved streams over one join attribute ``a1``.
+
+    Tuple ``i`` belongs to stream ``i % 3`` with ``ts = i * gap_ms``;
+    ~20% of arrivals are delayed by up to ``max_delay_ms``, and the
+    dataset is sorted by arrival.  Keys are uniform over
+    ``1..domain``, or Zipf(``zipf``)-skewed over it when ``zipf`` is
+    given — both drawn from the dataset's own seeded generator, so a
+    seed fixes the arrival sequence.
+    """
+    rng = random.Random(seed)
+    draw = (
+        partial(rng.randint, 1, domain)
+        if zipf is None
+        else ZipfValueSampler(list(range(1, domain + 1)), zipf, rng).sample
+    )
+    events = []
+    for i in range(num_tuples):
+        delay = 0 if rng.random() < 0.8 else rng.randint(1, max_delay_ms)
+        events.append((i % 3, i * gap_ms, delay, draw()))
+    order = sorted(
+        range(num_tuples), key=lambda i: (events[i][1] + events[i][2], i)
+    )
+    specs = [(events[i][0], events[i][1], {"a1": events[i][3]}) for i in order]
+    return from_tuple_specs(specs, num_streams=3, name=name)
+
+
+def fixed_k_config(
+    k_ms: int,
+    windows_ms: Sequence[int],
+    condition: JoinCondition,
+    collect: bool = False,
+    store=None,
+) -> PipelineConfig:
+    """The lossless front end of every fixed-K test, bench and soak run.
+
+    K is pinned at ``k_ms`` from the first tuple (``FixedKPolicy`` plus
+    ``initial_k_ms``), so with ``k_ms`` at least the dataset's maximum
+    delay every configuration of a run must produce the same results;
+    Γ 0.95, P 15 s and L 1 s are inert under a fixed K.
+    """
+    return PipelineConfig(
+        window_sizes_ms=list(windows_ms),
+        condition=condition,
+        gamma=0.95,
+        period_ms=15_000,
+        interval_ms=1_000,
+        policy=FixedKPolicy(k_ms),
+        initial_k_ms=k_ms,
+        collect_results=collect,
+        store=store,
+    )
+
+
 __all__ = [
     "Workload",
     "WorkloadCaps",
     "auction_bids_workload",
+    "fixed_k_config",
+    "interleaved_dataset",
     "person_auction_bid_workload",
     "NexmarkConfig",
 ]

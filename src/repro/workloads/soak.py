@@ -64,7 +64,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.adaptation import FixedKPolicy
 from ..core.kslack import KSlackBuffer
 from ..core.pipeline import PipelineConfig
 from ..core.tuples import JoinResult, StreamTuple
@@ -76,7 +75,13 @@ from ..parallel.pipeline import PartitionedPipeline
 from ..parallel.shard import TRANSPORT_BLOCKS
 from ..parallel.supervision import SupervisionConfig
 from ..quality.truth import compute_truth
-from . import Workload, WorkloadCaps, NexmarkConfig, auction_bids_workload
+from . import (
+    NexmarkConfig,
+    Workload,
+    WorkloadCaps,
+    auction_bids_workload,
+    fixed_k_config,
+)
 
 #: The six invariant check identifiers.
 CHECK_SUBSET = "subset"
@@ -568,23 +573,6 @@ class SoakHarness:
         self.driver_factory = driver_factory or default_driver
 
     # ------------------------------------------------------------------
-    # setup helpers
-    # ------------------------------------------------------------------
-
-    def _pipeline_config(self, k_ms: int) -> PipelineConfig:
-        """A fresh lossless config per variant (policies are per-pipeline)."""
-        return PipelineConfig(
-            window_sizes_ms=list(self.workload.window_sizes_ms),
-            condition=self.workload.condition,
-            gamma=self.config.recall_requirement,
-            period_ms=max(self.config.phase_duration_ms, 1_000),
-            interval_ms=1_000,
-            policy=FixedKPolicy(k_ms),
-            initial_k_ms=k_ms,
-            collect_results=True,
-        )
-
-    # ------------------------------------------------------------------
     # the run
     # ------------------------------------------------------------------
 
@@ -631,8 +619,15 @@ class SoakHarness:
 
         arrivals = list(dataset.arrivals())
         arrival_keys = [t.arrival for t in arrivals]
+        # A fresh config per variant: policies are per-pipeline.
         drivers = [
-            self.driver_factory(spec, self._pipeline_config(k_ms), config)
+            self.driver_factory(
+                spec,
+                fixed_k_config(
+                    k_ms, workload.window_sizes_ms, workload.condition, True
+                ),
+                config,
+            )
             for spec in specs
         ]
         collected: Dict[str, List[JoinResult]] = {

@@ -20,6 +20,7 @@ from repro import (
     StreamTuple,
     equi_join_chain,
     make_d3_syn,
+    replay,
     seconds,
 )
 from repro.core.adaptation import build_recall_model
@@ -550,9 +551,7 @@ class TestKTrajectoryPinned:
                 collect_results=False,
             )
         )
-        for t in dataset.arrivals():
-            pipeline.process(t)
-        pipeline.flush()
+        replay(pipeline, dataset.arrivals())
         k_history, results_produced, search_steps = _PINNED_TRAJECTORIES[selectivity, b, g]
         assert pipeline.metrics.k_history == k_history
         assert pipeline.metrics.results_produced == results_produced

@@ -16,7 +16,6 @@ import pytest
 from repro import (
     BandPredicate,
     EquiPredicate,
-    FixedKPolicy,
     JoinCondition,
     MaxKSlackPolicy,
     MSWJOperator,
@@ -30,6 +29,7 @@ from repro import (
     run_partitioned,
     seconds,
 )
+from repro.workloads import fixed_k_config
 
 CONDITION = equi_join_chain("a1", 3)
 
@@ -50,21 +50,19 @@ def _config(
 ):
     """Fixed-K by default; ``adaptive=True`` leaves ``policy=None`` so the
     pipeline runs the paper's ModelBasedPolicy adaptation loop."""
-    k = dataset.max_delay()
-    if adaptive:
-        policy, initial_k = None, 0
-    elif policy is None:
-        policy, initial_k = FixedKPolicy(k), k
-    else:
-        initial_k = 0
+    windows = [seconds(2)] * 3
+    if policy is None and not adaptive:
+        return fixed_k_config(
+            dataset.max_delay(), windows, CONDITION, collect, store
+        )
     return PipelineConfig(
-        window_sizes_ms=[seconds(2)] * 3,
+        window_sizes_ms=windows,
         condition=CONDITION,
         gamma=gamma,
         period_ms=seconds(10),
         interval_ms=seconds(1),
-        policy=policy,
-        initial_k_ms=initial_k,
+        policy=None if adaptive else policy,
+        initial_k_ms=0,
         collect_results=collect,
         store=store,
     )
@@ -401,15 +399,8 @@ class TestPartitionedBatched:
         specs = [(i % 2, 100 * i, {"a1": i % 5}) for i in range(80)]
         dataset = from_tuple_specs(specs, num_streams=2)
         condition = JoinCondition([BandPredicate(0, "a1", 1, "a1", 1.0)])
-        k = dataset.max_delay()
-        config = PipelineConfig(
-            window_sizes_ms=[seconds(2)] * 2,
-            condition=condition,
-            gamma=0.95,
-            period_ms=seconds(10),
-            interval_ms=seconds(1),
-            policy=FixedKPolicy(k),
-            initial_k_ms=k,
+        config = fixed_k_config(
+            dataset.max_delay(), [seconds(2)] * 2, condition, True
         )
         per_tuple, _ = run_partitioned(dataset, config, 3)
         batched, _ = run_partitioned(dataset, config, 3, chunk_size=16)

@@ -34,7 +34,6 @@ from repro import (
     BandPredicate,
     BlockDecoder,
     BlockEncoder,
-    FixedKPolicy,
     JoinCondition,
     JoinResult,
     PartitionedPipeline,
@@ -45,6 +44,7 @@ from repro import (
     equi_join_chain,
     from_tuple_specs,
     make_d3_syn,
+    replay,
     seconds,
 )
 from repro.core.blocks import ResultAccumulator, ResultBlock
@@ -58,6 +58,7 @@ from repro.parallel.shard import (
     checkpoint_shard_state,
     shard_worker,
 )
+from repro.workloads import fixed_k_config
 
 CONDITION = equi_join_chain("a1", 3)
 
@@ -308,19 +309,16 @@ def _dataset(duration_s=8, seed=31):
 
 
 def _config(dataset, collect=True, adaptive=False):
-    k = dataset.max_delay()
-    if adaptive:
-        policy, initial_k = None, 0
-    else:
-        policy, initial_k = FixedKPolicy(k), k
+    windows = [seconds(2)] * 3
+    if not adaptive:
+        return fixed_k_config(dataset.max_delay(), windows, CONDITION, collect)
     return PipelineConfig(
-        window_sizes_ms=[seconds(2)] * 3,
+        window_sizes_ms=windows,
         condition=CONDITION,
         gamma=0.9,
         period_ms=seconds(10),
         interval_ms=seconds(1),
-        policy=policy,
-        initial_k_ms=initial_k,
+        initial_k_ms=0,
         collect_results=collect,
     )
 
@@ -355,28 +353,10 @@ def _run(dataset, config, shards, executor="serial",
     pipeline = PartitionedPipeline(
         config, shards, executor=executor, batch_size=64, transport=transport
     )
-    collect = config.collect_results
-    outputs = [] if collect else 0
     with pipeline:
-        arrivals = list(dataset.arrivals())
-        if per_tuple:
-            for t in arrivals:
-                produced = pipeline.process(t)
-                outputs = outputs + produced if not collect else outputs
-                if collect:
-                    outputs.extend(produced)
-        else:
-            for chunk in _chunks(arrivals, chunk_size):
-                produced = pipeline.process_batch(chunk)
-                if collect:
-                    outputs.extend(produced)
-                else:
-                    outputs += produced
-        final = pipeline.flush()
-        if collect:
-            outputs.extend(final)
-        else:
-            outputs += final
+        outputs = replay(
+            pipeline, dataset.arrivals(), 1 if per_tuple else chunk_size
+        )
         return outputs, pipeline.metrics, pipeline.join_statistics()
 
 
@@ -452,15 +432,8 @@ class TestTransportInvariance:
         specs = [(i % 2, 100 * i, {"a1": i % 5}) for i in range(80)]
         dataset = from_tuple_specs(specs, num_streams=2)
         condition = JoinCondition([BandPredicate(0, "a1", 1, "a1", 1.0)])
-        k = dataset.max_delay()
-        config = PipelineConfig(
-            window_sizes_ms=[seconds(2)] * 2,
-            condition=condition,
-            gamma=0.95,
-            period_ms=seconds(10),
-            interval_ms=seconds(1),
-            policy=FixedKPolicy(k),
-            initial_k_ms=k,
+        config = fixed_k_config(
+            dataset.max_delay(), [seconds(2)] * 2, condition, True
         )
         serial, _, s_serial = _run(dataset, config, 3, executor="serial")
         blocks, _, s_blocks = _run(

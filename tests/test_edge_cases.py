@@ -15,6 +15,7 @@ from repro import (
     StreamTuple,
     Synchronizer,
     from_tuple_specs,
+    replay,
 )
 
 
@@ -42,10 +43,7 @@ class TestDegenerateInputs:
         ds = from_tuple_specs(
             [(0, ts, {"v": 1}) for ts in range(0, 3_000, 100)], num_streams=2
         )
-        total = []
-        for t in ds.arrivals():
-            total.extend(pipeline.process(t))
-        total.extend(pipeline.flush())
+        total = replay(pipeline, ds.arrivals())
         assert total == []
         assert pipeline.metrics.adaptations >= 2
 
@@ -54,10 +52,7 @@ class TestDegenerateInputs:
         ds = from_tuple_specs(
             [(i % 2, 500, {"v": 1}) for i in range(10)], num_streams=2
         )
-        results = []
-        for t in ds.arrivals():
-            results.extend(pipeline.process(t))
-        results.extend(pipeline.flush())
+        results = replay(pipeline, ds.arrivals())
         # 5 x 5 equal-ts tuples: every pair joins exactly once.
         assert len(results) == 25
 
@@ -66,10 +61,7 @@ class TestDegenerateInputs:
         ds = from_tuple_specs(
             [(0, 0, {"v": 1}), (1, 0, {"v": 1})], num_streams=2
         )
-        results = []
-        for t in ds.arrivals():
-            results.extend(pipeline.process(t))
-        results.extend(pipeline.flush())
+        results = replay(pipeline, ds.arrivals())
         assert len(results) == 1
 
     def test_extreme_delay_beyond_window(self):
@@ -83,9 +75,7 @@ class TestDegenerateInputs:
             ],
             num_streams=2,
         )
-        for t in ds.arrivals():
-            pipeline.process(t)
-        pipeline.flush()
+        replay(pipeline, ds.arrivals())
         assert pipeline.join.stats.tuples_dropped == 1
 
     def test_monotone_burst_then_silence(self):
@@ -97,9 +87,7 @@ class TestDegenerateInputs:
         ds = from_tuple_specs(
             [(i % 2, 100 + i, {"v": i % 3}) for i in range(50)], num_streams=2
         )
-        for t in ds.arrivals():
-            pipeline.process(t)
-        pipeline.flush()
+        replay(pipeline, ds.arrivals())
         assert pipeline.metrics.tuples_processed == 50
 
 
@@ -177,9 +165,7 @@ class TestAdaptationRobustness:
             [(0, 100, {"v": 1}), (1, 200, {"v": 1}), (0, 20_000, {"v": 1})],
             num_streams=2,
         )
-        for t in ds.arrivals():
-            pipeline.process(t)
-        pipeline.flush()
+        replay(pipeline, ds.arrivals())
         assert pipeline.metrics.adaptations >= 19
         assert pipeline.current_k_ms >= 0
 
@@ -196,9 +182,7 @@ class TestAdaptationRobustness:
             effective = ts - 700 if i % 5 == 4 else ts
             specs.append((i % 2, max(0, effective), {"v": 1}))
         ds = from_tuple_specs(specs, num_streams=2)
-        for t in ds.arrivals():
-            pipeline.process(t)
-        pipeline.flush()
+        replay(pipeline, ds.arrivals())
         ks = [k for _, k in pipeline.metrics.k_history]
         assert max(ks) >= 450
 
@@ -211,10 +195,7 @@ class TestFlushProtocol:
         ds = from_tuple_specs(
             [(i % 2, 100 * i, {"v": 1}) for i in range(20)], num_streams=2
         )
-        total = []
-        for t in ds.arrivals():
-            total.extend(pipeline.process(t))
-        total.extend(pipeline.flush())
+        total = replay(pipeline, ds.arrivals())
         produced = pipeline.metrics.results_produced
         assert pipeline.flushed
         assert pipeline.flush() == []
@@ -225,10 +206,7 @@ class TestFlushProtocol:
         ds = from_tuple_specs(
             [(i % 2, 100 * i, {"v": 1}) for i in range(20)], num_streams=2
         )
-        count = 0
-        for t in ds.arrivals():
-            count += pipeline.process(t)
-        count += pipeline.flush()
+        count = replay(pipeline, ds.arrivals())
         assert count > 0
         assert pipeline.flush() == 0
 

@@ -1,5 +1,6 @@
 """Unit tests for the synthetic dataset generators (repro.streams.generators)."""
 
+import hashlib
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from repro.streams.generators import (
     generate_dataset,
     generate_stream,
 )
+from repro.workloads import interleaved_dataset
 
 
 def _small_d3(**overrides):
@@ -188,3 +190,36 @@ class TestGenerateDataset:
         assert [t.get("a1") for t in two.stream_tuples(1)] == [
             t.get("a1") for t in three.stream_tuples(1)
         ]
+
+
+#: The engine tests' interleaved datasets, one per module that builds
+#: one, at that module's default arguments: ``(name, tuples, gap,
+#: max delay, domain, seed, zipf)`` and the digest of the arrival
+#: sequence.  The smoke runs the transport tests' parameters.
+INTERLEAVED_PINS = [
+    (("ingest-11", 900, 9, 300, 48, 11, 1.1), "207e1325320a030c"),
+    (("exec-5", 1_500, 12, 300, 48, 5, 1.2), "0d44cdb023a78061"),
+    (("zipf-1.2", 3_000, 15, 400, 64, 5, 1.2), "d123eb4830499134"),
+    (("shm-7", 900, 9, 300, 48, 7, 1.1), "f64346eec2d5e6bb"),
+    (("smoke-7", 900, 9, 300, 48, 7, 1.1), "f64346eec2d5e6bb"),
+    (("socket-7", 600, 9, 300, 48, 7, 1.1), "3947ffe407d7065e"),
+    (("sup-5", 1_200, 9, 300, 48, 5, 1.1), "8d1972bb9c509483"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, digest", INTERLEAVED_PINS, ids=[args[0] for args, _ in INTERLEAVED_PINS]
+)
+def test_interleaved_dataset_is_pinned(args, digest):
+    """Every byte of the arrival sequence: stream, timestamps, order, keys."""
+    name, *params, zipf = args
+    dataset = interleaved_dataset(name, *params, zipf=zipf)
+    h = hashlib.sha256()
+    for t in dataset.arrivals():
+        h.update(
+            repr(
+                (t.stream, t.ts, t.arrival, t.seq, sorted(t.values.items()))
+            ).encode()
+        )
+    assert dataset.name == name
+    assert h.hexdigest()[:16] == digest

@@ -12,7 +12,6 @@ reference; a stub-pipeline layer pins the concurrency contract itself
 without multiprocessing in the loop.
 """
 
-import random
 import threading
 import time
 
@@ -21,57 +20,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    FixedKPolicy,
     PartitionedPipeline,
-    PipelineConfig,
     PipelinedIngest,
     TRANSPORT_SHM,
-    ZipfValueSampler,
     equi_join_chain,
-    from_tuple_specs,
     run_partitioned,
     seconds,
 )
+from repro.workloads import fixed_k_config, interleaved_dataset
+from repro.workloads.soak import canonical_results
 
 # ---------------------------------------------------------------------------
 # shared workload
 # ---------------------------------------------------------------------------
 
 
-def _dataset(num_tuples=900, z=1.1, domain=48, seed=11, max_delay=300):
-    rng = random.Random(seed)
-    sampler = ZipfValueSampler(list(range(1, domain + 1)), z, rng)
-    events = []
-    for i in range(num_tuples):
-        delay = 0 if rng.random() < 0.8 else rng.randint(1, max_delay)
-        events.append((i % 3, i * 9, delay, sampler.sample()))
-    order = sorted(
-        range(num_tuples), key=lambda i: (events[i][1] + events[i][2], i)
-    )
-    specs = [(events[i][0], events[i][1], {"a1": events[i][3]}) for i in order]
-    return from_tuple_specs(specs, num_streams=3, name=f"ingest-{seed}")
-
-
 def _lossless_config(dataset):
-    k = dataset.max_delay()
-    return PipelineConfig(
-        window_sizes_ms=[seconds(1)] * 3,
-        condition=equi_join_chain("a1", 3),
-        gamma=0.95,
-        period_ms=seconds(10),
-        interval_ms=seconds(1),
-        policy=FixedKPolicy(k),
-        initial_k_ms=k,
+    return fixed_k_config(
+        dataset.max_delay(), [seconds(1)] * 3, equi_join_chain("a1", 3), True
     )
-
-
-def _canonical(results):
-    return sorted((r.ts, r.key()) for r in results)
 
 
 @pytest.fixture(scope="module")
 def dataset():
-    return _dataset()
+    return interleaved_dataset("ingest-11", 900, 9, 300, 48, 11, zipf=1.1)
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +52,7 @@ def reference(dataset):
         dataset, _lossless_config(dataset), 2, executor="serial",
         chunk_size=64,
     )
-    return _canonical(outputs)
+    return canonical_results(outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +75,7 @@ def test_pipelined_matches_synchronous(dataset, reference, kwargs):
         dataset, _lossless_config(dataset), 2, chunk_size=64,
         pipelined=True, **kwargs,
     )
-    assert _canonical(outputs) == reference
+    assert canonical_results(outputs) == reference
 
 
 def test_pipelined_identity_at_shard_counts(dataset, reference):
@@ -113,7 +85,7 @@ def test_pipelined_identity_at_shard_counts(dataset, reference):
             pipelined=True, executor="process", transport=TRANSPORT_SHM,
             credit_window=2,
         )
-        assert _canonical(outputs) == reference, f"shards={shards}"
+        assert canonical_results(outputs) == reference, f"shards={shards}"
 
 
 def test_single_slot_queue_and_credit_starvation(dataset, reference):
@@ -124,7 +96,7 @@ def test_single_slot_queue_and_credit_starvation(dataset, reference):
         pipelined=True, max_pending_batches=1,
         executor="process", transport=TRANSPORT_SHM, credit_window=1,
     )
-    assert _canonical(outputs) == reference
+    assert canonical_results(outputs) == reference
 
 
 def test_migration_barrier_during_feed(dataset, reference):
@@ -147,7 +119,7 @@ def test_migration_barrier_during_feed(dataset, reference):
                 feeder.submit(chunk)
             outputs = feeder.flush()
     assert pipeline.rebalances >= 1, "no migration happened; tune the test"
-    assert _canonical(outputs) == reference
+    assert canonical_results(outputs) == reference
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +137,7 @@ def test_migration_barrier_during_feed(dataset, reference):
 def test_op_sequences_preserve_identity(chunking, drains, pending):
     """Any submit-size schedule with drains sprinkled between submits
     yields the synchronous outputs (serial executor: cheap, exact)."""
-    dataset = _dataset(num_tuples=240, seed=13)
+    dataset = interleaved_dataset("ingest-13", 240, 9, 300, 48, 13, zipf=1.1)
     config = _lossless_config(dataset)
     ref, _ = run_partitioned(dataset, config, 2, executor="serial")
     pipeline = PartitionedPipeline(_lossless_config(dataset), 2)
@@ -183,7 +155,7 @@ def test_op_sequences_preserve_identity(chunking, drains, pending):
                     feeder.drain()
                 step += 1
             outputs = feeder.flush()
-    assert _canonical(outputs) == _canonical(ref)
+    assert canonical_results(outputs) == canonical_results(ref)
 
 
 # ---------------------------------------------------------------------------

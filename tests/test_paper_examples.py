@@ -18,6 +18,7 @@ from repro import (
     QualityDrivenPipeline,
     StreamTuple,
     from_tuple_specs,
+    replay,
 )
 
 
@@ -64,11 +65,7 @@ def _run_pipeline(dataset, policy, initial_k=0):
             initial_k_ms=initial_k,
         )
     )
-    results = []
-    for t in dataset.arrivals():
-        results.extend(pipeline.process(t))
-    results.extend(pipeline.flush())
-    return results
+    return replay(pipeline, dataset.arrivals())
 
 
 def _labels(results):

@@ -19,13 +19,11 @@ from repro import (
     EquiPredicate,
     FaultPlan,
     FaultSpec,
-    FixedKPolicy,
     JoinCondition,
     JoinResult,
     KeyRouter,
     NexmarkConfig,
     PartitionedPipeline,
-    PipelineConfig,
     PipelineMetrics,
     ProcessExecutor,
     QualityDrivenPipeline,
@@ -39,6 +37,7 @@ from repro import (
     from_tuple_specs,
     make_auction_bids,
     make_d3_syn,
+    replay,
     run_partitioned,
     seconds,
     star_equi_join,
@@ -46,6 +45,7 @@ from repro import (
 from repro.faults import KIND_CRASH_BEFORE_BATCH
 from repro.parallel.pipeline import canonical_order
 from repro.parallel.router import stable_hash
+from repro.workloads import fixed_k_config
 
 
 def _d3(duration_s=15, seed=11):
@@ -56,26 +56,13 @@ def _d3(duration_s=15, seed=11):
 
 def _lossless_config(dataset, condition, num_streams, collect=True):
     """Fixed K >= realized max delay: disorder handling drops nothing."""
-    k = dataset.max_delay()
-    return PipelineConfig(
-        window_sizes_ms=[seconds(2)] * num_streams,
-        condition=condition,
-        gamma=0.95,
-        period_ms=seconds(10),
-        interval_ms=seconds(1),
-        policy=FixedKPolicy(k),
-        initial_k_ms=k,
-        collect_results=collect,
+    return fixed_k_config(
+        dataset.max_delay(), [seconds(2)] * num_streams, condition, collect
     )
 
 
 def _single_run(dataset, config):
-    pipeline = QualityDrivenPipeline(config)
-    results = []
-    for t in dataset.arrivals():
-        results.extend(pipeline.process(t))
-    results.extend(pipeline.flush())
-    return results
+    return replay(QualityDrivenPipeline(config), dataset.arrivals())
 
 
 def _multiset(results):

@@ -14,6 +14,7 @@ from repro import (
     QualityDrivenPipeline,
     StreamTuple,
     from_tuple_specs,
+    replay,
 )
 
 
@@ -34,11 +35,7 @@ def _equi_config(**overrides):
 def _run(pipeline, specs):
     """Feed (stream, ts, values) specs in arrival order; return all results."""
     ds = from_tuple_specs(specs, num_streams=pipeline.num_streams)
-    results = []
-    for t in ds.arrivals():
-        results.extend(pipeline.process(t))
-    results.extend(pipeline.flush())
-    return results
+    return replay(pipeline, ds.arrivals())
 
 
 class TestConfigValidation:
@@ -130,13 +127,10 @@ class TestEndToEndJoin:
         pipeline = QualityDrivenPipeline(
             _equi_config(collect_results=False, policy=NoKSlackPolicy())
         )
-        total = 0
         ds = from_tuple_specs(
             [(0, 100, {"v": 1}), (1, 150, {"v": 1})], num_streams=2
         )
-        for t in ds.arrivals():
-            total += pipeline.process(t)
-        total += pipeline.flush()
+        total = replay(pipeline, ds.arrivals())
         assert total == 1
         assert pipeline.metrics.results_produced == 1
 
@@ -186,9 +180,7 @@ class TestAdaptationScheduling:
             pipeline.process(first)
             assert pipeline.metrics.adaptations == 0
             assert pipeline.metrics.k_history == [(0, 1_024)]
-            for t in rest:
-                pipeline.process(t)
-            pipeline.flush()
+            replay(pipeline, rest)
             assert boundaries == [shift + b for b in range(1_000, 6_000, 1_000)]
             return pipeline.metrics
 

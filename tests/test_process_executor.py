@@ -16,8 +16,6 @@ Three contracts of the executor collapse (ISSUE 14):
   keeps refusing when it is.
 """
 
-import random
-
 import pytest
 
 import repro.parallel.executors as executors_module
@@ -26,44 +24,20 @@ from repro import (
     TRANSPORT_SHM,
     FaultPlan,
     FaultSpec,
-    FixedKPolicy,
     PartitionedPipeline,
-    PipelineConfig,
     ProcessExecutor,
     SupervisionConfig,
-    ZipfValueSampler,
     equi_join_chain,
-    from_tuple_specs,
     seconds,
 )
 from repro.faults import KIND_CRASH_AFTER_BATCH
-
-
-def _dataset(num_tuples=1_500, z=1.2, domain=48, seed=5, max_delay=300):
-    """Three interleaved streams with a Zipf join key and bounded delays."""
-    rng = random.Random(seed)
-    sampler = ZipfValueSampler(list(range(1, domain + 1)), z, rng)
-    events = []
-    for i in range(num_tuples):
-        delay = 0 if rng.random() < 0.8 else rng.randint(1, max_delay)
-        events.append((i % 3, i * 12, delay, sampler.sample()))
-    order = sorted(
-        range(num_tuples), key=lambda i: (events[i][1] + events[i][2], i)
-    )
-    specs = [(events[i][0], events[i][1], {"a1": events[i][3]}) for i in order]
-    return from_tuple_specs(specs, num_streams=3, name=f"exec-{seed}")
+from repro.workloads import fixed_k_config, interleaved_dataset
+from repro.workloads.soak import canonical_results
 
 
 def _config(dataset):
-    k = dataset.max_delay()
-    return PipelineConfig(
-        window_sizes_ms=[seconds(1)] * 3,
-        condition=equi_join_chain("a1", 3),
-        gamma=0.95,
-        period_ms=seconds(10),
-        interval_ms=seconds(1),
-        policy=FixedKPolicy(k),
-        initial_k_ms=k,
+    return fixed_k_config(
+        dataset.max_delay(), [seconds(1)] * 3, equi_join_chain("a1", 3), True
     )
 
 
@@ -81,7 +55,7 @@ def _drive(dataset, shards, grow_at=None, shrink_at=None, **kwargs):
             out.extend(pipeline.process(t))
         out.extend(pipeline.flush())
         stats = pipeline.join_statistics()
-    return sorted((r.ts, r.key()) for r in out), stats, pipeline
+    return canonical_results(out), stats, pipeline
 
 
 ALL_OFF = SupervisionConfig(
@@ -92,7 +66,8 @@ CRASH = FaultPlan((FaultSpec(0, KIND_CRASH_AFTER_BATCH, at=3),))
 
 @pytest.fixture(scope="module")
 def dataset():
-    return _dataset()
+    """Three interleaved streams with a Zipf join key and bounded delays."""
+    return interleaved_dataset("exec-5", 1_500, 12, 300, 48, 5, zipf=1.2)
 
 
 @pytest.fixture(scope="module")

@@ -38,45 +38,28 @@ from repro import (
     ZipfValueSampler,
     equi_join_chain,
     from_tuple_specs,
+    replay,
     run_partitioned,
     seconds,
 )
 from repro.core.blocks import decode_state, encode_state
 from repro.parallel.router import stable_hash
 from repro.parallel.shard import slot_classifier
+from repro.workloads import fixed_k_config, interleaved_dataset
+from repro.workloads.soak import canonical_results
 
 
 def skewed_dataset(num_tuples=3_000, z=1.2, domain=64, seed=5, max_delay=400):
     """Three interleaved streams whose join key is Zipf(z)-distributed."""
-    rng = random.Random(seed)
-    sampler = ZipfValueSampler(list(range(1, domain + 1)), z, rng)
-    events = []
-    for i in range(num_tuples):
-        delay = 0 if rng.random() < 0.8 else rng.randint(1, max_delay)
-        events.append((i % 3, i * 15, delay, sampler.sample()))
-    order = sorted(
-        range(num_tuples), key=lambda i: (events[i][1] + events[i][2], i)
+    return interleaved_dataset(
+        f"zipf-{z}", num_tuples, 15, max_delay, domain, seed, zipf=z
     )
-    specs = [(events[i][0], events[i][1], {"a1": events[i][3]}) for i in order]
-    return from_tuple_specs(specs, num_streams=3, name=f"zipf-{z}")
 
 
 def _lossless_config(dataset, collect=True):
-    k = dataset.max_delay()
-    return PipelineConfig(
-        window_sizes_ms=[seconds(1)] * 3,
-        condition=equi_join_chain("a1", 3),
-        gamma=0.95,
-        period_ms=seconds(10),
-        interval_ms=seconds(1),
-        policy=FixedKPolicy(k),
-        initial_k_ms=k,
-        collect_results=collect,
+    return fixed_k_config(
+        dataset.max_delay(), [seconds(1)] * 3, equi_join_chain("a1", 3), collect
     )
-
-
-def _canonical(results):
-    return [(r.ts, r.key()) for r in sorted(results, key=lambda r: (r.ts, r.key()))]
 
 
 def _drive(dataset, config, shards, rebalance, **kwargs):
@@ -84,14 +67,11 @@ def _drive(dataset, config, shards, rebalance, **kwargs):
     pipeline = PartitionedPipeline(
         config, shards, rebalance=rebalance, **kwargs
     )
-    outputs = []
     with pipeline:
-        for t in dataset.arrivals():
-            outputs.extend(pipeline.process(t))
-        outputs.extend(pipeline.flush())
+        outputs = replay(pipeline, dataset.arrivals())
         stats = pipeline.join_statistics()
         metrics = pipeline.metrics
-    return _canonical(outputs), stats, metrics, pipeline
+    return canonical_results(outputs), stats, metrics, pipeline
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +149,7 @@ class TestRebalancingTransparency:
             rebalance=True,
             rebalance_interval=512,
         )
-        assert _canonical(outputs) == per_tuple
+        assert canonical_results(outputs) == per_tuple
 
     def test_count_only_mode_counts_match(self):
         dataset = skewed_dataset(num_tuples=2_500)
@@ -271,9 +251,7 @@ class TestRebalancingTransparency:
             rebalance=True, rebalance_interval=64,
         )
         with pipeline:
-            for t in dataset.arrivals():
-                pipeline.process(t)
-            pipeline.flush()
+            replay(pipeline, dataset.arrivals())
         assert pipeline.rebalances > 0
 
     def test_executor_submitted_counters_track_routing(self):
@@ -282,9 +260,7 @@ class TestRebalancingTransparency:
             _lossless_config(dataset, collect=False), 3
         )
         with pipeline:
-            for t in dataset.arrivals():
-                pipeline.process(t)
-            pipeline.flush()
+            replay(pipeline, dataset.arrivals())
         # Exact routing: executor-side per-shard submissions mirror the
         # router's shard-load counters and account for every tuple.
         assert pipeline.executor.submitted == pipeline.router.shard_loads
@@ -301,9 +277,7 @@ class TestRebalancingTransparency:
         broadcast_dataset = from_tuple_specs(specs, num_streams=2)
         pipeline = PartitionedPipeline(config, 3)
         with pipeline:
-            for t in broadcast_dataset.arrivals():
-                pipeline.process(t)
-            pipeline.flush()
+            replay(pipeline, broadcast_dataset.arrivals())
         assert pipeline.executor.submitted == [90, 90, 90]
 
     def test_adaptive_routing_reduces_imbalance_under_skew(self):

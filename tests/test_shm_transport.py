@@ -14,7 +14,6 @@ path.
 """
 
 import os
-import random
 import threading
 
 import pytest
@@ -22,14 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import (
-    FixedKPolicy,
-    PipelineConfig,
     TRANSPORT_BLOCKS,
     TRANSPORT_SHM,
     TieredStoreConfig,
-    ZipfValueSampler,
     equi_join_chain,
-    from_tuple_specs,
     run_partitioned,
     seconds,
 )
@@ -40,6 +35,8 @@ from repro.parallel.shm import (
     RingTimeout,
     ShmRing,
 )
+from repro.workloads import fixed_k_config, interleaved_dataset
+from repro.workloads.soak import canonical_results
 
 # ---------------------------------------------------------------------------
 # leak guard: every test must retire its segments on every path
@@ -213,42 +210,16 @@ def test_spsc_stream_is_lossless_across_wraparound(payloads):
 # ---------------------------------------------------------------------------
 
 
-def _dataset(num_tuples=900, z=1.1, domain=48, seed=7, max_delay=300):
-    rng = random.Random(seed)
-    sampler = ZipfValueSampler(list(range(1, domain + 1)), z, rng)
-    events = []
-    for i in range(num_tuples):
-        delay = 0 if rng.random() < 0.8 else rng.randint(1, max_delay)
-        events.append((i % 3, i * 9, delay, sampler.sample()))
-    order = sorted(
-        range(num_tuples), key=lambda i: (events[i][1] + events[i][2], i)
-    )
-    specs = [(events[i][0], events[i][1], {"a1": events[i][3]}) for i in order]
-    return from_tuple_specs(specs, num_streams=3, name=f"shm-{seed}")
-
-
 def _lossless_config(dataset, store=None):
-    k = dataset.max_delay()
-    kwargs = {} if store is None else {"store": store}
-    return PipelineConfig(
-        window_sizes_ms=[seconds(1)] * 3,
-        condition=equi_join_chain("a1", 3),
-        gamma=0.95,
-        period_ms=seconds(10),
-        interval_ms=seconds(1),
-        policy=FixedKPolicy(k),
-        initial_k_ms=k,
-        **kwargs,
+    return fixed_k_config(
+        dataset.max_delay(), [seconds(1)] * 3, equi_join_chain("a1", 3), True,
+        store,
     )
-
-
-def _canonical(results):
-    return sorted((r.ts, r.key()) for r in results)
 
 
 @pytest.fixture(scope="module")
 def dataset():
-    return _dataset()
+    return interleaved_dataset("shm-7", 900, 9, 300, 48, 7, zipf=1.1)
 
 
 @pytest.fixture(scope="module")
@@ -264,7 +235,7 @@ def pipe_reference(dataset):
                 dataset, config, 2, executor="process",
                 transport=TRANSPORT_BLOCKS, chunk_size=64,
             )
-            cache[key] = _canonical(outputs)
+            cache[key] = canonical_results(outputs)
         return cache[key]
 
     return _get
@@ -284,7 +255,7 @@ def test_shm_matches_pipe_across_shards_and_stores(
         dataset, _lossless_config(dataset, _store(store)), shards,
         executor="process", transport=TRANSPORT_SHM, chunk_size=64,
     )
-    assert _canonical(outputs) == ref
+    assert canonical_results(outputs) == ref
 
 
 def test_shm_identity_survives_rebalancing(dataset, pipe_reference):
@@ -294,7 +265,7 @@ def test_shm_identity_survives_rebalancing(dataset, pipe_reference):
         rebalance=True, rebalance_interval=256, slots_per_shard=4,
         rebalance_threshold=1.05,
     )
-    assert _canonical(outputs) == pipe_reference(None)
+    assert canonical_results(outputs) == pipe_reference(None)
 
 
 def test_shm_identity_with_credit_window(dataset, pipe_reference):
@@ -303,7 +274,7 @@ def test_shm_identity_with_credit_window(dataset, pipe_reference):
         executor="process", transport=TRANSPORT_SHM, chunk_size=64,
         credit_window=1,
     )
-    assert _canonical(outputs) == pipe_reference(None)
+    assert canonical_results(outputs) == pipe_reference(None)
 
 
 def test_oversized_frames_fall_back_to_the_pipe(dataset, pipe_reference):
@@ -314,4 +285,4 @@ def test_oversized_frames_fall_back_to_the_pipe(dataset, pipe_reference):
         executor="process", transport=TRANSPORT_SHM, chunk_size=64,
         ring_bytes=MIN_RING_BYTES,
     )
-    assert _canonical(outputs) == pipe_reference(None)
+    assert canonical_results(outputs) == pipe_reference(None)

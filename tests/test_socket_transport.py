@@ -16,18 +16,13 @@ check holds the in-process tree of binary joins, with streams closing
 mid-stream, to the socket runtime's result over the same tuples.
 """
 
-import random
 import socket
 
 import pytest
 
 from repro import (
-    FixedKPolicy,
-    PipelineConfig,
     TieredStoreConfig,
-    ZipfValueSampler,
     equi_join_chain,
-    from_tuple_specs,
     seconds,
 )
 from repro.distributed import (
@@ -46,6 +41,7 @@ from repro.faults import (
 )
 from repro.parallel import PartitionedPipeline, SupervisionConfig
 from repro.streams.source import Dataset
+from repro.workloads import fixed_k_config, interleaved_dataset
 
 # ---------------------------------------------------------------------------
 # SocketConnection unit tests
@@ -240,31 +236,15 @@ def test_connect_worker_raises_when_no_node_accepts():
 
 
 def _dataset(num_tuples=600, z=1.1, domain=48, seed=7, max_delay=300):
-    rng = random.Random(seed)
-    sampler = ZipfValueSampler(list(range(1, domain + 1)), z, rng)
-    events = []
-    for i in range(num_tuples):
-        delay = 0 if rng.random() < 0.8 else rng.randint(1, max_delay)
-        events.append((i % 3, i * 9, delay, sampler.sample()))
-    order = sorted(
-        range(num_tuples), key=lambda i: (events[i][1] + events[i][2], i)
+    return interleaved_dataset(
+        f"socket-{seed}", num_tuples, 9, max_delay, domain, seed, zipf=z
     )
-    specs = [(events[i][0], events[i][1], {"a1": events[i][3]}) for i in order]
-    return from_tuple_specs(specs, num_streams=3, name=f"socket-{seed}")
 
 
 def _lossless_config(dataset, store=None):
-    k = dataset.max_delay()
-    kwargs = {} if store is None else {"store": store}
-    return PipelineConfig(
-        window_sizes_ms=[seconds(1)] * 3,
-        condition=equi_join_chain("a1", 3),
-        gamma=0.95,
-        period_ms=seconds(10),
-        interval_ms=seconds(1),
-        policy=FixedKPolicy(k),
-        initial_k_ms=k,
-        **kwargs,
+    return fixed_k_config(
+        dataset.max_delay(), [seconds(1)] * 3, equi_join_chain("a1", 3), True,
+        store,
     )
 
 

@@ -12,7 +12,6 @@ over to survivors, and the process executor with supervision not armed
 surfacing dead workers as typed errors in ``submit``/``finish``/``close``.
 """
 
-import random
 import time
 from dataclasses import replace
 
@@ -21,23 +20,19 @@ import pytest
 from repro import (
     FaultPlan,
     FaultSpec,
-    FixedKPolicy,
     PartitionedPipeline,
-    PipelineConfig,
     ProcessExecutor,
     ShardFailure,
     SupervisionConfig,
     TRANSPORT_BLOCKS,
     TRANSPORT_SHM,
     TieredStoreConfig,
-    ZipfValueSampler,
     chaos_plan,
     equi_join_chain,
-    from_tuple_specs,
+    replay,
     seconds,
 )
 from repro.core.blocks import ColdSegment, decode_state, unframe_checkpoint
-from repro.core.pipeline import empty_outputs, merge_outputs
 from repro.faults import (
     FAULT_KINDS,
     KIND_CORRUPT_CHECKPOINT,
@@ -55,44 +50,19 @@ from repro.parallel.shard import (
     FailoverState,
     checkpoint_shard_state,
 )
+from repro.workloads import fixed_k_config, interleaved_dataset
+from repro.workloads.soak import canonical_results
 
 # ---------------------------------------------------------------------------
 # shared workload: small, skewed, disordered, lossless-recoverable
 # ---------------------------------------------------------------------------
 
 
-def _dataset(num_tuples=1_200, z=1.1, domain=48, seed=5, max_delay=300):
-    """Three interleaved streams with a Zipf join key and bounded delays."""
-    rng = random.Random(seed)
-    sampler = ZipfValueSampler(list(range(1, domain + 1)), z, rng)
-    events = []
-    for i in range(num_tuples):
-        delay = 0 if rng.random() < 0.8 else rng.randint(1, max_delay)
-        events.append((i % 3, i * 9, delay, sampler.sample()))
-    order = sorted(
-        range(num_tuples), key=lambda i: (events[i][1] + events[i][2], i)
-    )
-    specs = [(events[i][0], events[i][1], {"a1": events[i][3]}) for i in order]
-    return from_tuple_specs(specs, num_streams=3, name=f"sup-{seed}")
-
-
 def _lossless_config(dataset, store=None):
-    k = dataset.max_delay()
-    kwargs = {} if store is None else {"store": store}
-    return PipelineConfig(
-        window_sizes_ms=[seconds(1)] * 3,
-        condition=equi_join_chain("a1", 3),
-        gamma=0.95,
-        period_ms=seconds(10),
-        interval_ms=seconds(1),
-        policy=FixedKPolicy(k),
-        initial_k_ms=k,
-        **kwargs,
+    return fixed_k_config(
+        dataset.max_delay(), [seconds(1)] * 3, equi_join_chain("a1", 3), True,
+        store,
     )
-
-
-def _canonical(results):
-    return sorted((r.ts, r.key()) for r in results)
 
 
 def _drive(dataset, config, shards, **kwargs):
@@ -102,14 +72,12 @@ def _drive(dataset, config, shards, **kwargs):
     *count* in place of the canonical sequence.
     """
     pipeline = PartitionedPipeline(config, shards, **kwargs)
-    collect = config.collect_results
-    outputs = empty_outputs(collect)
     with pipeline:
-        for t in dataset.arrivals():
-            outputs = merge_outputs(collect, outputs, pipeline.process(t))
-        outputs = merge_outputs(collect, outputs, pipeline.flush())
+        outputs = replay(pipeline, dataset.arrivals())
         stats = pipeline.join_statistics()
-    return (_canonical(outputs) if collect else outputs), stats, pipeline
+    if config.collect_results:
+        outputs = canonical_results(outputs)
+    return outputs, stats, pipeline
 
 
 SUP = SupervisionConfig(
@@ -123,7 +91,8 @@ SUP = SupervisionConfig(
 
 @pytest.fixture(scope="module")
 def dataset():
-    return _dataset()
+    """Three interleaved streams with a Zipf join key and bounded delays."""
+    return interleaved_dataset("sup-5", 1_200, 9, 300, 48, 5, zipf=1.1)
 
 
 @pytest.fixture(scope="module")
@@ -316,9 +285,7 @@ def test_hang_without_recovery_raises_within_timeout(dataset):
     started = time.perf_counter()
     with pipeline:
         with pytest.raises(ShardFailure, match="shard 0") as excinfo:
-            for t in dataset.arrivals():
-                pipeline.process(t)
-            pipeline.flush()
+            replay(pipeline, dataset.arrivals())
     elapsed = time.perf_counter() - started
     assert excinfo.value.shard == 0
     assert "unresponsive" in str(excinfo.value)
@@ -340,9 +307,7 @@ def test_crash_without_recovery_raises_typed_failure(dataset):
     )
     with pipeline:
         with pytest.raises(ShardFailure, match="shard 0"):
-            for t in dataset.arrivals():
-                pipeline.process(t)
-            pipeline.flush()
+            replay(pipeline, dataset.arrivals())
 
 
 # ---------------------------------------------------------------------------
@@ -452,18 +417,8 @@ def _wide_k_config(dataset, store=None, collect=True):
     when the budget exhausts (the bounded-K degraded case is covered by
     ``test_budget_exhaustion_failover_degrades_gracefully``).
     """
-    k = 20_000
-    kwargs = {} if store is None else {"store": store}
-    return PipelineConfig(
-        window_sizes_ms=[seconds(1)] * 3,
-        condition=equi_join_chain("a1", 3),
-        gamma=0.95,
-        period_ms=seconds(10),
-        interval_ms=seconds(1),
-        policy=FixedKPolicy(k),
-        initial_k_ms=k,
-        collect_results=collect,
-        **kwargs,
+    return fixed_k_config(
+        20_000, [seconds(1)] * 3, equi_join_chain("a1", 3), collect, store
     )
 
 
@@ -629,9 +584,7 @@ def test_budget_exhaustion_single_shard_is_terminal(dataset):
     )
     with pipeline:
         with pytest.raises(ShardFailure, match="respawn budget exhausted"):
-            for t in dataset.arrivals():
-                pipeline.process(t)
-            pipeline.flush()
+            replay(pipeline, dataset.arrivals())
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +623,7 @@ def test_dead_worker_surfaces_in_submit(dataset):
         with pytest.raises(ShardFailure, match="shard 0"):
             # Keep dispatching until the OS reports the peer gone; the
             # typed error must surface from the feed path, not hang.
-            for t in dataset.arrivals():
-                pipeline.process(t)
-            pipeline.flush()
+            replay(pipeline, dataset.arrivals())
 
 
 def test_close_unwinds_past_dead_worker(dataset):

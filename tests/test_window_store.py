@@ -35,7 +35,6 @@ from hypothesis import strategies as st
 
 from repro import (
     EquiPredicate,
-    FixedKPolicy,
     InMemoryStore,
     JoinCondition,
     PartitionedPipeline,
@@ -46,6 +45,7 @@ from repro import (
     TieredStore,
     TieredStoreConfig,
     make_store,
+    replay,
     seconds,
 )
 from repro.core.blocks import (
@@ -56,6 +56,7 @@ from repro.core.blocks import (
     segment_column,
     thaw_segment,
 )
+from repro.workloads import fixed_k_config
 
 ATTRS = ("v",)
 DOMAIN = 5
@@ -398,32 +399,25 @@ CONDITION = JoinCondition([EquiPredicate(0, "k", 1, "k")])
 
 def run_pipeline(store, shards=1, executor="serial", rebalance=False,
                  tuples=3000):
-    config = PipelineConfig(
-        window_sizes_ms=[seconds(3), seconds(3)],
-        condition=CONDITION,
-        policy=FixedKPolicy(300),
-        initial_k_ms=300,
-        collect_results=True,
-        store=store,
-    )
+    config = fixed_k_config(300, [seconds(3), seconds(3)], CONDITION, True, store)
     kwargs = {}
     if rebalance:
         kwargs = dict(rebalance=True, rebalance_interval=400)
     rng = random.Random(11)
+    arrivals = (
+        StreamTuple(
+            ts=i * 2,
+            values={"k": rng.randrange(17)},
+            stream=i % 2,
+            seq=i // 2,
+            arrival=i * 2,
+        )
+        for i in range(tuples)
+    )
     with PartitionedPipeline(
         config, shards, executor=executor, batch_size=64, **kwargs
     ) as pipeline:
-        out = []
-        for i in range(tuples):
-            t = StreamTuple(
-                ts=i * 2,
-                values={"k": rng.randrange(17)},
-                stream=i % 2,
-                seq=i // 2,
-                arrival=i * 2,
-            )
-            out.extend(pipeline.process(t))
-        out.extend(pipeline.flush())
+        out = replay(pipeline, arrivals)
         stats = pipeline.join_statistics()
         metrics = pipeline.metrics
     return (
@@ -477,15 +471,9 @@ class TestPipelineByteIdentity:
 
     def test_serial_pipeline_process_equivalence(self, baseline):
         """The plain (non-partitioned) pipeline honors config.store too."""
-        config = PipelineConfig(
-            window_sizes_ms=[seconds(3), seconds(3)],
-            condition=CONDITION,
-            policy=FixedKPolicy(300),
-            initial_k_ms=300,
-            collect_results=True,
-            store=TIERED,
+        pipeline = QualityDrivenPipeline(
+            fixed_k_config(300, [seconds(3), seconds(3)], CONDITION, True, TIERED)
         )
-        pipeline = QualityDrivenPipeline(config)
         rng = random.Random(11)
         out = []
         for i in range(3000):

@@ -4,7 +4,9 @@
 Boots two localhost :class:`~repro.distributed.runtime.NodeServer`
 processes and drives the socket-distributed executor through the two
 scenarios CI cares about, checking each differentially against the
-single-machine pipe executor on the same seeded workload:
+single-machine pipe executor on the same seeded workload — the
+transport tests' own :func:`~repro.workloads.interleaved_dataset`
+and lossless :func:`~repro.workloads.fixed_k_config`:
 
 1. **elastic node join** — a third NodeServer is started mid-stream,
    registered via ``executor.add_node``, and ``pipeline.grow`` migrates
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import random
 import sys
 import time
 
@@ -38,17 +39,11 @@ if _SRC not in sys.path:
     except ImportError:
         sys.path.insert(0, _SRC)
 
-from repro import (  # noqa: E402
-    FixedKPolicy,
-    PipelineConfig,
-    ZipfValueSampler,
-    equi_join_chain,
-    from_tuple_specs,
-    seconds,
-)
+from repro import equi_join_chain, seconds  # noqa: E402
 from repro.distributed import NodeServer  # noqa: E402
 from repro.faults import FaultPlan, FaultSpec, KIND_SOCKET_DROP  # noqa: E402
 from repro.parallel import PartitionedPipeline, SupervisionConfig  # noqa: E402
+from repro.workloads import fixed_k_config, interleaved_dataset  # noqa: E402
 
 BATCH_SIZE = 16  # fault plans are batch-indexed; small batches make them fire
 
@@ -59,34 +54,6 @@ SUPERVISION = SupervisionConfig(
     max_respawns=4,
     backoff_base_s=0.01,
 )
-
-
-def build_dataset(num_tuples: int, seed: int):
-    """Seeded 3-stream disordered workload (same shape as the tests)."""
-    rng = random.Random(seed)
-    sampler = ZipfValueSampler(list(range(1, 49)), 1.1, rng)
-    events = []
-    for i in range(num_tuples):
-        delay = 0 if rng.random() < 0.8 else rng.randint(1, 300)
-        events.append((i % 3, i * 9, delay, sampler.sample()))
-    order = sorted(
-        range(num_tuples), key=lambda i: (events[i][1] + events[i][2], i)
-    )
-    specs = [(events[i][0], events[i][1], {"a1": events[i][3]}) for i in order]
-    return from_tuple_specs(specs, num_streams=3, name=f"smoke-{seed}")
-
-
-def build_config(dataset) -> PipelineConfig:
-    k = dataset.max_delay()
-    return PipelineConfig(
-        window_sizes_ms=[seconds(1)] * 3,
-        condition=equi_join_chain("a1", 3),
-        gamma=0.95,
-        period_ms=seconds(10),
-        interval_ms=seconds(1),
-        policy=FixedKPolicy(k),
-        initial_k_ms=k,
-    )
 
 
 def drive(dataset, config, shards, grow_at=None, grow_node=None, **kwargs):
@@ -166,8 +133,13 @@ def main(argv=None) -> int:
                         help="tuple index of the elastic grow (default: 300)")
     args = parser.parse_args(argv)
 
-    dataset = build_dataset(args.tuples, args.seed)
-    config = build_config(dataset)
+    # The transport tests' workload: their generator, their parameters.
+    dataset = interleaved_dataset(
+        f"smoke-{args.seed}", args.tuples, 9, 300, 48, args.seed, zipf=1.1
+    )
+    config = fixed_k_config(
+        dataset.max_delay(), [seconds(1)] * 3, equi_join_chain("a1", 3), True
+    )
     started = time.perf_counter()
     spawned = [NodeServer.spawn() for _ in range(2)]
     nodes = [address for _, address in spawned]
