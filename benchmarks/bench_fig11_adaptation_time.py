@@ -11,15 +11,18 @@ zero: a step costs one model evaluation per grid point up to k*.
 Expected shape here: the scan starts where a monotone upper bound of γ
 first reaches the requirement (``RecallModel.first_sufficient_k``,
 ``ratio_cap``), so a step pays ~log2(MaxDH / g) bisected evaluations plus
-the few grid points between the bound's crossing and k* — the "model
+what it cannot skip between the bound's crossing and k* — the "model
 evaluations / step" column, against the "grid points / step" the scan
-from zero paid.  What still grows as g shrinks is the per-step table
-build (each stream's cdf and stride-prefix rows, O(MaxDH / g) at C
-speed), so the time keeps falling with g, by far less than the paper's
-factor ~10 per decade; the Γ-dependence is gone except where the learned
-selectivity ratio stays below its cap past the bound's crossing (the long
-scans left: NonEqSel at high Γ).  For g >= 10 ms a step stays well under
-a millisecond.
+from zero paid.  Past the crossing, every grid point whose own learned
+ratio times a rate already known further up the grid (a bisection probe,
+or a look-ahead probe paid for by earlier skips) stays under Γ′ is
+skipped unevaluated, so where NonEqSel's ratio sits below its cap the
+scan no longer walks point by point to k*.  What still grows as g
+shrinks is the per-step table build (each stream's cdf and stride-prefix
+rows, O(MaxDH / g) at C speed), so the time keeps falling with g, by far
+less than the paper's factor ~10 per decade, and what is left of the
+Γ-dependence is a few dozen candidates at most.  For g >= 10 ms a step
+stays well under a millisecond.
 
 Absolute numbers here are Python, not the paper's C++ engine — the shape
 is the target.  (In the paper and in this implementation the buffer-size
@@ -97,9 +100,8 @@ def test_fig11_adaptation_time(benchmark):
             times = [o.average_adaptation_ms for o in subset]
             assert times[-1] <= times[0] + 0.5, (label, gamma, times)
     # Coarse-granularity adaptation stays in the low-millisecond range
-    # (worst cell measured: 0.7 ms, D2real-sim at g = 10 — 3.4 ms while the
-    # scan started at zero — on a busy 2-core box; docs/BENCHMARKS.md has
-    # the whole table).
+    # (worst cell measured: 0.4 ms, D2real-sim at g = 10, on a busy
+    # 2-core box; docs/BENCHMARKS.md has the whole table).
     for o in outcomes:
         if o.granularity_ms >= 10:
             assert o.average_adaptation_ms < 10.0, (

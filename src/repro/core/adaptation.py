@@ -154,7 +154,8 @@ class ModelBasedPolicy(BufferSizePolicy):
         #: Exposed after each decide() call, for diagnostics and tests.
         self.last_instant_requirement: float = 0.0
         #: Grid points Alg. 3 decided (the index of k* plus one) and model
-        #: evaluations it paid for them (bisected + scanned).
+        #: evaluations it paid for them (bisection and look-ahead probes +
+        #: the points ``gamma`` evaluated).
         self.last_search_steps: int = 0
         self.last_model_evaluations: int = 0
         self.last_undamped_k: int = 0

@@ -37,9 +37,11 @@ what depends on K.
 ``adaptation.py`` both go through it.  The scan itself starts where a
 monotone upper bound of γ first reaches the requirement — found in
 O(log(MaxDH / g)) candidates — whenever the selectivity strategy declares
-a cap on its ratio; which K it returns does not change.  The split is an
-implementation matter only: the values equal the direct evaluation of
-Eqs. 2–5, which the test suite checks against a brute-force reference.
+a cap on its ratio, and it skips every later candidate that a rate known
+further up the grid already rules out; which K it returns does not
+change.  The split is an implementation matter only: the values equal
+the direct evaluation of Eqs. 2–5, which the test suite checks against a
+brute-force reference.
 """
 
 from __future__ import annotations
@@ -387,31 +389,71 @@ class RecallModel:
           a grid point or two early.  A guard ``>= 1``, a NaN anywhere, a
           cap that is ``None`` or not finite, ``true_rate <= 0`` or
           ``requirement <= 0`` rule nothing out: the scan starts at zero.
+        * *A known rate ahead rules out the points under it.*  Every
+          bisection probe that reached the threshold — index u, rate
+          ``rate_u`` — is a ceiling for the grid points i <= u: with the
+          point's own ratio in place of the cap, ``ratio_i · rate_u`` bounds
+          ``ratio_i · rate_i`` within the same ε (u >= i) and the same guard
+          covers it, so ``ratio_i · rate_u / true_rate < requirement ·
+          (1 − guard)`` implies γ(i) < requirement (a negative ratio clamps
+          γ to 0; a NaN never compares below).  The scan skips such a point
+          unevaluated, using the smallest ceiling at or above it, and at u
+          itself reuses ``rate_u`` through the operations of :meth:`gamma`
+          — ``max(0, min(1, ratio · rate_u / true_rate))`` — so it accepts
+          the same float the scan from zero does.  The bisection's ceilings
+          are nested and free; past the last one the scan probes 2, 4, 8, …
+          grid points ahead (at most to ``max_k_ms // g``) for a new one.
+        * *The credit rule.*  A look-ahead probe is paid only with a skip
+          already made: one probe per grid point skipped so far.  So
+          :attr:`last_evaluations` — bisection probes, look-ahead probes
+          and the points :meth:`gamma` evaluated — never exceeds what the
+          bisection plus one evaluation per scanned point would pay.
         """
-        g, gamma = self.g, self.gamma
-        start = bisected = 0
+        g, true_rate = self.g, self._true_rate
+        start = paid = credit = 0
+        ceilings: List[Tuple[int, float]] = []
         if (
             ratio_cap is not None and isfinite(ratio_cap)
-            and self._true_rate > 0.0 and requirement > 0.0
+            and true_rate > 0.0 and requirement > 0.0
         ):
             threshold = requirement * (1.0 - self._guard)
             stop = max_k_ms // g + 1
             while start < stop:
                 middle = (start + stop) // 2
-                bisected += 1
+                paid += 1
                 rate = self.produced_result_rate(middle * g)
-                if ratio_cap * rate / self._true_rate < threshold:
+                if ratio_cap * rate / true_rate < threshold:
                     start = middle + 1
                 else:
                     stop = middle
-        k_star = start * g
-        steps = start
+                    ceilings.append((middle, rate))
+        k_star, steps, ahead = start * g, start, 2
         while k_star <= max_k_ms:
+            ratio = sel_ratio_at(steps)  # steps is k_star's grid index here
+            while ceilings and ceilings[-1][0] < steps:
+                ceilings.pop()
+            if credit and not ceilings:  # look ahead, paid by a skip
+                probe = min(steps + ahead, max_k_ms // g)
+                ceilings.append((probe, self.produced_result_rate(probe * g)))
+                credit, ahead, paid = credit - 1, 2 * ahead, paid + 1
+            if not ceilings:
+                paid += 1
+                estimate = self.gamma(k_star, ratio)
+            else:
+                ceiling, rate = ceilings[-1]
+                estimate = ratio * rate / true_rate
+                if estimate < threshold:
+                    credit += 1  # ruled out unevaluated; threshold <= requirement
+                elif ceiling == steps:
+                    estimate = max(0.0, min(1.0, estimate))  # gamma's own operations
+                else:
+                    paid += 1
+                    estimate = self.gamma(k_star, ratio)
             steps += 1
-            if gamma(k_star, sel_ratio_at(k_star // g)) >= requirement:
+            if estimate >= requirement:
                 break
             k_star += g
-        self.last_evaluations = bisected + steps - start
+        self.last_evaluations = paid
         return k_star, steps
 
     def estimated_true_results(self, interval_ms: int, selectivity: float = 1.0) -> float:

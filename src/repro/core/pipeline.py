@@ -386,6 +386,15 @@ class PipelineMetrics:
         return sum(averages) / len(averages)
 
 
+#: ``(field, StoreMetrics attribute)`` of every sampled peak
+#: :class:`PipelineMetrics` declares, read off its fields once.
+_SAMPLED_PEAKS = [
+    (spec.name, spec.metadata["sampled"])
+    for spec in fields(PipelineMetrics)
+    if spec.metadata.get("sampled")
+]
+
+
 #: Invoked right before each adaptation step: (pipeline, app_time_ms).
 AdaptationCallback = Callable[["QualityDrivenPipeline", int], None]
 #: Invoked whenever results are produced: (result_ts_ms, count).
@@ -492,12 +501,9 @@ class QualityDrivenPipeline:
         fields :class:`PipelineMetrics` declares ``sampled``)."""
         metrics = self.metrics
         snapshots = self.store_metrics()
-        for spec in fields(metrics):
-            source = spec.metadata.get("sampled")
-            if source:
-                now = [getattr(snap, source) for snap in snapshots]
-                peaks = _max_each(getattr(metrics, spec.name), now)
-                setattr(metrics, spec.name, peaks)
+        for name, source in _SAMPLED_PEAKS:
+            now = [getattr(snap, source) for snap in snapshots]
+            setattr(metrics, name, _max_each(getattr(metrics, name), now))
 
     def account(self) -> PipelineMetrics:
         """Capture this run's accounting: the only way it leaves the

@@ -5,6 +5,7 @@ against a direct brute-force evaluation of the paper's equations.
 """
 
 import random
+from math import isfinite
 
 import pytest
 
@@ -249,6 +250,37 @@ def plain_scan(model, requirement, sel_ratio_at, max_k_ms):
     return k_ms, steps
 
 
+def bounded_scan_cost(model, requirement, sel_ratio_at, max_k_ms, cap):
+    """The bisect-then-scan that the ceiling skip replaced, verbatim:
+    bisect for the cap bound's crossing, then one ``gamma`` per grid point
+    from there.  Returns the model evaluations it paid — what
+    ``first_sufficient_k`` must never exceed."""
+    g, gamma = model.g, model.gamma
+    start = bisected = 0
+    if (
+        cap is not None and isfinite(cap)
+        and model._true_rate > 0.0 and requirement > 0.0
+    ):
+        threshold = requirement * (1.0 - model._guard)
+        stop = max_k_ms // g + 1
+        while start < stop:
+            middle = (start + stop) // 2
+            bisected += 1
+            rate = model.produced_result_rate(middle * g)
+            if cap * rate / model._true_rate < threshold:
+                start = middle + 1
+            else:
+                stop = middle
+    k_star = start * g
+    steps = start
+    while k_star <= max_k_ms:
+        steps += 1
+        if gamma(k_star, sel_ratio_at(k_star // g)) >= requirement:
+            break
+        k_star += g
+    return bisected + steps - start
+
+
 #: The model's three index paths: g | b, b | g, neither.
 INDEX_PATHS = [(10, 1), (10, 100), (30, 7)]
 
@@ -298,6 +330,19 @@ class TestBoundedScan:
         for index in range(0, 1_200, 7):
             self._check(model, rates[index] / model.true_result_rate(),
                         lambda coarse_k: 1.0, max_k_ms, 1.0)
+
+        # The same ties under a ratio that changes per grid point, so a
+        # ceiling's rate meets a different ratio at every point under it
+        # (an unguarded ceiling skip misses index 12 at b | g).
+        def ratio_at(coarse_k):
+            return 1.0 - (coarse_k % 3) / 8
+
+        for index in range(0, 1_200, 4):
+            requirement = ratio_at(index) * rates[index] / model.true_result_rate()
+            self._check(model, requirement, ratio_at, max_k_ms, 1.0)
+            assert model.last_evaluations <= bounded_scan_cost(
+                model, requirement, ratio_at, max_k_ms, 1.0
+            )
 
     def test_skips_what_the_bound_rules_out(self, b, g):
         model = RecallModel(_inputs(m=3, window=2_050, pdf=_LATE), b, g)

@@ -40,7 +40,7 @@ from repro import (
 from repro.streams.source import Dataset
 
 from .reference import reference_join, result_key_set
-from .test_model import brute_gamma, plain_scan
+from .test_model import bounded_scan_cost, brute_gamma, plain_scan
 
 # ----------------------------------------------------------------------
 # strategies
@@ -556,6 +556,16 @@ def scan_cases(draw):
     return inputs, b, g, ratios, requirement, max_k_ms
 
 
+@st.composite
+def per_point_scan_cases(draw):
+    """:func:`scan_cases` with one learned ratio per grid point (``max_k_ms
+    // g + 1`` of them), so the ratio changes under every ceiling."""
+    inputs, b, g, _, requirement, max_k_ms = draw(scan_cases())
+    points = max_k_ms // g + 1
+    ratios = draw(st.lists(st.floats(0.0, 1.5), min_size=points, max_size=points))
+    return inputs, b, g, ratios, requirement, max_k_ms
+
+
 class TestScanProperties:
     @given(scan_cases())
     @settings(max_examples=150, deadline=None)
@@ -601,6 +611,24 @@ class TestBoundedScanProperties:
         expected = plain_scan(model, requirement, sel_ratio_at, max_k_ms)
         assert model.first_sufficient_k(requirement, sel_ratio_at, max_k_ms, cap) == expected
         assert model.last_evaluations <= expected[1] + (max_k_ms // g + 1).bit_length()
+
+    @given(per_point_scan_cases(), st.sampled_from(["one", "max", "two"]))
+    @settings(max_examples=200, deadline=None)
+    def test_ceilings_keep_the_scan_and_never_outpay_it(self, case, cap_kind):
+        """With a ratio of its own at every grid point, skipping the points
+        a known rate rules out still returns the ``(k*, steps)`` of the scan
+        from zero, for no more model evaluations than bisect-then-scan."""
+        inputs, b, g, ratios, requirement, max_k_ms = case
+        cap = {"one": 1.0, "max": max(ratios), "two": 2.0}[cap_kind]
+        ratios = [min(ratio, cap) for ratio in ratios]
+        model = RecallModel(inputs, basic_window_ms=b, granularity_ms=g)
+        sel_ratio_at = ratios.__getitem__
+
+        expected = plain_scan(model, requirement, sel_ratio_at, max_k_ms)
+        assert model.first_sufficient_k(requirement, sel_ratio_at, max_k_ms, cap) == expected
+        assert model.last_evaluations <= bounded_scan_cost(
+            model, requirement, sel_ratio_at, max_k_ms, cap
+        )
 
 
 sparse_map = st.dictionaries(
