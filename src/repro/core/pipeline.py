@@ -338,16 +338,12 @@ class PipelineMetrics:
         # every shard opens with the same (0, initial_k) entry, while
         # equal later entries are real concurrent adaptation events that
         # consumers (e.g. K-change counts) must still see.
-        merged.k_history.sort(key=lambda entry: entry[0])
-        deduped: List[Tuple[int, int]] = []
-        seen_initial: set = set()
-        for entry in merged.k_history:
-            if entry[0] == 0:
-                if entry[1] in seen_initial:
-                    continue
-                seen_initial.add(entry[1])
-            deduped.append(entry)
-        merged.k_history = deduped
+        history = sorted(merged.k_history, key=lambda entry: entry[0])
+        merged.k_history = [
+            entry
+            for index, entry in enumerate(history)
+            if entry[0] != 0 or entry not in history[:index]
+        ]
         return merged
 
     def continued_by(self, later: "PipelineMetrics") -> "PipelineMetrics":
@@ -538,52 +534,72 @@ class QualityDrivenPipeline:
     ) -> Union[List[JoinResult], int]:
         """Feed a burst of raw tuples in arrival order; return all results.
 
-        The one drive path: every tuple, in turn, enters its K-slack
-        buffer, advances the statistics clock, may trigger a
-        continuous-policy K bump (Max-K-slack), and its releases go
-        through the Synchronizer and the join as one burst; interval
-        adaptation runs on application-time boundaries, mid-batch when
-        one falls there.  Feeding a stream in bursts of any size —
-        one tuple included — therefore gives the same result sequence.
+        The one drive path.  The burst is cut into *segments*, which end
+        only where the management plane reads state: where the
+        application-time clock (the running maximum timestamp) reaches
+        the next adaptation boundary, and where a continuous policy
+        (Max-K-slack) changes K.  Inside a segment every tuple, in turn,
+        enters its K-slack buffer and its releases pass the
+        Synchronizer; each tuple the Synchronizer emits is charged its
+        buffer wait against the clock of that moment.  At the segment's
+        end the Statistics Manager observes the segment's arrivals in
+        one pass, the join is fed its emitted tuples in one pass, and
+        the adaptation steps due run.  Feeding a stream in bursts of any
+        size — one tuple included — therefore gives the same result
+        sequence, metrics, statistics and K trajectory.
+
+        A burst is taken whole or not at all: a tuple whose stream index
+        is out of range raises ``ValueError`` before any tuple of the
+        burst changed state, and the pipeline carries on as if the burst
+        had never been fed.
         """
         if self._flushed:
             raise RuntimeError("pipeline already flushed; create a new instance")
-        collect = self.config.collect_results
-        outputs = empty_outputs(collect)
-        kslacks = self.kslacks
         num_streams = self.num_streams
-        observe_arrival = self.statistics.observe_arrival
+        for t in batch:
+            if not 0 <= t.stream < num_streams:
+                raise ValueError(
+                    f"tuple stream index {t.stream} outside [0, {num_streams})"
+                )
+        outputs = empty_outputs(self.config.collect_results)
+        if not batch:
+            return outputs
+        kslacks = self.kslacks
         on_arrival = self.policy.on_arrival
-        app_time = self.statistics.app_time
-        metrics = self.metrics
         interval_ms = self.config.interval_ms
-        if self._next_adaptation_ms is None and batch:
+        if self._next_adaptation_ms is None:
             # The adaptation clock starts at the stream's time, not at
             # application time 0: the first boundary is the first
             # multiple of L past the first tuple, so a stream opening at
             # ts T does not run T/L steps on empty statistics first.
             self._next_adaptation_ms = (batch[0].ts // interval_ms + 1) * interval_ms
-        for t in batch:
-            stream = t.stream
-            if not 0 <= stream < num_streams:
-                raise ValueError(
-                    f"tuple stream index {stream} outside [0, {num_streams})"
-                )
-            metrics.tuples_processed += 1
-            released = kslacks[stream].process(t)
-            observe_arrival(t)
-
-            immediate_k = on_arrival(t)
-            if immediate_k is not None and immediate_k != self._current_k:
-                released.extend(self._apply_k(immediate_k))
-
+        # max(local times): timestamps are >= 0 and local times start at 0.
+        clock = self.statistics.app_time()
+        start, emitted = 0, []
+        for end, t in enumerate(batch, 1):
+            if t.ts > clock:
+                clock = t.ts
+            released = kslacks[t.stream].process(t)
+            new_k = on_arrival(t)
+            k_changed = new_k is not None and new_k != self._current_k
+            if k_changed:
+                released.extend(self._apply_k(new_k, clock))
             if released:
-                outputs = self._merge(outputs, self._route_to_join(released))
-
-            while app_time() >= self._next_adaptation_ms:
-                boundary = self._next_adaptation_ms
-                self._next_adaptation_ms += interval_ms
-                outputs = self._merge(outputs, self._adapt(boundary))
+                synchronized = self.synchronizer.process_batch(released)
+                self._charge_wait(synchronized, clock)
+                emitted += synchronized
+            if k_changed or clock >= self._next_adaptation_ms or end == len(batch):
+                # The segment ends: observe its arrivals, join what it
+                # emitted, then run the adaptation steps now due.
+                self.metrics.tuples_processed += end - start
+                self.statistics.observe_batch(batch[start:end])
+                if emitted:
+                    outputs += self._join(emitted)
+                start, emitted = end, []
+                while clock >= self._next_adaptation_ms:
+                    boundary = self._next_adaptation_ms
+                    self._next_adaptation_ms += interval_ms
+                    outputs += self._adapt(boundary)
         return outputs
 
     def flush(self) -> Union[List[JoinResult], int]:
@@ -593,10 +609,9 @@ class QualityDrivenPipeline:
         self._flushed = True
         outputs = empty_outputs(self.config.collect_results)
         for stream, kslack in enumerate(self.kslacks):
-            outputs = self._merge(outputs, self._route_to_join(kslack.flush()))
-            emitted = self.synchronizer.close_stream(stream)
-            outputs = self._merge(outputs, self._feed_join(emitted))
-        outputs = self._merge(outputs, self._feed_join(self.synchronizer.flush()))
+            outputs += self._route_to_join(kslack.flush())
+            outputs += self._feed_join(self.synchronizer.close_stream(stream))
+        outputs += self._feed_join(self.synchronizer.flush())
         self._sample_state_metrics()
         self.account()  # leaves the exact fields of ``self.metrics`` final
         return outputs
@@ -667,14 +682,14 @@ class QualityDrivenPipeline:
         for kslack in self.kslacks:
             released = kslack.advance_clock(beacon_ts)
             if released:
-                outputs = self._merge(outputs, self._route_to_join(released))
+                outputs += self._route_to_join(released)
         drain_base = beacon_ts
         if drain_floor_ts is not None and drain_floor_ts < drain_base:
             drain_base = drain_floor_ts
         watermark = min(drain_base - kslack.k for kslack in self.kslacks)
         emitted = self.synchronizer.drain_below(watermark)
         if emitted:
-            outputs = self._merge(outputs, self._feed_join(emitted))
+            outputs += self._feed_join(emitted)
 
         window_groups: Dict[object, List[StateItem]] = {}
         pending_groups: Dict[object, List[StreamTuple]] = {}
@@ -756,13 +771,6 @@ class QualityDrivenPipeline:
     # internals
     # ------------------------------------------------------------------
 
-    def _merge(
-        self,
-        accumulated: Union[List[JoinResult], int],
-        new: Union[List[JoinResult], int],
-    ) -> Union[List[JoinResult], int]:
-        return merge_outputs(self.config.collect_results, accumulated, new)
-
     def _route_to_join(self, released: List[StreamTuple]) -> Union[List[JoinResult], int]:
         # One synchronizer burst + one join feed: identical to routing
         # tuple-by-tuple (the app-time clock cannot advance in between),
@@ -772,17 +780,13 @@ class QualityDrivenPipeline:
         return self._feed_join(self.synchronizer.process_batch(released))
 
     def _feed_join(self, emitted: List[StreamTuple]) -> Union[List[JoinResult], int]:
-        collect = self.config.collect_results
-        app_now = self.app_time_ms()
+        self._charge_wait(emitted, self.app_time_ms())
+        return self._join(emitted)
+
+    def _charge_wait(self, emitted: List[StreamTuple], app_now: int) -> None:
+        """Charge each stamped tuple leaving the buffers its wait until
+        application time ``app_now``."""
         metrics = self.metrics
-        join_process = self.join.process
-        record_produced = self.monitor.record_produced
-        on_results = self._on_results
-        if collect:
-            outputs: Union[List[JoinResult], int] = []
-            extend = outputs.extend
-        else:
-            outputs = 0
         for t in emitted:
             if t.arrival >= 0:
                 waited = app_now - t.arrival
@@ -791,6 +795,15 @@ class QualityDrivenPipeline:
                     if waited > metrics.latency_max_ms:
                         metrics.latency_max_ms = waited
                 metrics.latency_count += 1
+
+    def _join(self, emitted: List[StreamTuple]) -> Union[List[JoinResult], int]:
+        collect = self.config.collect_results
+        metrics = self.metrics
+        join_process = self.join.process
+        record_produced = self.monitor.record_produced
+        on_results = self._on_results
+        outputs = empty_outputs(collect)
+        for t in emitted:
             produced = join_process(t)
             count = len(produced) if collect else produced
             if count:
@@ -798,16 +811,14 @@ class QualityDrivenPipeline:
                 record_produced(t.ts, count)
                 if on_results is not None:
                     on_results(t.ts, count)
-            if collect:
-                extend(produced)
-            else:
-                outputs += produced
+            outputs += produced
         return outputs
 
-    def _apply_k(self, k_ms: int) -> List[StreamTuple]:
-        """Set K on all K-slack buffers (Same-K); collect early releases."""
+    def _apply_k(self, k_ms: int, app_now: int) -> List[StreamTuple]:
+        """Set K on all K-slack buffers (Same-K) at application time
+        ``app_now``; collect early releases."""
         self._current_k = k_ms
-        self.metrics.k_history.append((self.app_time_ms(), k_ms))
+        self.metrics.k_history.append((app_now, k_ms))
         released: List[StreamTuple] = []
         for kslack in self.kslacks:
             released.extend(kslack.set_k(k_ms))
@@ -838,7 +849,6 @@ class QualityDrivenPipeline:
         new_k = self.policy.decide(context)
         self.metrics.adaptation_seconds.append(time.perf_counter() - started)
         self.metrics.adaptations += 1
-        released: List[StreamTuple] = []
-        if new_k != self._current_k:
-            released = self._apply_k(new_k)
-        return self._route_to_join(released)
+        if new_k == self._current_k:
+            return empty_outputs(self.config.collect_results)
+        return self._route_to_join(self._apply_k(new_k, self.app_time_ms()))

@@ -33,7 +33,7 @@ therefore bit-identical to folding each tuple as it arrives.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import Deque, List, Optional
+from typing import Deque, Iterable, List, Optional
 
 from ..adwin.adwin import Adwin
 from .tuples import StreamTuple
@@ -110,11 +110,9 @@ class StreamStatistics:
             old = self._delays.popleft()
             self._arrivals.popleft()
             bucket = coarse_delay(old, self.granularity_ms)
-            remaining = self._bucket_counts.get(bucket, 0) - 1
-            if remaining <= 0:
-                self._bucket_counts.pop(bucket, None)
-            else:
-                self._bucket_counts[bucket] = remaining
+            self._bucket_counts[bucket] -= 1
+            if not self._bucket_counts[bucket]:
+                del self._bucket_counts[bucket]
         while len(self._ksyncs) > width:
             self._ksync_sum -= self._ksyncs.popleft()
 
@@ -173,10 +171,11 @@ class StreamStatistics:
 class StatisticsManager:
     """Aggregates per-stream statistics over the raw input streams.
 
-    The pipeline calls :meth:`observe_arrival` once per raw tuple, *after*
-    the stream's K-slack buffer updated the local time and attached the
-    delay annotation.  Local times are tracked here redundantly so the
-    manager can also be used standalone (e.g. in tests).
+    The pipeline calls :meth:`observe_batch` once per segment of raw
+    tuples (see :meth:`~repro.core.pipeline.QualityDrivenPipeline.process_batch`),
+    *after* their K-slack buffers updated the local times and attached
+    the delay annotations.  Local times are tracked here redundantly so
+    the manager can also be used standalone (e.g. in tests).
     """
 
     def __init__(
@@ -193,9 +192,8 @@ class StatisticsManager:
             StreamStatistics(granularity_ms, adwin_delta) for _ in range(num_streams)
         ]
         self._local_times = [0] * num_streams
-        self._seen = [False] * num_streams
-        #: Streams with no tuple yet; K_sync is sampled once this is 0.
-        self._unseen = num_streams
+        #: Streams with no tuple yet; K_sync is sampled once none is left.
+        self._unseen = set(range(num_streams))
 
     # ------------------------------------------------------------------
     # updates
@@ -203,23 +201,43 @@ class StatisticsManager:
 
     def observe_arrival(self, t: StreamTuple) -> None:
         """Record one raw-arrival tuple (with its delay annotation set)."""
-        i = t.stream
-        if not 0 <= i < self.num_streams:
-            raise ValueError(f"stream index {i} outside [0, {self.num_streams})")
-        if not self._seen[i] or t.ts > self._local_times[i]:
-            self._local_times[i] = t.ts
-            if not self._seen[i]:
-                self._seen[i] = True
-                self._unseen -= 1
-        ksync = None
-        if not self._unseen:
-            ksync = self._local_times[i] - min(self._local_times)
-        # An unstamped tuple (arrival -1, the constructor default) is clocked
-        # by its stream's local time: the application-time rate, the unit the
-        # windows of Eqs. 1 and 3 are measured in.  Without it every rate is
-        # 0, γ is 1 at every K and Alg. 3 silently pins K = 0.
-        arrival = t.arrival if t.arrival >= 0 else self._local_times[i]
-        self.streams[i].observe(t.delay, arrival, ksync)
+        self.observe_batch((t,))
+
+    def observe_batch(self, tuples: Iterable[StreamTuple]) -> None:
+        """Record raw-arrival tuples in arrival order, exactly as one
+        :meth:`observe_arrival` each (a tuple with a bad stream index
+        raises ``ValueError``, the tuples before it recorded).
+
+        Timestamps are >= 0 and local times start at 0, so local times
+        only grow: their minimum, which each K_sync sample needs, moves
+        only when the stream holding it advances, and is re-taken only
+        then.
+        """
+        local_times, unseen = self._local_times, self._unseen
+        low = None
+        for t in tuples:
+            i = t.stream
+            if not 0 <= i < self.num_streams:
+                raise ValueError(f"stream index {i} outside [0, {self.num_streams})")
+            if unseen:
+                unseen.discard(i)
+            now = local_times[i]
+            if t.ts > now:
+                if now == low:
+                    low = None
+                local_times[i] = now = t.ts
+            if low is None and not unseen:
+                low = min(local_times)
+            # An unstamped tuple (arrival -1, the constructor default) is
+            # clocked by its stream's local time: the application-time
+            # rate, the unit the windows of Eqs. 1 and 3 are measured in.
+            # Without it every rate is 0, γ is 1 at every K and Alg. 3
+            # silently pins K = 0.
+            self.streams[i].observe(
+                t.delay,
+                t.arrival if t.arrival >= 0 else now,
+                None if unseen else now - low,
+            )
 
     def fold(self) -> None:
         """Fold every stream's queued tuples in (each read does it too)."""

@@ -373,3 +373,42 @@ class ReferenceStreamStatistics:
     @property
     def adwin_detections(self) -> int:
         return self._adwin.detections
+
+
+class ReferenceStatisticsManager:
+    """Per-arrival Statistics Manager over :class:`ReferenceStreamStatistics`:
+    each tuple advances its stream's local time, then takes its K_sync
+    sample as ``iT - min_j jT`` over every local time, once every stream
+    has been seen (Proposition 1)."""
+
+    def __init__(self, num_streams: int, granularity_ms: int) -> None:
+        self.granularity_ms = granularity_ms
+        self.streams = [
+            ReferenceStreamStatistics(granularity_ms) for _ in range(num_streams)
+        ]
+        self._local_times = [0] * num_streams
+        self._seen = [False] * num_streams
+
+    def observe_arrival(self, t: StreamTuple) -> None:
+        i = t.stream
+        if not self._seen[i] or t.ts > self._local_times[i]:
+            self._local_times[i] = t.ts
+        self._seen[i] = True
+        ksync = None
+        if all(self._seen):
+            ksync = self._local_times[i] - min(self._local_times)
+        arrival = t.arrival if t.arrival >= 0 else self._local_times[i]
+        self.streams[i].observe(t.delay, arrival, ksync)
+
+    def delay_pdfs(self) -> List[List[float]]:
+        return [s.delay_pdf() for s in self.streams]
+
+    def ksync_estimates_ms(self) -> List[float]:
+        means = [s.mean_ksync() for s in self.streams]
+        return [mean - min(means) for mean in means]
+
+    def rates_per_ms(self) -> List[float]:
+        return [s.rate_per_ms() for s in self.streams]
+
+    def max_delay_ms(self) -> int:
+        return max(s.max_coarse_delay() for s in self.streams) * self.granularity_ms

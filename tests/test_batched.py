@@ -11,6 +11,8 @@ the same treatment: clearing it between tuples (forcing a rebuild every
 trigger, i.e. the pre-cache behaviour) must not change a single result.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import (
@@ -30,6 +32,8 @@ from repro import (
     seconds,
 )
 from repro.workloads import fixed_k_config
+
+from .policies import ScheduledKPolicy
 
 CONDITION = equi_join_chain("a1", 3)
 
@@ -296,6 +300,133 @@ class TestPipelineBatched:
         pipeline = QualityDrivenPipeline(_config(dataset))
         assert pipeline.process_batch([]) == []
         assert pipeline.metrics.tuples_processed == 0
+
+    @pytest.mark.parametrize("bad_stream", [3, -1])
+    def test_bad_stream_index_rejects_the_whole_batch(self, bad_stream):
+        dataset = _dataset(duration_s=4, seed=31)
+        arrivals = list(dataset.arrivals())
+        pipeline = QualityDrivenPipeline(_config(dataset))
+        results = pipeline.process_batch(arrivals[:50])
+
+        def state():
+            return (
+                pipeline.metrics.tuples_processed,
+                [kslack.buffered for kslack in pipeline.kslacks],
+                pipeline.synchronizer.buffered,
+                [s.tuples_observed for s in pipeline.statistics.streams],
+            )
+
+        before = state()
+        assert any(before[1])  # the K-slack buffers hold tuples
+        bad = StreamTuple(ts=arrivals[69].ts, values={"a1": 1}, stream=bad_stream)
+        with pytest.raises(ValueError, match="stream index"):
+            pipeline.process_batch(arrivals[50:70] + [bad])
+        assert state() == before
+        results += pipeline.process_batch(arrivals[50:])
+        results += pipeline.flush()
+        expected = replay(QualityDrivenPipeline(_config(dataset)), arrivals)
+        assert _sequence(results) == _sequence(expected)
+
+
+def _boundary_chunks(arrivals, interval_ms):
+    """Chunks that each end on the arrival whose timestamp reaches the
+    next adaptation boundary (the last chunk takes the rest)."""
+    chunks, start, clock = [], 0, 0
+    boundary = (arrivals[0].ts // interval_ms + 1) * interval_ms
+    for end, t in enumerate(arrivals, 1):
+        clock = max(clock, t.ts)
+        if clock >= boundary:
+            chunks.append(arrivals[start:end])
+            start = end
+            while boundary <= clock:
+                boundary += interval_ms
+    return chunks + [arrivals[start:]]
+
+
+#: Each policy a fresh config: FixedKPolicy (lossless K), Alg. 3, the
+#: per-arrival Max-K-slack, and a replayed schedule that grows, shrinks
+#: (releasing buffered tuples at once) down to 0, and grows again.
+POLICY_CONFIGS = {
+    "fixed": lambda d: _config(d),
+    "model-based": lambda d: _config(d, gamma=0.9, adaptive=True),
+    "max-k-slack": lambda d: _config(d, policy=MaxKSlackPolicy()),
+    "scheduled": lambda d: _config(
+        d,
+        policy=ScheduledKPolicy(
+            {0: 2_000, 2: 300, 3: 0, 5: 1_500, 6: 800, 8: 3_000}
+        ),
+    ),
+}
+
+
+class TestChunkInvarianceOracle:
+    """Per-tuple driving and every chunking agree on the result sequence,
+    the whole accounting record (wall-clock timings aside), the
+    ``on_results`` calls and what the recall model reads from the
+    Statistics Manager at each adaptation step."""
+
+    def _run(self, config, feed):
+        results_calls, reads = [], []
+
+        def on_adaptation(pipeline, ts):
+            s = pipeline.statistics
+            reads.append(
+                repr(
+                    (
+                        ts,
+                        s.delay_pdfs(),
+                        s.ksync_estimates_ms(),
+                        s.rates_per_ms(),
+                        s.max_delay_ms(),
+                    )
+                )
+            )
+
+        pipeline = QualityDrivenPipeline(
+            config,
+            on_adaptation=on_adaptation,
+            on_results=lambda ts, count: results_calls.append((ts, count)),
+        )
+        results = feed(pipeline)
+        account = dataclasses.asdict(pipeline.account())
+        del account["adaptation_seconds"]
+        return _sequence(results), account, results_calls, reads
+
+    @pytest.mark.parametrize("policy", list(POLICY_CONFIGS))
+    @pytest.mark.parametrize("chunking", ["1", "7", "16", "whole", "boundaries"])
+    def test_chunking_matches_per_tuple_drive(self, policy, chunking):
+        dataset = _dataset(seed=53)
+        arrivals = list(dataset.arrivals())
+        config = POLICY_CONFIGS[policy]
+
+        def per_tuple(pipeline):
+            results = []
+            for t in arrivals:
+                results += pipeline.process(t)
+            return results + pipeline.flush()
+
+        def chunked(pipeline):
+            if chunking != "boundaries":
+                size = len(arrivals) if chunking == "whole" else int(chunking)
+                return replay(pipeline, arrivals, size)
+            chunks = _boundary_chunks(arrivals, config(dataset).interval_ms)
+            assert len(chunks) >= 5
+            results = []
+            for chunk in chunks:
+                results += pipeline.process_batch(chunk)
+            return results + pipeline.flush()
+
+        expected = self._run(config(dataset), per_tuple)
+        got = self._run(config(dataset), chunked)
+        sequence, account, results_calls, reads = expected
+        assert sequence and results_calls  # the fixture joins
+        assert len(reads) >= 8  # the whole input crosses many boundaries
+        if policy != "fixed":
+            assert len(account["k_history"]) > 2  # K moves
+        assert got[0] == sequence
+        assert got[1] == account
+        assert got[2] == results_calls
+        assert got[3] == reads
 
 
 # ----------------------------------------------------------------------

@@ -3,12 +3,12 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import StatisticsManager, StreamStatistics, StreamTuple, coarse_delay
 
-from .reference import ReferenceStreamStatistics
+from .reference import ReferenceStatisticsManager, ReferenceStreamStatistics
 
 #: The six reads; each folds the queued tuples first.
 READS = (
@@ -229,3 +229,81 @@ class TestFoldAgainstPerSampleReference:
             assert repr(adwin._variance) == repr(ref_adwin._variance)
             assert adwin.detections == ref_adwin.detections
 
+
+def _manager_reads(manager):
+    """What the recall model reads, plus each stream's window length and
+    ADWIN detections; ``repr`` keeps every float bit."""
+    return repr(
+        (
+            manager.delay_pdfs(),
+            manager.ksync_estimates_ms(),
+            manager.rates_per_ms(),
+            manager.max_delay_ms(),
+            [s.window_length for s in manager.streams],
+            [s.adwin_detections for s in manager.streams],
+        )
+    )
+
+
+class TestObserveBatch:
+    """``observe_batch`` over any split of the arrivals reads as one
+    ``observe_arrival`` per tuple, and as the per-arrival reference that
+    takes ``min`` over every local time at each arrival."""
+
+    @given(
+        st.integers(1, 3),
+        st.integers(0, 2**16),
+        st.integers(1, 300),
+        st.integers(0, 200),
+        st.lists(st.integers(1, 70), min_size=1, max_size=8),
+        st.sampled_from([1, 10, 250]),
+    )
+    # One stream, batches of 20 and 30: they straddle ADWIN's fold points
+    # (every 32nd sample) at 32, 64 and 96.
+    @example(1, 0, 100, 0, [20, 30], 10)
+    @settings(max_examples=60, deadline=None)
+    def test_any_split_matches_per_tuple(
+        self, num_streams, seed, length, late, sizes, granularity
+    ):
+        rng = random.Random(seed)
+        tuples, clock, level = [], 0, 0
+        for index in range(length):
+            # The last stream stays silent for the first ``late`` arrivals.
+            streams = num_streams if index >= late or num_streams == 1 else num_streams - 1
+            clock += rng.randint(0, 30)
+            if index % 60 == 0:
+                level = rng.choice((0, 40, 900))
+            t = StreamTuple(
+                ts=max(0, clock - rng.choice((0, 0, 5, 80, 700))),
+                stream=rng.randrange(streams),
+                seq=index,
+                # A third of the arrivals carry no stamp (arrival -1).
+                arrival=-1 if rng.random() < 0.3 else clock,
+            )
+            t.delay = max(0, int(rng.gauss(level, 10)))
+            tuples.append(t)
+        batched = StatisticsManager(num_streams, granularity)
+        twin = StatisticsManager(num_streams, granularity)
+        reference = ReferenceStatisticsManager(num_streams, granularity)
+        fed, call = 0, 0
+        while fed < length:
+            batch = tuples[fed : fed + sizes[call % len(sizes)]]
+            fed, call = fed + len(batch), call + 1
+            batched.observe_batch(batch)
+            for t in batch:
+                twin.observe_arrival(t)
+                reference.observe_arrival(t)
+            reads = _manager_reads(batched)
+            assert reads == _manager_reads(twin) == _manager_reads(reference)
+            assert batched.app_time() == twin.app_time()
+            if len({t.stream for t in tuples[:fed]}) < num_streams:
+                # No K_sync sample until every stream has been seen.
+                assert batched.ksync_estimates_ms() == [0.0] * num_streams
+
+    def test_bad_stream_index_raises_after_the_tuples_before_it(self):
+        m = StatisticsManager(2, granularity_ms=10)
+        good = StreamTuple(ts=5, stream=1, seq=0)
+        with pytest.raises(ValueError):
+            m.observe_batch([good, StreamTuple(ts=6, stream=2, seq=1)])
+        assert m.local_time(1) == 5
+        assert [s.tuples_observed for s in m.streams] == [0, 1]
