@@ -53,9 +53,24 @@ class AdaptationContext:
 
 
 class BufferSizePolicy(ABC):
-    """Strategy object deciding the shared K-slack buffer size."""
+    """Strategy object deciding the shared K-slack buffer size.
+
+    ``reads_model_inputs`` declares whether :meth:`decide` reads the
+    recall model's inputs: the context's ``profile`` (the
+    Tuple-Productivity Profiler's snapshot), its ``monitor`` (the Eq. 7
+    Result-Size Monitor) and the Statistics Manager's reads.  The
+    default, ``True``, is the fed path: the pipeline records every joined
+    tuple's productivity and every produced result, snapshots the
+    profile at each step and hands it to :meth:`decide`.  A policy that
+    declares ``False`` promises to read none of them; the pipeline then
+    feeds neither the profiler nor the monitor and passes
+    ``profile=None`` (its ``statistics`` stay exact, since every read
+    folds first).  :meth:`on_arrival` is called per raw tuple only when a
+    subclass overrides it.
+    """
 
     name: str = "abstract"
+    reads_model_inputs: bool = True
 
     def on_arrival(self, t: StreamTuple) -> Optional[int]:
         """Hook called for every raw tuple (delay annotation set).
@@ -71,18 +86,26 @@ class BufferSizePolicy(ABC):
 
 
 class NoKSlackPolicy(BufferSizePolicy):
-    """Baseline: no intra-stream disorder handling (K = 0)."""
+    """Baseline: no intra-stream disorder handling (K = 0).
+
+    Reads no model input (``reads_model_inputs = False``).
+    """
 
     name = "No-K-slack"
+    reads_model_inputs = False
 
     def decide(self, context: AdaptationContext) -> int:
         return 0
 
 
 class FixedKPolicy(BufferSizePolicy):
-    """A constant, user-chosen K (latency-constrained disorder handling)."""
+    """A constant, user-chosen K (latency-constrained disorder handling).
+
+    Reads no model input (``reads_model_inputs = False``).
+    """
 
     name = "Fixed-K"
+    reads_model_inputs = False
 
     def __init__(self, k_ms: int) -> None:
         if k_ms < 0:
@@ -99,10 +122,12 @@ class MaxKSlackPolicy(BufferSizePolicy):
     Each increase is triggered by an out-of-order tuple whose delay
     exceeds the current K — that tuple itself is therefore *not* fully
     re-ordered, which is why Max-K-slack does not guarantee recall 1.0
-    (paper Sec. VI-A).
+    (paper Sec. VI-A).  It reads only the delay annotations that reach
+    :meth:`on_arrival`, no model input (``reads_model_inputs = False``).
     """
 
     name = "Max-K-slack"
+    reads_model_inputs = False
 
     def __init__(self) -> None:
         self._max_delay = 0

@@ -14,9 +14,11 @@ local current time across streams; boundaries are the multiples of ``L``
 past the first tuple's timestamp) an adaptation step runs: the profiler
 maps are snapshotted, the instant requirement is derived, the policy
 picks the next K, and all K-slack buffers are updated together (the
-Same-K policy).  An optional ``on_adaptation`` callback fires right
-before each step — the experiment harness uses it to take the paper's
-γ(P) measurements.
+Same-K policy).  The profiler and the Result-Size Monitor are fed only
+for a policy that reads them
+(:attr:`~repro.core.adaptation.BufferSizePolicy.reads_model_inputs`).
+An optional ``on_adaptation`` callback fires right before each step —
+the experiment harness uses it to take the paper's γ(P) measurements.
 
 Call :meth:`flush` after the last tuple to drain all buffers (finite
 datasets; the paper's streams are endless so Alg. 1/2 never flush).
@@ -452,14 +454,21 @@ class QualityDrivenPipeline:
             self.num_streams, config.granularity_ms, config.adwin_delta
         )
         self.monitor = ResultSizeMonitor(config.period_ms, config.interval_ms)
+        #: Whether the policy reads the profiler, the monitor and the
+        #: folded statistics; only then are the first two fed.
+        self._feeds_model = self.policy.reads_model_inputs
         self.join = MSWJOperator(
             config.window_sizes_ms,
             config.condition,
             probe_order=config.probe_order,
-            productivity_callback=self.profiler.record,
+            productivity_callback=self.profiler.record if self._feeds_model else None,
             collect_results=config.collect_results,
             store=config.store,
         )
+        # The per-arrival hook, bound only when the policy overrides it.
+        self._on_arrival = self.policy.on_arrival
+        if getattr(self._on_arrival, "__func__", None) is BufferSizePolicy.on_arrival:
+            self._on_arrival = None
         self.metrics = PipelineMetrics()
         self.metrics.k_history.append((0, config.initial_k_ms))
         self._current_k = config.initial_k_ms
@@ -565,7 +574,7 @@ class QualityDrivenPipeline:
         if not batch:
             return outputs
         kslacks = self.kslacks
-        on_arrival = self.policy.on_arrival
+        on_arrival = self._on_arrival
         interval_ms = self.config.interval_ms
         if self._next_adaptation_ms is None:
             # The adaptation clock starts at the stream's time, not at
@@ -580,7 +589,7 @@ class QualityDrivenPipeline:
             if t.ts > clock:
                 clock = t.ts
             released = kslacks[t.stream].process(t)
-            new_k = on_arrival(t)
+            new_k = on_arrival(t) if on_arrival is not None else None
             k_changed = new_k is not None and new_k != self._current_k
             if k_changed:
                 released.extend(self._apply_k(new_k, clock))
@@ -680,9 +689,7 @@ class QualityDrivenPipeline:
             raise RuntimeError("pipeline already flushed; create a new instance")
         outputs = empty_outputs(self.config.collect_results)
         for kslack in self.kslacks:
-            released = kslack.advance_clock(beacon_ts)
-            if released:
-                outputs += self._route_to_join(released)
+            outputs += self._route_to_join(kslack.advance_clock(beacon_ts))
         drain_base = beacon_ts
         if drain_floor_ts is not None and drain_floor_ts < drain_base:
             drain_base = drain_floor_ts
@@ -800,7 +807,7 @@ class QualityDrivenPipeline:
         collect = self.config.collect_results
         metrics = self.metrics
         join_process = self.join.process
-        record_produced = self.monitor.record_produced
+        record_produced = self.monitor.record_produced if self._feeds_model else None
         on_results = self._on_results
         outputs = empty_outputs(collect)
         for t in emitted:
@@ -808,7 +815,8 @@ class QualityDrivenPipeline:
             count = len(produced) if collect else produced
             if count:
                 metrics.results_produced += count
-                record_produced(t.ts, count)
+                if record_produced is not None:
+                    record_produced(t.ts, count)
                 if on_results is not None:
                     on_results(t.ts, count)
             outputs += produced
@@ -829,8 +837,13 @@ class QualityDrivenPipeline:
         if self._on_adaptation is not None:
             self._on_adaptation(self, boundary_ms)
         self._sample_state_metrics()
-        snapshot = self.profiler.snapshot_and_reset()
-        self.monitor.record_true_estimate(snapshot.true_result_estimate())
+        snapshot = self.profiler.snapshot_and_reset() if self._feeds_model else None
+        if snapshot is not None:
+            # Eq. 7 reads only the last P - L: drop what fell out of it.
+            self.monitor.advance_to(boundary_ms)
+            self.monitor.record_true_estimate(snapshot.true_result_estimate())
+            # Fold the queued arrivals first: the timer measures Alg. 3 only.
+            self.statistics.fold()
         context = AdaptationContext(
             statistics=self.statistics,
             profile=snapshot,
@@ -843,8 +856,6 @@ class QualityDrivenPipeline:
             now_ts=boundary_ms,
             current_k_ms=self._current_k,
         )
-        # Fold the queued arrivals first: the timer measures Alg. 3 only.
-        self.statistics.fold()
         started = time.perf_counter()
         new_k = self.policy.decide(context)
         self.metrics.adaptation_seconds.append(time.perf_counter() - started)

@@ -1,8 +1,11 @@
 """Unit and integration tests for the end-to-end pipeline (repro.core.pipeline)."""
 
+import dataclasses
+
 import pytest
 
 from repro import (
+    BufferSizePolicy,
     EquiPredicate,
     FixedKPolicy,
     JoinCondition,
@@ -13,9 +16,14 @@ from repro import (
     PipelineConfig,
     QualityDrivenPipeline,
     StreamTuple,
+    equi_join_chain,
     from_tuple_specs,
+    make_d3_syn,
     replay,
+    seconds,
 )
+
+from .policies import ScheduledKPolicy
 
 
 def _equi_config(**overrides):
@@ -262,3 +270,179 @@ class TestModelBasedEndToEnd:
         _run(pipeline, specs)
         ks = [k for _, k in pipeline.metrics.k_history]
         assert max(ks) > 0
+
+
+# ----------------------------------------------------------------------
+# who feeds the recall model's inputs (BufferSizePolicy.reads_model_inputs)
+# ----------------------------------------------------------------------
+
+
+def _d3(duration_s):
+    """Three disordered streams, 60 tuples per second of stream time."""
+    return make_d3_syn(duration_ms=seconds(duration_s), seed=53, inter_arrival_ms=50)
+
+
+def _chain_config(policy, collect=False, **overrides):
+    """P = 10 s, L = 1 s: the Eq. 7 horizon P - L is 9 s."""
+    kwargs = dict(
+        window_sizes_ms=[seconds(2)] * 3,
+        condition=equi_join_chain("a1", 3),
+        gamma=0.9,
+        period_ms=seconds(10),
+        interval_ms=seconds(1),
+        policy=policy,
+        collect_results=collect,
+    )
+    kwargs.update(overrides)
+    return PipelineConfig(**kwargs)
+
+
+def _fed_twin(policy_class):
+    """``policy_class`` declaring that it reads the model's inputs."""
+    return type(
+        f"Fed{policy_class.__name__}", (policy_class,), {"reads_model_inputs": True}
+    )
+
+
+#: Each non-reading policy class and how to build it (or its fed twin):
+#: a lossy pinned K, K = 0, K tracking the largest delay, and a replayed
+#: schedule that grows, shrinks to 0 and grows again.
+NON_READING = {
+    "fixed": (FixedKPolicy, lambda cls, d: cls(d.max_delay() // 2)),
+    "no-k-slack": (NoKSlackPolicy, lambda cls, d: cls()),
+    "max-k-slack": (MaxKSlackPolicy, lambda cls, d: cls()),
+    "scheduled": (
+        ScheduledKPolicy,
+        lambda cls, d: cls({0: 2_000, 2: 300, 3: 0, 5: 1_500, 8: 3_000}),
+    ),
+}
+
+
+def _statistics_reads(statistics):
+    """What CI's statistics pin reads, plus the window lengths and
+    ADWIN detections it prints."""
+    return (
+        statistics.delay_pdfs(),
+        statistics.ksync_estimates_ms(),
+        statistics.rates_per_ms(),
+        statistics.max_delay_ms(),
+        [s.window_length for s in statistics.streams],
+        [s.adwin_detections for s in statistics.streams],
+    )
+
+
+def _observed_replay(policy, dataset, collect, chunk_size):
+    """Replay ``dataset``; return the pipeline and everything it showed:
+    results, ``on_results`` calls, the K trajectory, ``account()`` (its
+    wall-clock ``adaptation_seconds`` by length) and the statistics reads
+    at every adaptation step and at the end."""
+    calls, reads = [], []
+    pipeline = QualityDrivenPipeline(
+        _chain_config(policy, collect),
+        on_adaptation=lambda p, ts: reads.append((ts, _statistics_reads(p.statistics))),
+        on_results=lambda ts, count: calls.append((ts, count)),
+    )
+    arrivals = list(dataset.arrivals())
+    results = replay(pipeline, arrivals, chunk_size or len(arrivals))
+    if collect:
+        results = [(r.ts, r.key()) for r in results]
+    account = dataclasses.asdict(pipeline.account())
+    account["adaptation_seconds"] = len(account["adaptation_seconds"])
+    reads.append(("end", _statistics_reads(pipeline.statistics)))
+    return pipeline, (results, calls, pipeline.metrics.k_history, account, reads)
+
+
+class TestModelInputFeeding:
+    @pytest.mark.parametrize("collect", [True, False], ids=["collect", "count"])
+    @pytest.mark.parametrize("policy", list(NON_READING))
+    def test_non_reading_policy_matches_its_fed_twin(self, policy, collect):
+        dataset = _d3(10)
+        policy_class, build = NON_READING[policy]
+        assert policy_class.reads_model_inputs is False
+        for chunk_size in (1, 16, None):  # per tuple, chunks, one batch
+            lean, seen = _observed_replay(
+                build(policy_class, dataset), dataset, collect, chunk_size
+            )
+            fed, fed_seen = _observed_replay(
+                build(_fed_twin(policy_class), dataset), dataset, collect, chunk_size
+            )
+            assert seen == fed_seen
+            results, calls, k_history, _account, reads = seen
+            assert results and calls and len(reads) >= 8
+            if policy != "no-k-slack":
+                assert len(k_history) >= 2  # K moves off its initial 0
+            # Only the fed twin fed the profiler and the monitor.
+            assert lean.profiler.in_order_recorded == 0
+            assert not lean.monitor._produced and lean.monitor.true_in_window() == 0
+            assert fed.profiler.in_order_recorded > 0
+            assert fed.monitor.true_in_window() > 0
+
+    @pytest.mark.parametrize(
+        "make_policy",
+        [lambda d: FixedKPolicy(d.max_delay()), lambda d: MaxKSlackPolicy()],
+        ids=["fixed", "max-k-slack"],
+    )
+    def test_non_reading_replay_leaves_the_monitor_empty(self, make_policy):
+        dataset = _d3(90)
+        arrivals = list(dataset.arrivals())
+        assert len(arrivals) >= 5_000
+        pipeline = QualityDrivenPipeline(_chain_config(make_policy(dataset)))
+        assert replay(pipeline, arrivals, 16) > 0
+        assert len(pipeline.monitor._produced) == 0
+
+    def test_model_based_monitor_holds_only_the_eq7_horizon(self):
+        held = []
+
+        class Probe(ModelBasedPolicy):
+            def decide(self, context):
+                entries = [ts for ts, _ in context.monitor._produced]
+                held.append((context.now_ts, entries))
+                return super().decide(context)
+
+        pipeline = QualityDrivenPipeline(_chain_config(Probe(NonEqSel())))
+        assert replay(pipeline, _d3(90).arrivals(), 16) > 0
+        horizon = seconds(10) - seconds(1)  # P - L
+        assert len(held) >= 80 and any(entries for _, entries in held)
+        for boundary, entries in held:
+            assert all(ts > boundary - horizon for ts in entries)
+
+    def test_user_policy_keeps_the_fed_path(self):
+        profiles = []
+
+        class Recording(BufferSizePolicy):
+            def decide(self, context):
+                profiles.append(context.profile)
+                return context.current_k_ms
+
+        dataset = _d3(10)
+        arrivals = list(dataset.arrivals())
+        # A lossless K and unsmoothed maps: every tuple joins in order,
+        # and each step's snapshot is exactly its interval's maps.
+        config = _chain_config(
+            Recording(), initial_k_ms=dataset.max_delay(), profiler_smoothing=0.0
+        )
+        pipeline = QualityDrivenPipeline(config)
+        produced = replay(pipeline, arrivals, 16)
+        assert Recording.reads_model_inputs is True
+        assert len(profiles) >= 8 and None not in profiles
+        stats = pipeline.join.stats
+        assert stats.tuples_in_order == len(arrivals)
+        assert pipeline.profiler.in_order_recorded == len(arrivals)
+        # M^on adds up each in-order tuple's results: over the step
+        # snapshots and the interval still open, it is every result.
+        remainder = pipeline.profiler.peek_snapshot()
+        assert sum(p.total_on for p in profiles) + remainder.total_on == produced > 0
+        monitor = pipeline.monitor
+        assert monitor.true_in_window() > 0 and monitor._produced
+
+    def test_an_overridden_arrival_hook_sees_every_tuple(self):
+        seen = []
+
+        class Watching(FixedKPolicy):
+            def on_arrival(self, t):
+                seen.append(t.seq)
+
+        dataset = _d3(10)
+        arrivals = list(dataset.arrivals())
+        replay(QualityDrivenPipeline(_chain_config(Watching(0))), arrivals, 16)
+        assert seen == [t.seq for t in arrivals]
