@@ -10,8 +10,9 @@ evaluated against:
   ``Γ'`` (Eq. 7), then search ``k* = 0, g, 2g, …`` until the model
   predicts ``γ(L, k*) >= Γ'`` or ``k*`` exceeds the maximum observed
   delay ``MaxDH``.  The selectivity strategy (EqSel / NonEqSel) supplies
-  ``sel(K)/sel`` per candidate, and the cap on it that lets the scan skip
-  the grid points a monotone bound of γ rules out.
+  ``sel(K)/sel`` per candidate, the cap on it that lets the scan skip
+  the grid points a monotone bound of γ rules out, and the grid points
+  where it may change, so a run of equal ratios is ruled out at once.
 * :class:`NoKSlackPolicy` — ``K = 0``: inter-stream synchronization only
   (paper Sec. VI baseline).
 * :class:`MaxKSlackPolicy` — ``K`` equals the maximum delay among
@@ -199,6 +200,7 @@ class ModelBasedPolicy(BufferSizePolicy):
             partial(self.selectivity.ratio, profile),
             max_dh,
             self.selectivity.ratio_cap,
+            self.selectivity.ratio_breaks(profile),
         )
         self.last_search_steps = steps
         self.last_model_evaluations = model.last_evaluations

@@ -38,10 +38,11 @@ what depends on K.
 monotone upper bound of γ first reaches the requirement — found in
 O(log(MaxDH / g)) candidates — whenever the selectivity strategy declares
 a cap on its ratio, and it skips every later candidate that a rate known
-further up the grid already rules out; which K it returns does not
-change.  The split is an implementation matter only: the values equal
-the direct evaluation of Eqs. 2–5, which the test suite checks against a
-brute-force reference.
+further up the grid already rules out — a whole run of candidates that
+share one selectivity ratio at a time, when the strategy says where its
+ratio may change; which K it returns does not change.  The split is an
+implementation matter only: the values equal the direct evaluation of
+Eqs. 2–5, which the test suite checks against a brute-force reference.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ class CumulativePdf:
     def __init__(self, pdf: Sequence[float]) -> None:
         if not pdf:
             raise ValueError("pdf must be non-empty")
-        self._cdf = cdf = list(accumulate(pdf, initial=0.0))[1:]
+        self._cdf = cdf = list(accumulate(pdf))
         # Clamp at 1: the sums never fall, so only a tail can round past it.
         cut = bisect_right(cdf, 1.0)
         cdf[cut:] = [1.0] * (len(cdf) - cut)
@@ -89,10 +90,8 @@ class CumulativePdf:
         ``row[o + n] - row[o]`` sums ``n`` strided terms from offset ``o``."""
         table = self._stride_tables.get(step)
         if table is None:
-            table = [
-                list(accumulate(self._cdf[residue::step], initial=0.0))
-                for residue in range(step)
-            ]
+            rows = [self._cdf] if step == 1 else [self._cdf[r::step] for r in range(step)]
+            table = [list(accumulate(row, initial=0.0)) for row in rows]
             self._stride_tables[step] = table
         return table
 
@@ -338,15 +337,19 @@ class RecallModel:
         sel_ratio_at: Callable[[int], float],
         max_k_ms: int,
         ratio_cap: Optional[float] = None,
+        breaks: Optional[Sequence[int]] = None,
     ) -> Tuple[int, int]:
         """Alg. 3's scan: the first ``k* = 0, g, 2g, …`` whose estimate
         ``γ(L, k*)`` clears ``requirement``, or the first grid point past
         ``max_k_ms`` (MaxDH) when none does.
 
-        ``sel_ratio_at(k* // g)`` supplies ``sel(K)/sel`` per candidate.
-        Returns ``(k*, grid points decided)``: the index of ``k*`` plus one
-        (the give-up index itself when nothing clears), whether a point was
-        evaluated or ruled out; :attr:`last_evaluations` is what was paid.
+        ``sel_ratio_at(k* // g)`` supplies ``sel(K)/sel`` per candidate;
+        ``breaks``, when given, lists in ascending order every grid index
+        at which it may differ from the index before (``[]``: a constant
+        ratio; ``None``, the default: any index).  Returns ``(k*, grid
+        points decided)``: the index of ``k*`` plus one (the give-up index
+        itself when nothing clears), whether a point was evaluated or ruled
+        out; :attr:`last_evaluations` is what was paid.
 
         ``ratio_cap`` is a number the caller guarantees no
         ``sel_ratio_at(·)`` exceeds.  Given one, the scan does not start at
@@ -403,6 +406,15 @@ class RecallModel:
           the same float the scan from zero does.  The bisection's ceilings
           are nested and free; past the last one the scan probes 2, 4, 8, …
           grid points ahead (at most to ``max_k_ms // g``) for a new one.
+        * *A constant-ratio run goes at once.*  Once a point i is ruled out
+          under the ceiling ``(u, rate_u)``, every point j up to the next
+          break, ``u`` and ``max_k_ms // g`` (u never exceeds it) reads the
+          same ratio, the same ceiling (only ceilings below j are dropped,
+          and no look-ahead runs while one is left) and so the same float
+          estimate: each one would be ruled out in turn.  The scan skips
+          them together and credits each, so ``steps``, the credit, the
+          look-ahead timing and :attr:`last_evaluations` are those of the
+          point-by-point loop; without ``breaks`` it is that loop.
         * *The credit rule.*  A look-ahead probe is paid only with a skip
           already made: one probe per grid point skipped so far.  So
           :attr:`last_evaluations` — bisection probes, look-ahead probes
@@ -443,7 +455,16 @@ class RecallModel:
                 ceiling, rate = ceilings[-1]
                 estimate = ratio * rate / true_rate
                 if estimate < threshold:
-                    credit += 1  # ruled out unevaluated; threshold <= requirement
+                    # Ruled out unevaluated (threshold <= requirement), and
+                    # with it the rest of the ratio's run under this ceiling.
+                    last = steps
+                    if breaks is not None:
+                        after = bisect_right(breaks, steps)
+                        last = ceiling
+                        if after < len(breaks):
+                            last = min(ceiling, breaks[after] - 1)
+                    credit += last - steps + 1
+                    steps, k_star = last, last * g
                 elif ceiling == steps:
                     estimate = max(0.0, min(1.0, estimate))  # gamma's own operations
                 else:

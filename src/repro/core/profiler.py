@@ -26,14 +26,16 @@ interval).  The snapshot answers the two questions of Sec. IV-B/IV-C:
 
 from __future__ import annotations
 
-from itertools import accumulate
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Dict, List, Optional
 
 from .tuples import StreamTuple
 
 
 class ProfileSnapshot:
-    """Frozen productivity maps with O(1) Eq. 6 evaluation.
+    """Frozen productivity maps with O(log n) Eq. 6 evaluation.
 
     ``m_cross`` / ``m_on`` are the maps used for the selectivity ratio
     (possibly smoothed over several intervals, see
@@ -42,6 +44,15 @@ class ProfileSnapshot:
     estimate of Sec. IV-C (defaults to the maps' total).  The snapshot
     keeps the two maps and reads them on first use: hand it maps nobody
     will write to afterwards.
+
+    Eq. 6's sums are kept over the *occupied* delays only: the sorted
+    keys of either map in ``[0, MaxDM]`` (:attr:`occupied_delays`) and,
+    per map, its running sums over them, left to right with a leading 0.
+    A lookup bisects the keys.  The values are non-negative, so every
+    ``+ 0.0`` a dense table over d = 0 … MaxDM would add is exact: the
+    sums equal the dense ones bit for bit.  Eq. 6's ratio changes only
+    at an occupied delay, which is what lets Alg. 3 rule out a whole run
+    of grid points at once (``RecallModel.first_sufficient_k``).
     """
 
     def __init__(
@@ -54,22 +65,30 @@ class ProfileSnapshot:
         self._m_cross = m_cross
         self._m_on = m_on
         self._interval_on = interval_on
-        #: Dense ``Σ_{d<=K}`` tables with a leading 0 (index ``K + 1``),
-        #: built on first use: only Eq. 6 and the totals read them, so a
-        #: step under EqSel or a fixed-K policy never pays for them.
+        #: ``Σ_{d<=K}`` over the occupied delays, with a leading 0, built
+        #: on first use: only Eq. 6 and the totals read them, so a step
+        #: under EqSel or a fixed-K policy never pays for them.
         self._cumulative: Optional[List[List[float]]] = None
+        self._keys: List[int] = []
 
     def _tables(self) -> List[List[float]]:
-        """``[Σ M×, Σ M^on]``, summed left to right over d = 0 … MaxDM."""
+        """``[Σ M×, Σ M^on]`` at each occupied delay, summed left to right."""
         if self._cumulative is None:
-            size = self.max_coarse_delay + 1
-            dense = [[0.0] * size, [0.0] * size]
-            for table, sparse in zip(dense, (self._m_cross, self._m_on)):
-                for d, value in sparse.items():
-                    if 0 <= d < size:
-                        table[d] = value
-            self._cumulative = [list(accumulate(t, initial=0.0)) for t in dense]
+            maps = dict(self._m_cross.items()), dict(self._m_on.items())
+            keys = sorted(maps[0].keys() | maps[1].keys())
+            keys = keys[bisect_left(keys, 0):bisect_right(keys, self.max_coarse_delay)]
+            self._keys = keys
+            self._cumulative = [
+                list(accumulate(map(m.get, keys, repeat(0.0)), initial=0.0)) for m in maps
+            ]
         return self._cumulative
+
+    @property
+    def occupied_delays(self) -> List[int]:
+        """The sorted delays in ``[0, MaxDM]`` either map holds: the only
+        coarse K at which :meth:`sel_ratio` may change."""
+        self._tables()
+        return self._keys
 
     @property
     def total_cross(self) -> float:
@@ -83,13 +102,13 @@ class ProfileSnapshot:
         """``Σ_{d=0}^{K} M×[d]`` (saturating beyond MaxDM)."""
         if coarse_k < 0:
             return 0.0
-        return self._tables()[0][min(coarse_k, self.max_coarse_delay) + 1]
+        return self._tables()[0][bisect_right(self._keys, coarse_k)]
 
     def cumulative_on(self, coarse_k: int) -> float:
         """``Σ_{d=0}^{K} M^on[d]`` (saturating beyond MaxDM)."""
         if coarse_k < 0:
             return 0.0
-        return self._tables()[1][min(coarse_k, self.max_coarse_delay) + 1]
+        return self._tables()[1][bisect_right(self._keys, coarse_k)]
 
     def sel_ratio(self, coarse_k: int) -> float:
         """Eq. 6: ``sel^on(K)/sel^on`` at coarse buffer size ``coarse_k``.
@@ -99,7 +118,7 @@ class ProfileSnapshot:
         """
         cum_cross, cum_on = self._cumulative or self._tables()
         # Index 0 is the empty sum: a negative K has seen nothing.
-        index = min(coarse_k, self.max_coarse_delay) + 1 if coarse_k >= 0 else 0
+        index = bisect_right(self._keys, coarse_k) if coarse_k >= 0 else 0
         cross_k = cum_cross[index]
         on_all = cum_on[-1]
         if cross_k <= 0.0 or on_all <= 0.0:
@@ -209,12 +228,15 @@ class TupleProductivityProfiler:
             mean_on = self._previous_mean_on
         interval_on = self._interval_on_sum + self._interval_out_of_order * mean_on
         if self.smoothing > 0.0:
-            # sorted(): canonical decay order — set-union iteration would
-            # make the smoothed maps' key insertion order (and any float
-            # accumulation over them) depend on per-process hashing.
-            for d in sorted(set(self._smooth_cross) | set(self._smooth_on)):
-                self._smooth_cross[d] = self._smooth_cross.get(d, 0.0) * self.smoothing
-                self._smooth_on[d] = self._smooth_on.get(d, 0.0) * self.smoothing
+            # Both maps decay over the union of their keys, rebuilt in
+            # sorted() order: set-union iteration would make the maps' key
+            # order depend on per-process hashing.
+            keys = sorted(self._smooth_cross.keys() | self._smooth_on.keys())
+            decay = repeat(self.smoothing)
+            self._smooth_cross, self._smooth_on = [
+                dict(zip(keys, map(mul, map(smooth.get, keys, repeat(0.0)), decay)))
+                for smooth in (self._smooth_cross, self._smooth_on)
+            ]
             for d, value in self._m_cross.items():
                 self._smooth_cross[d] = self._smooth_cross.get(d, 0.0) + value
             for d, value in self._m_on.items():

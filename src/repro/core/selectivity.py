@@ -17,13 +17,18 @@ step with the interval's :class:`~repro.core.profiler.ProfileSnapshot`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Optional, Sequence
 
 from .profiler import ProfileSnapshot
 
 
 class SelectivityStrategy(ABC):
-    """Computes ``sel^on(K)/sel^on`` for candidate coarse buffer sizes."""
+    """Computes ``sel^on(K)/sel^on`` for candidate coarse buffer sizes.
+
+    :meth:`ratio_breaks` tells Alg. 3 where the ratio may change, so its
+    scan can rule out a run of equal-ratio candidates at once; the
+    default, None, claims nothing and keeps the scan point by point.
+    """
 
     name: str = "abstract"
     #: A number :meth:`ratio` never exceeds, or None when there is none.
@@ -34,6 +39,11 @@ class SelectivityStrategy(ABC):
     def ratio(self, snapshot: Optional[ProfileSnapshot], coarse_k: int) -> float:
         """Selectivity ratio at coarse K (``K / g``)."""
 
+    def ratio_breaks(self, snapshot: Optional[ProfileSnapshot]) -> Optional[Sequence[int]]:
+        """The sorted coarse K at which :meth:`ratio` may differ from its
+        value at ``K - 1``, or None when that may happen at any K."""
+        return None
+
 
 class EqSel(SelectivityStrategy):
     """Assume the selectivity is unaffected by K (ratio always 1.0)."""
@@ -43,6 +53,9 @@ class EqSel(SelectivityStrategy):
 
     def ratio(self, snapshot: Optional[ProfileSnapshot], coarse_k: int) -> float:
         return 1.0
+
+    def ratio_breaks(self, snapshot: Optional[ProfileSnapshot]) -> Sequence[int]:
+        return ()
 
 
 class NonEqSel(SelectivityStrategy):
@@ -74,6 +87,10 @@ class NonEqSel(SelectivityStrategy):
             return 1.0
         ratio = snapshot.sel_ratio(coarse_k)
         return min(1.0, ratio) if self.cap_at_one else ratio
+
+    def ratio_breaks(self, snapshot: Optional[ProfileSnapshot]) -> Sequence[int]:
+        """Eq. 6 changes only at an occupied delay of the snapshot."""
+        return () if snapshot is None else snapshot.occupied_delays
 
 
 def strategy_from_name(name: str) -> SelectivityStrategy:

@@ -33,6 +33,7 @@ therefore bit-identical to folding each tuple as it arrives.
 from __future__ import annotations
 
 from collections import Counter, deque
+from itertools import repeat
 from typing import Deque, Iterable, List, Optional
 
 from ..adwin.adwin import Adwin
@@ -106,15 +107,15 @@ class StreamStatistics:
     def _trim_to_adwin_width(self) -> None:
         """Keep the deques no longer than ADWIN's current window width."""
         width = max(1, self._adwin.width)
-        while len(self._delays) > width:
-            old = self._delays.popleft()
-            self._arrivals.popleft()
-            bucket = coarse_delay(old, self.granularity_ms)
-            self._bucket_counts[bucket] -= 1
-            if not self._bucket_counts[bucket]:
-                del self._bucket_counts[bucket]
-        while len(self._ksyncs) > width:
-            self._ksync_sum -= self._ksyncs.popleft()
+        # Each deque pops its excess (none when the count is negative) in
+        # one pass; a bucket whose count reaches zero goes (Counter ``-=``).
+        excess = len(self._delays) - width
+        removed = list(map(deque.popleft, repeat(self._delays, excess)))
+        deque(map(deque.popleft, repeat(self._arrivals, excess)), maxlen=0)
+        g = self.granularity_ms  # coarse_delay(), inlined
+        self._bucket_counts -= Counter([(d + g - 1) // g if d > 0 else 0 for d in removed])
+        # Integer ms: exact in any order.
+        self._ksync_sum -= sum(map(deque.popleft, repeat(self._ksyncs, len(self._ksyncs) - width)))
 
     # ------------------------------------------------------------------
     # queries

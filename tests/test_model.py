@@ -5,11 +5,19 @@ against a direct brute-force evaluation of the paper's equations.
 """
 
 import random
+from bisect import bisect_right
 from math import isfinite
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro import CumulativePdf, RecallModel, StreamModelInput
+from repro import (
+    CumulativePdf,
+    RecallModel,
+    SelectivityStrategy,
+    StreamModelInput,
+)
 
 
 # ----------------------------------------------------------------------
@@ -281,6 +289,58 @@ def bounded_scan_cost(model, requirement, sel_ratio_at, max_k_ms, cap):
     return bisected + steps - start
 
 
+def point_scan(model, requirement, sel_ratio_at, max_k_ms, ratio_cap=None):
+    """``first_sufficient_k`` before the constant-ratio run jump, verbatim:
+    bisect, then decide one grid point at a time, skipping a point that a
+    known ceiling rules out.  Returns ``((k*, steps), evaluations)`` —
+    what the jump must reproduce, including what it pays."""
+    g, true_rate = model.g, model._true_rate
+    start = paid = credit = 0
+    ceilings = []
+    if (
+        ratio_cap is not None and isfinite(ratio_cap)
+        and true_rate > 0.0 and requirement > 0.0
+    ):
+        threshold = requirement * (1.0 - model._guard)
+        stop = max_k_ms // g + 1
+        while start < stop:
+            middle = (start + stop) // 2
+            paid += 1
+            rate = model.produced_result_rate(middle * g)
+            if ratio_cap * rate / true_rate < threshold:
+                start = middle + 1
+            else:
+                stop = middle
+                ceilings.append((middle, rate))
+    k_star, steps, ahead = start * g, start, 2
+    while k_star <= max_k_ms:
+        ratio = sel_ratio_at(steps)  # steps is k_star's grid index here
+        while ceilings and ceilings[-1][0] < steps:
+            ceilings.pop()
+        if credit and not ceilings:  # look ahead, paid by a skip
+            probe = min(steps + ahead, max_k_ms // g)
+            ceilings.append((probe, model.produced_result_rate(probe * g)))
+            credit, ahead, paid = credit - 1, 2 * ahead, paid + 1
+        if not ceilings:
+            paid += 1
+            estimate = model.gamma(k_star, ratio)
+        else:
+            ceiling, rate = ceilings[-1]
+            estimate = ratio * rate / true_rate
+            if estimate < threshold:
+                credit += 1  # ruled out unevaluated; threshold <= requirement
+            elif ceiling == steps:
+                estimate = max(0.0, min(1.0, estimate))  # gamma's own operations
+            else:
+                paid += 1
+                estimate = model.gamma(k_star, ratio)
+        steps += 1
+        if estimate >= requirement:
+            break
+        k_star += g
+    return (k_star, steps), paid
+
+
 #: The model's three index paths: g | b, b | g, neither.
 INDEX_PATHS = [(10, 1), (10, 100), (30, 7)]
 
@@ -376,3 +436,98 @@ class TestBoundedScan:
             for requirement in (0.0, 0.95, 1.0):
                 self._check(model, requirement, ratio_at, max_k_ms, 1.0)
         assert model.first_sufficient_k(0.95, ratio_at, -1, 1.0) == (0, 0)
+
+
+# ----------------------------------------------------------------------
+# The run jump: first_sufficient_k(..., breaks=...)
+# ----------------------------------------------------------------------
+
+@st.composite
+def piecewise_scan_cases(draw):
+    """A model on one of the three index paths, a piecewise-constant ratio
+    with its break list, and a requirement that often ties an estimate."""
+    b, g = draw(st.sampled_from(INDEX_PATHS))
+    inputs = []
+    for _ in range(draw(st.integers(2, 3))):
+        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40).filter(any))
+        late = [0.0] * draw(st.integers(0, 30))  # little in order at K = 0
+        inputs.append(StreamModelInput(
+            pdf=late + [w / sum(weights) for w in weights],
+            ksync_ms=draw(st.sampled_from([0.0, 7.0, 57.0])),
+            rate_per_ms=draw(st.floats(0.005, 0.05)),
+            window_ms=draw(st.integers(1, 1_500)),
+        ))
+    longest = max(len(s.pdf) for s in inputs)  # the grid spans the pdfs
+    max_k_ms = (longest + draw(st.integers(0, 5))) * g + draw(st.integers(0, g - 1))
+    points = max_k_ms // g + 1
+    breaks = sorted(draw(st.sets(st.integers(1, points + 3), max_size=12)))
+    values = draw(st.lists(st.floats(0.1, 1.0), min_size=len(breaks), max_size=len(breaks)))
+    values.append(1.0)  # Eq. 6 reads 1 past the last occupied delay
+    cap = draw(st.sampled_from([1.0, None]))
+    if cap is None:  # uncapped: the ratio may exceed 1
+        values = [value * draw(st.sampled_from([1.0, 1.5])) for value in values]
+    tie = draw(st.one_of(st.none(), st.integers(0, points - 1)))
+    requirement = draw(st.floats(0.01, 1.0))
+    return inputs, b, g, breaks, values, cap, tie, requirement, max_k_ms
+
+
+class TestRunJumpProperties:
+    @given(piecewise_scan_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_the_jump_is_the_point_by_point_scan(self, case):
+        """Whatever the break list — none, the true one, or ``[]`` under a
+        constant ratio — the scan returns the ``(k*, steps)`` and pays the
+        model evaluations of the point-by-point loop."""
+        inputs, b, g, breaks, values, cap, tie, requirement, max_k_ms = case
+        model = RecallModel(inputs, basic_window_ms=b, granularity_ms=g)
+
+        def ratio_at(coarse_k):
+            return values[bisect_right(breaks, coarse_k)]
+
+        def constant_at(coarse_k):
+            return values[0]
+
+        for sel_ratio_at, true_breaks in ((ratio_at, breaks), (constant_at, [])):
+            if tie is not None:  # the requirement ties an estimate exactly
+                requirement = model.gamma(tie * g, sel_ratio_at(tie))
+            expected, paid = point_scan(model, requirement, sel_ratio_at, max_k_ms, cap)
+            for given_breaks in (None, true_breaks):
+                assert model.first_sufficient_k(
+                    requirement, sel_ratio_at, max_k_ms, cap, given_breaks
+                ) == expected
+                assert model.last_evaluations == paid
+
+    @pytest.mark.parametrize("b,g", INDEX_PATHS)
+    def test_a_strategy_without_breaks_scans_every_point(self, b, g):
+        """A strategy that leaves ``ratio_breaks`` at its default is asked
+        for its ratio at every grid point the scan decides; declaring the
+        same constant ratio as such rules its runs out whole."""
+
+        class Halving(SelectivityStrategy):
+            ratio_cap = 1.0
+
+            def ratio(self, snapshot, coarse_k):
+                return 0.5
+
+        strategy = Halving()
+        assert strategy.ratio_breaks(None) is None
+        model = RecallModel(_inputs(m=3, window=2_050, pdf=_RAGGED), b, g)
+        max_k_ms = (len(_RAGGED) - 1) * g
+        calls = []
+
+        def sel_ratio_at(coarse_k):
+            calls.append(coarse_k)
+            return strategy.ratio(None, coarse_k)
+
+        expected, paid = point_scan(model, 0.4, sel_ratio_at, max_k_ms, 1.0)
+        scanned, calls[:] = calls[:], []
+        assert model.first_sufficient_k(
+            0.4, sel_ratio_at, max_k_ms, 1.0, strategy.ratio_breaks(None)
+        ) == expected
+        assert model.last_evaluations == paid
+        assert calls == scanned == list(range(scanned[0], expected[1]))
+        # The same constant ratio declared as one: each run goes at once.
+        calls.clear()
+        assert model.first_sufficient_k(0.4, sel_ratio_at, max_k_ms, 1.0, []) == expected
+        assert model.last_evaluations == paid
+        assert len(calls) < len(scanned)

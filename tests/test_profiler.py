@@ -1,6 +1,8 @@
 """Unit tests for the Tuple-Productivity Profiler and Eq. 6 (repro.core.profiler)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ProfileSnapshot, StreamTuple, TupleProductivityProfiler
 
@@ -155,6 +157,39 @@ class TestSmoothing:
         raw.record(_t(15), 100, 1, True)
         raw_snapshot = raw.snapshot_and_reset()
         assert smoothed.sel_ratio(0) < raw_snapshot.sel_ratio(0)
+
+
+record_lists = st.lists(
+    st.tuples(st.integers(0, 200), st.integers(0, 1_000), st.integers(0, 1_000), st.booleans()),
+    max_size=30,
+)
+
+
+class TestSmoothingProperties:
+    @given(st.floats(0.01, 0.99), st.lists(record_lists, min_size=1, max_size=8))
+    @settings(max_examples=100)
+    def test_decay_equals_the_per_key_loop(self, smoothing, intervals):
+        """The smoothed maps equal, float for float, a per-key decay loop
+        over the sorted union of their keys."""
+        p = TupleProductivityProfiler(granularity_ms=10, smoothing=smoothing)
+        ref_cross, ref_on = {}, {}
+        for records in intervals:
+            for delay, n_cross, n_on, in_order in records:
+                if in_order:
+                    p.record(_t(delay), n_cross, n_on, True)
+                else:
+                    p.record(_t(delay), None, None, False)
+            raw = p.peek_snapshot()
+            for d in sorted(set(ref_cross) | set(ref_on)):
+                ref_cross[d] = ref_cross.get(d, 0.0) * smoothing
+                ref_on[d] = ref_on.get(d, 0.0) * smoothing
+            for d, value in raw._m_cross.items():
+                ref_cross[d] = ref_cross.get(d, 0.0) + value
+            for d, value in raw._m_on.items():
+                ref_on[d] = ref_on.get(d, 0.0) + value
+            snapshot = p.snapshot_and_reset()
+            assert repr(sorted(snapshot._m_cross.items())) == repr(sorted(ref_cross.items()))
+            assert repr(sorted(snapshot._m_on.items())) == repr(sorted(ref_on.items()))
 
 
 class TestNonEqSelCap:

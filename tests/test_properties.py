@@ -681,3 +681,29 @@ class TestLazySnapshotProperties:
         assert reads == ["items", "items"]
         snapshot.cumulative_on(3)
         assert reads == ["items", "items"]
+
+
+class TestOccupiedDelayProperties:
+    @given(sparse_map, sparse_map)
+    @settings(max_examples=150)
+    def test_eq6_is_constant_between_breaks(self, m_cross, m_on):
+        """Eq. 6 changes only at an occupied delay: on every ``[k, next
+        break)`` it reads one value, the eager per-point ratio."""
+        snapshot = ProfileSnapshot(m_cross, m_on)
+        top = snapshot.max_coarse_delay
+        breaks = snapshot.occupied_delays
+        assert breaks == sorted(d for d in set(m_cross) | set(m_on) if d <= top)
+        acc_cross = sum(m_cross.get(d, 0.0) for d in range(top + 1))
+        acc_on = sum(m_on.get(d, 0.0) for d in range(top + 1))
+        cross_k = on_k = 0.0
+        for k in range(top + 3):
+            if k <= top:  # the sums saturate at MaxDM
+                cross_k += m_cross.get(k, 0.0)
+                on_k += m_on.get(k, 0.0)
+            if cross_k <= 0.0 or acc_on <= 0.0:
+                eager = 1.0
+            else:
+                eager = (on_k / cross_k) * (acc_cross / acc_on)
+            assert snapshot.sel_ratio(k) == eager
+            if k not in breaks and k > 0:
+                assert snapshot.sel_ratio(k) == snapshot.sel_ratio(k - 1)
